@@ -262,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", help="JSON config file (defaults used if omitted)")
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--out", required=True)
-    exp.add_argument("--workers", type=int)
+    exp.add_argument(
+        "--workers", type=int,
+        help="accepted for older scripts; has no effect (replications run in one thread)",
+    )
     exp.set_defaults(func=_cmd_experiment)
 
     return parser

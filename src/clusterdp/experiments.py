@@ -12,7 +12,7 @@ Five runners, each a pure function of (config, seed) that emits tidy tables:
 * ``distribution``     - normality and bias diagnostics of the debiased estimator.
 
 Replications derive their random streams from (seed, replication index), so
-tables are byte-identical regardless of worker count.
+tables are byte-identical for a given (config, seed).
 """
 
 from __future__ import annotations
@@ -22,16 +22,19 @@ import json
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import stats as scipy_stats
+from scipy.special import log_ndtr
 
 from . import accounting
 from .estimation import debias_rows, per_cluster_contributions, tau_no_dp
-from .mechanisms import arm_histograms, fit_priors, renormalize, resample_outcomes
+from .mechanisms import (
+    arm_histograms, fit_priors, histogram_noise_term, ht_noise_term, perturb_clip, renormalize,
+    resample_draws, resample_from_uniforms, resample_outcomes,
+)
 from .model import (
     Design,
     MechanismKind,
@@ -132,6 +135,8 @@ class ExperimentConfig:
             targets = {"epsilon": float(targets["epsilon"]), "delta": float(targets.get("delta", 0.0))}
         if merged["replications"] < 1:
             raise ValidationError("replications must be >= 1")
+        if int(merged["workers"]) < 1:
+            raise ValidationError("workers must be >= 1")
         return cls(
             population=dict(merged["population"]),
             mechanism=mech,
@@ -162,8 +167,8 @@ class ExperimentConfig:
                 return [enc(v) for v in obj]
             return obj
 
-        # workers is an execution knob, not part of the scientific
-        # configuration; results are identical for any worker count
+        # workers is accepted for saved configs but has no effect (the
+        # harness runs in one thread); it is not part of the configuration
         payload = {k: enc(getattr(self, k)) for k in _DEFAULTS if k != "workers"}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -204,28 +209,12 @@ def counts_design(pop: PopulationDataset, treated) -> Design:
 # Monte Carlo kernels
 # ---------------------------------------------------------------------------
 
-def _run_replications(fn, reps: int, workers: int) -> list:
-    """Index-ordered replication results; identical for any worker count."""
-    if workers <= 1:
-        return [fn(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(reps)))
-
-
-def _stratified_weights(design: Design, cluster: np.ndarray, n: int) -> np.ndarray:
-    sizes = design.n1c + design.n0c
-    w_t = (sizes / n) / design.n1c
-    w_c = (sizes / n) / design.n0c
-    return np.where(design.z == 1, w_t[cluster], -w_c[cluster])
-
-
 def cluster_mechanism_taus(
     pop: PopulationDataset,
     params: MechanismParams,
     treated,
     streams: RngStreams,
     reps: int,
-    workers: int = 1,
 ) -> np.ndarray:
     """Debiased estimates over replications of (assignment, prior fit, resampling).
 
@@ -236,7 +225,6 @@ def cluster_mechanism_taus(
     """
     n1c = resolve_treated_counts(pop, treated)
     vals = pop.space.array
-    n = pop.n
 
     def one(r: int) -> float:
         node = streams.child("rep", r)
@@ -252,7 +240,21 @@ def cluster_mechanism_taus(
         # mechanism + estimator bit for bit
         return float(per_cluster_contributions(per_unit, pop.cluster, design).sum())
 
-    return np.array(_run_replications(one, reps, workers))
+    return np.array([one(r) for r in range(reps)])
+
+
+def _debiased_units(pop, design, params, p_hat, n_ac, cl, std, u_keep, u_cat) -> np.ndarray:
+    """Per-unit debiased values of the cluster mechanism from supplied draws.
+
+    ``std`` (standard Laplace), ``u_keep`` and ``u_cat`` carry a leading
+    replication axis; ``cl`` maps each unit to its row of ``p_hat``.
+    """
+    scale = 0.0 if math.isinf(params.sigma) else params.sigma / n_ac[..., None]
+    q = perturb_clip(p_hat, params.gamma, params.sigma, n_ac, noise=std * scale)
+    qt = renormalize(q, params.gamma)
+    y_t = resample_from_uniforms(pop.observed(design), cl, design.z, qt, params.lam, u_keep, u_cat)
+    rows = debias_rows(pop.space.array, qt, params.lam)
+    return rows[np.arange(len(qt))[:, None], cl, design.z, y_t]
 
 
 def cluster_taus_fixed_design(
@@ -271,29 +273,17 @@ def cluster_taus_fixed_design(
     n_ac = hist.n_ac.sum(axis=0, keepdims=True) if pooled else hist.n_ac
     p_hat = counts / n_ac[..., None]
     cl = np.zeros(pop.n, dtype=np.int64) if pooled else pop.cluster
-    vals = pop.space.array
-    k = pop.space.k
-    y_obs = pop.observed(design)
-    w_unit = _stratified_weights(design, pop.cluster, pop.n)
-    lam, gamma, sigma = params.lam, params.gamma, params.sigma
+    w_unit = _batched_weights(design.z, pop, design.n1c, design.n0c, True)
 
     out = np.empty(reps)
     for ci, start in enumerate(range(0, reps, chunk)):
         m = min(chunk, reps - start)
         g = streams.generator("batch", ci)
-        if math.isinf(sigma):
-            q = np.clip(np.broadcast_to(p_hat, (m, *p_hat.shape)), gamma, 1.0)
-        else:
-            noise = laplace_noise(g, 1.0, (m, *p_hat.shape)) * (sigma / n_ac)[..., None]
-            q = np.clip(p_hat + noise, gamma, 1.0)
-        qt = renormalize(q, gamma)
-        prior_mean = qt @ vals
-        u_keep = g.random((m, pop.n))
-        u_cat = open_uniform(g, (m, pop.n))
-        cum = np.cumsum(qt[:, cl, design.z, :], axis=-1)
-        drawn = np.minimum((u_cat[..., None] > cum).sum(axis=-1), k - 1)
-        y_t = np.where(u_keep < lam, drawn, y_obs)
-        per_unit = (vals[y_t] - lam * prior_mean[:, cl, design.z]) / (1.0 - lam)
+        shape = (m, *p_hat.shape)
+        std = np.zeros(shape) if math.isinf(params.sigma) else laplace_noise(g, 1.0, shape)
+        per_unit = _debiased_units(
+            pop, design, params, p_hat, n_ac, cl, std, *resample_draws(g, (m, pop.n))
+        )
         out[start : start + m] = per_unit @ w_unit
     return out
 
@@ -341,36 +331,17 @@ def uniform_prior_taus(
         g = streams.generator("batch", ci)
         z = _batched_assignments(pop, n1c, g, m)
         y_obs = np.where(z == 1, y1v, y0v)
-        u_keep = g.random((m, pop.n))
-        drawn = np.minimum((open_uniform(g, (m, pop.n)) * k).astype(np.int64), k - 1)
+        u_keep, u_cat = resample_draws(g, (m, pop.n))
+        drawn = np.minimum((u_cat * k).astype(np.int64), k - 1)
         y_t = np.where(u_keep < lam, vals[drawn], y_obs)
         w = _batched_weights(z, pop, n1c, n0c, stratified)
         out[start : start + m] = (y_t * w).sum(axis=1) / (1.0 - lam)
     return out
 
 
-def nodp_taus(
-    pop: PopulationDataset,
-    treated,
-    streams: RngStreams,
-    reps: int,
-    stratified: bool = True,
-    chunk: int = 20000,
-) -> np.ndarray:
-    """True-outcome difference-in-means over assignment replications."""
-    n1c = resolve_treated_counts(pop, treated)
-    n0c = pop.cluster_sizes - n1c
-    vals = pop.space.array
-    y0v, y1v = vals[pop.y0], vals[pop.y1]
-    out = np.empty(reps)
-    for ci, start in enumerate(range(0, reps, chunk)):
-        m = min(chunk, reps - start)
-        g = streams.generator("batch", ci)
-        z = _batched_assignments(pop, n1c, g, m)
-        y_obs = np.where(z == 1, y1v, y0v)
-        w = _batched_weights(z, pop, n1c, n0c, stratified)
-        out[start : start + m] = (y_obs * w).sum(axis=1)
-    return out
+def nodp_taus(pop: PopulationDataset, treated, streams: RngStreams, reps: int) -> np.ndarray:
+    """True-outcome difference-in-means over assignment replications (lam = 0, same bits)."""
+    return uniform_prior_taus(pop, 0.0, treated, streams, reps)
 
 
 def jackknife_variance_se(x) -> float:
@@ -477,7 +448,7 @@ def run_variance_sweep(cfg: ExperimentConfig, seed: int):
             params = MechanismParams(kind=kind, gamma=gamma, sigma=sigma, lam=lam)
             taus = cluster_mechanism_taus(
                 pop, params, cfg.treated_fraction,
-                streams.child("sweep", kind.value, gi), reps, cfg.workers,
+                streams.child("sweep", kind.value, gi), reps,
             )
             bound = cluster_dp_variance_bound(pop, design, params).value if lam < 1 else ""
             rows.append(
@@ -536,7 +507,6 @@ def run_homogeneity_sweep(cfg: ExperimentConfig, seed: int):
                 taus = cluster_mechanism_taus(
                     pop, params, cfg.treated_fraction,
                     streams.child("mc", li, bi), cfg.replications,
-                    cfg.workers,
                 )
                 variances[kind] = (float(np.var(taus, ddof=1)), jackknife_variance_se(taus))
             vc, se_c = variances[MechanismKind.CLUSTER_DP]
@@ -580,8 +550,7 @@ def run_bound_validation(cfg: ExperimentConfig, seed: int):
             lam=mech["lambda"],
         )
         taus = cluster_mechanism_taus(
-            pop, params, cfg.treated_fraction, streams.child("mc", bi),
-            cfg.replications, cfg.workers,
+            pop, params, cfg.treated_fraction, streams.child("mc", bi), cfg.replications,
         )
         exact_no_dp = ht_variance(pop, design)
         mc_var = float(np.var(taus, ddof=1))
@@ -611,26 +580,6 @@ def run_bound_validation(cfg: ExperimentConfig, seed: int):
             }
         )
     return {"results": rows}, {}
-
-
-def _fixed_noise_cluster_tau(pop, sub_idx, design, params, std_prior, u_keep, u_cat):
-    """Cluster mechanism estimate with frozen noise and frozen per-unit draws."""
-    hist = arm_histograms(pop, design)
-    p_hat = hist.p_hat
-    if math.isinf(params.sigma):
-        q = np.clip(p_hat, params.gamma, 1.0)
-    else:
-        q = np.clip(p_hat + std_prior * (params.sigma / hist.n_ac)[..., None], params.gamma, 1.0)
-    qt = renormalize(q, params.gamma)
-    vals = pop.space.array
-    k = pop.space.k
-    y_obs = pop.observed(design)
-    cum = np.cumsum(qt[pop.cluster, design.z], axis=-1)
-    drawn = np.minimum((u_cat[sub_idx, None] > cum).sum(axis=1), k - 1)
-    y_t = np.where(u_keep[sub_idx] < params.lam, drawn, y_obs)
-    rows = debias_rows(vals, qt, params.lam)
-    per_unit = rows[pop.cluster, design.z, y_t]
-    return float(per_unit @ _stratified_weights(design, pop.cluster, pop.n))
 
 
 def run_baseline_bias(cfg: ExperimentConfig, seed: int):
@@ -688,24 +637,17 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
                 sub_idx = np.array([unit_index[uid] for uid in sub.unit_ids])
                 truth = sub.ate
                 base_tau = tau_no_dp(sub, design)
-                weights = sub.cluster_sizes / sub.n
-                if math.isinf(eps):
-                    nht_scale = np.zeros(c)
-                    nh_scale = np.zeros((c, 2))
-                else:
-                    nht_scale = sub.space.max_abs / np.minimum(design.n0c, design.n1c) / eps
-                    nh_scale = 1.0 / (design.arm_counts() * eps)
-                devs["cluster_dp"][s] = (
-                    _fixed_noise_cluster_tau(sub, sub_idx, design, params, std_prior, u_keep, u_cat)
-                    - truth
-                )
-                devs["noisy_ht"][s] = base_tau + float(np.dot(weights, std_nht * nht_scale)) - truth
-                nh_noise = std_nh * nh_scale[..., None]
+                hist = arm_histograms(sub, design)
+                per_unit = _debiased_units(  # frozen noise and per-unit draws
+                    sub, design, params, hist.p_hat, hist.n_ac, sub.cluster,
+                    std_prior[None], u_keep[None, sub_idx], u_cat[None, sub_idx],
+                )[0]
+                w = _batched_weights(design.z, sub, design.n1c, design.n0c, True)
+                devs["cluster_dp"][s] = float(per_unit @ w) - truth
+                nht_term, _ = ht_noise_term(sub, design, eps, std_nht)
+                devs["noisy_ht"][s] = base_tau + nht_term - truth
                 devs["noisy_histogram"][s] = (
-                    base_tau
-                    + float(np.einsum("c,k,ck->", weights, sub.space.array,
-                                      nh_noise[:, 1] - nh_noise[:, 0]))
-                    - truth
+                    base_tau + histogram_noise_term(sub, design, eps, std_nh) - truth
                 )
             for name in biases:
                 biases[name].append(float(np.mean(devs[name])))
@@ -730,6 +672,19 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
     return {"results": rows}, {"subpop_n": sub_n}
 
 
+def _anderson_normal(x: np.ndarray) -> tuple[float, float]:
+    """Anderson-Darling A^2 for normality (mean and sd estimated) and its 1% critical value.
+
+    Same arithmetic as ``scipy.stats.anderson(x, "norm")``: Stephens' (1974)
+    1% point 1.035 with the finite-sample correction 1 + 0.75/N + 2.25/N^2.
+    """
+    n = len(x)
+    w = (np.sort(x) - np.mean(x)) / np.std(x, ddof=1)
+    i = np.arange(1, n + 1)
+    a2 = -n - np.sum((2 * i - 1.0) / n * (log_ndtr(w) + log_ndtr(-w)[::-1]))
+    return float(a2), float(np.around(1.035 / (1.0 + 0.75 / n + 2.25 / n / n), 3))
+
+
 def run_distribution_check(cfg: ExperimentConfig, seed: int):
     """Bias and normality diagnostics of the debiased estimator."""
     streams = RngStreams(seed)
@@ -741,11 +696,9 @@ def run_distribution_check(cfg: ExperimentConfig, seed: int):
     )
     taus = cluster_mechanism_taus(
         pop, params, cfg.treated_fraction, streams.child("mc"), cfg.replications,
-        cfg.workers,
     )
     dev = taus - pop.ate
-    ad = scipy_stats.anderson(dev, dist="norm")
-    crit_1pct = float(ad.critical_values[list(ad.significance_level).index(1.0)])
+    ad_statistic, crit_1pct = _anderson_normal(dev)
     ttest = scipy_stats.ttest_1samp(dev, 0.0)
     se = float(dev.std(ddof=1) / math.sqrt(len(dev)))
     summary = {
@@ -758,9 +711,9 @@ def run_distribution_check(cfg: ExperimentConfig, seed: int):
         "mean_se": se,
         "t_statistic": float(ttest.statistic),
         "t_pvalue": float(ttest.pvalue),
-        "ad_statistic": float(ad.statistic),
+        "ad_statistic": ad_statistic,
         "ad_critical_1pct": crit_1pct,
-        "normal_at_1pct": bool(ad.statistic < crit_1pct),
+        "normal_at_1pct": bool(ad_statistic < crit_1pct),
         "seed": seed,
         "config_hash": cfg.config_hash,
     }

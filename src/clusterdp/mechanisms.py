@@ -163,6 +163,22 @@ def fit_priors(
     return ProjectedPrior(q=q_tilde, gamma=params.gamma)
 
 
+def resample_draws(rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarray]:
+    """The two uniforms of one resampling pass, in draw order: keep/redraw, then categorical."""
+    return rng.random(size), open_uniform(rng, size)
+
+
+def resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat) -> np.ndarray:
+    """Keep each outcome where u_keep >= lam, else draw from its arm prior by inverse CDF at u_cat.
+
+    ``q_tilde`` (..., C, 2, K) and the uniforms (..., n) may carry a leading replication axis.
+    """
+    k = q_tilde.shape[-1]
+    cum = np.cumsum(q_tilde[..., cluster, z, :], axis=-1)
+    drawn = np.minimum((u_cat[..., None] > cum).sum(axis=-1), k - 1)
+    return np.where(u_keep < lam, drawn, y_observed)
+
+
 def resample_outcomes(
     y_observed: np.ndarray,
     cluster: np.ndarray,
@@ -172,13 +188,8 @@ def resample_outcomes(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Report each outcome truthfully w.p. 1-lam, else draw from the unit's arm prior."""
-    n = len(y_observed)
-    k = q_tilde.shape[-1]
-    u_keep = rng.random(n)
-    u_cat = open_uniform(rng, n)
-    cum = np.cumsum(q_tilde[cluster, z], axis=-1)
-    drawn = np.minimum((u_cat[:, None] > cum).sum(axis=1), k - 1)
-    return np.where(u_keep < lam, drawn, y_observed)
+    u_keep, u_cat = resample_draws(rng, len(y_observed))
+    return resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat)
 
 
 def _release(pop, design, q_tilde, params, y_tilde) -> PrivatizedRelease:
@@ -260,6 +271,23 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValidationError("epsilon must be > 0")
 
 
+def ht_noise_term(pop, design, epsilon: float, std) -> tuple[float, np.ndarray]:
+    """(noise term, per-cluster scales max|y| / min(n0c, n1c) / epsilon) from standard draws."""
+    scales = pop.space.max_abs / np.minimum(design.n0c, design.n1c)
+    scales = np.zeros_like(scales) if math.isinf(epsilon) else scales / epsilon
+    weights = pop.cluster_sizes / pop.n
+    return float(np.dot(weights, std * scales)), scales
+
+
+def histogram_noise_term(pop, design, epsilon: float, std) -> float:
+    """Histogram-contrast noise term, scale 1 / (n_ac epsilon), from standard draws (C, 2, K)."""
+    n_ac = design.arm_counts()
+    scales = np.zeros(n_ac.shape) if math.isinf(epsilon) else 1.0 / (n_ac * epsilon)
+    w = std * scales[..., None]
+    weights = pop.cluster_sizes / pop.n
+    return float(np.einsum("c,k,ck->", weights, pop.space.array, w[:, 1] - w[:, 0]))
+
+
 def noisy_ht(
     pop: PopulationDataset,
     design: Design,
@@ -272,14 +300,9 @@ def noisy_ht(
     implemented as noise scale zero.
     """
     _check_epsilon(epsilon)
-    scales = pop.space.max_abs / np.minimum(design.n0c, design.n1c)
-    scales = np.zeros_like(scales) if math.isinf(epsilon) else scales / epsilon
-    w = laplace_noise(streams.generator("laplace"), 1.0, pop.n_clusters) * scales
-    weights = pop.cluster_sizes / pop.n
-    return NoisyEstimate(
-        value=tau_no_dp(pop, design) + float(np.dot(weights, w)),
-        noise_scales=scales,
-    )
+    std = laplace_noise(streams.generator("laplace"), 1.0, pop.n_clusters)
+    term, scales = ht_noise_term(pop, design, epsilon, std)
+    return NoisyEstimate(value=tau_no_dp(pop, design) + term, noise_scales=scales)
 
 
 def noisy_histogram(
@@ -290,13 +313,8 @@ def noisy_histogram(
 ) -> float:
     """Weighted outcome contrast computed from per-(cluster, arm) noised histograms."""
     _check_epsilon(epsilon)
-    c, k = pop.n_clusters, pop.space.k
-    n_ac = design.arm_counts().astype(float)
-    scales = np.zeros((c, 2)) if math.isinf(epsilon) else 1.0 / (n_ac * epsilon)
-    w = laplace_noise(streams.generator("laplace"), 1.0, (c, 2, k)) * scales[..., None]
-    weights = pop.cluster_sizes / pop.n
-    noise_part = float(np.einsum("c,k,ck->", weights, pop.space.array, w[:, 1] - w[:, 0]))
-    return tau_no_dp(pop, design) + noise_part
+    std = laplace_noise(streams.generator("laplace"), 1.0, (pop.n_clusters, 2, pop.space.k))
+    return tau_no_dp(pop, design) + histogram_noise_term(pop, design, epsilon, std)
 
 
 # ---------------------------------------------------------------------------

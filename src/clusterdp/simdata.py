@@ -20,7 +20,6 @@ from .model import (
     PopulationDataset,
     UnitRecord,
     ValidationError,
-    validate_population,
 )
 from .rng import RngStreams, standard_normal
 
@@ -31,7 +30,6 @@ __all__ = [
     "gen_gmm",
     "gen_graph_population",
     "ingest_csv",
-    "ingest_observed_csv",
     "write_population_csv",
     "subsample",
 ]
@@ -206,8 +204,7 @@ def gen_graph_population(config: GraphPopConfig, streams: RngStreams) -> Populat
 
 
 # ---------------------------------------------------------------------------
-# CSV schemas. Population files: unit_id,cluster,y0,y1 (header required).
-# Observed-data files for estimation-only workflows: unit_id,cluster,z,y.
+# CSV schema. Population files: unit_id,cluster,y0,y1 (header required).
 # ---------------------------------------------------------------------------
 
 def _read_rows(path, expected_header):
@@ -235,39 +232,7 @@ def ingest_csv(path, space: OutcomeSpace) -> PopulationDataset:
             problems.append(f"line {lineno}: malformed outcome value")
     if problems:
         raise ValidationError("; ".join(problems))
-    violations = validate_population(records, space)
-    if violations:
-        raise ValidationError("; ".join(violations))
-    return PopulationDataset.from_records(records, space)
-
-
-def ingest_observed_csv(path, space: OutcomeSpace):
-    """Load an observed-data file: returns (unit_ids, cluster, z, y_idx, cluster_labels)."""
-    unit_ids, labels, z, y = [], [], [], []
-    for lineno, row in _read_rows(path, ["unit_id", "cluster", "z", "y"]):
-        if len(row) != 4:
-            raise ValidationError(f"line {lineno}: expected 4 fields")
-        if row[2] not in ("0", "1"):
-            raise ValidationError(f"line {lineno}: z must be 0 or 1")
-        try:
-            y_val = float(row[3])
-        except ValueError:
-            raise ValidationError(f"line {lineno}: malformed outcome value") from None
-        if y_val not in space:
-            raise ValidationError(f"line {lineno}: outcome {row[3]} outside space")
-        unit_ids.append(row[0])
-        labels.append(row[1])
-        z.append(int(row[2]))
-        y.append(space.index_of(y_val))
-    uniq = sorted(set(labels), key=str)
-    dense = {lab: i for i, lab in enumerate(uniq)}
-    return (
-        tuple(unit_ids),
-        np.array([dense[lab] for lab in labels]),
-        np.array(z, dtype=np.int8),
-        np.array(y),
-        tuple(uniq),
-    )
+    return PopulationDataset.from_records(records, space)  # validates the records
 
 
 def write_population_csv(pop: PopulationDataset, path) -> None:

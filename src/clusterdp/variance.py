@@ -124,23 +124,13 @@ def _bracket(x: float, gamma: float, sigma: float) -> float:
     )
 
 
-def a_of_x(
-    x: float,
-    space: OutcomeSpace,
-    params: MechanismParams,
-    variant: str = "product",
-) -> float:
+def a_of_x(x: float, space: OutcomeSpace, params: MechanismParams) -> float:
     """Cluster-agnostic term of the variance-gap bound, per arm-size x.
 
-    Two groupings of the multiplier are in circulation. The default,
-    ``product``, multiplies the squared-norm tail by the rank-one factor
-    (lam sqrt(K)+1)^2; the ``sum`` grouping keeps that factor as a standalone
-    summand instead:
+    The squared-norm tail is multiplied by the rank-one factor (lam sqrt(K)+1)^2:
 
-      product: 2K [B^2 (3/(1-lam)^2 + 2)
-                   + (lam sqrt(K)+1)^2/(1-lam)^2 * |y|_2^2 (1 - lam (K-1) gamma)] * bracket
-      sum:     2K [2 B^2
-                   + (3 B^2 + (lam sqrt(K)+1)^2 + |y|_2^2 (1 - lam (K-1) gamma)) / (1-lam)^2] * bracket
+      2K [B^2 (3/(1-lam)^2 + 2)
+          + (lam sqrt(K)+1)^2/(1-lam)^2 * |y|_2^2 (1 - lam (K-1) gamma)] * bracket
     """
     if x < 1:
         raise ValidationError("arm size x must be >= 1")
@@ -153,12 +143,7 @@ def a_of_x(
     shrink = (1.0 - lam) ** 2
     rank_one = (lam * math.sqrt(k) + 1.0) ** 2
     tail = l2_sq * (1.0 - lam * (k - 1) * gamma)
-    if variant == "product":
-        multiplier = b_sq * (3.0 / shrink + 2.0) + rank_one / shrink * tail
-    elif variant == "sum":
-        multiplier = 2.0 * b_sq + (3.0 * b_sq + rank_one + tail) / shrink
-    else:
-        raise ValidationError(f"unknown a_of_x variant {variant!r}")
+    multiplier = b_sq * (3.0 / shrink + 2.0) + rank_one / shrink * tail
     return 2.0 * k * multiplier * _bracket(x, gamma, sigma)
 
 
@@ -166,7 +151,6 @@ def cluster_dp_variance_bound(
     pop: PopulationDataset,
     design: Design,
     params: MechanismParams,
-    variant: str = "product",
 ) -> VarianceReport:
     """Upper bound on Var[tau_hat] for the cluster mechanism, with its gap split.
 
@@ -184,7 +168,7 @@ def cluster_dp_variance_bound(
     for c in range(pop.n_clusters):
         w = (pop.cluster_sizes[c] / n) ** 2
         for count in (design.n0c[c], design.n1c[c]):
-            a_term += w * a_of_x(int(count), pop.space, params, variant) / count
+            a_term += w * a_of_x(int(count), pop.space, params) / count
     return VarianceReport(
         no_dp_variance=no_dp,
         value=no_dp + homo_term + a_term,

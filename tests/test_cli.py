@@ -167,6 +167,19 @@ class TestExperimentCommand:
         manifest = json.loads((outdir / "distribution_manifest.json").read_text())
         assert manifest["seed"] == 6
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_code(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"replications": 5}))
+        outdir = tmp_path / "o"
+        code, stdout, err = run_cli(
+            capsys, "experiment", "distribution", "--config", str(cfg),
+            "--workers", workers, "--seed", "1", "--out", str(outdir),
+        )
+        assert code == 2
+        assert "workers must be >= 1" in err
+        assert stdout == "" and not outdir.exists()
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))

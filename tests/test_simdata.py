@@ -14,7 +14,6 @@ from clusterdp.simdata import (
     gen_gmm,
     gen_graph_population,
     ingest_csv,
-    ingest_observed_csv,
     quantize,
     subsample,
     write_population_csv,
@@ -198,21 +197,6 @@ class TestCsvRoundTrip:
         path.write_text("u1,a,0,1\n")
         with pytest.raises(ValidationError, match="header"):
             ingest_csv(path, OutcomeSpace((0.0, 1.0)))
-
-    def test_observed_schema(self, tmp_path):
-        path = tmp_path / "obs.csv"
-        path.write_text("unit_id,cluster,z,y\nu1,a,1,1\nu2,a,0,0\nu3,b,1,0\nu4,b,0,1\n")
-        unit_ids, cluster, z, y, labels = ingest_observed_csv(path, OutcomeSpace((0.0, 1.0)))
-        assert unit_ids == ("u1", "u2", "u3", "u4")
-        assert labels == ("a", "b")
-        assert z.tolist() == [1, 0, 1, 0]
-        assert y.tolist() == [1, 0, 0, 1]
-
-    def test_observed_schema_validates(self, tmp_path):
-        path = tmp_path / "obs.csv"
-        path.write_text("unit_id,cluster,z,y\nu1,a,2,1\n")
-        with pytest.raises(ValidationError, match="z must be"):
-            ingest_observed_csv(path, OutcomeSpace((0.0, 1.0)))
 
 
 class TestSubsample:

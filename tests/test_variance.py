@@ -144,19 +144,6 @@ class TestAOfX:
         near = a_of_x(10, space, params(gamma=0.1, sigma=1e9, lam=0.5))
         assert near == pytest.approx(a_of_x(10, space, p_inf), rel=1e-6)
 
-    def test_variant_groupings_differ_as_documented(self):
-        # at lam=0 the groupings differ by exactly 2K * bracket * (lam sqrt K + 1)^2
-        # = 2K * bracket, the standalone rank-one summand of the "sum" form
-        space = self.space()
-        p = params(gamma=0.1, sigma=1.0, lam=0.0)
-        bracket = 0.1 + 0.1 * (math.exp(-1.0) - math.exp(-10.0))
-        diff = a_of_x(10, space, p, variant="sum") - a_of_x(10, space, p, variant="product")
-        assert diff == pytest.approx(2 * 2 * bracket, abs=1e-12)
-        p2 = params(gamma=0.1, sigma=1.0, lam=0.5)
-        assert a_of_x(10, space, p2, variant="sum") != a_of_x(10, space, p2, variant="product")
-        with pytest.raises(ValidationError):
-            a_of_x(10, space, p2, variant="nope")
-
 
 class TestClusterBound:
     def test_no_noise_bound_collapses_to_zero(self):
