@@ -30,9 +30,14 @@ EXIT_CALIBRATION = 3
 
 
 def _float_arg(text: str) -> float:
-    if text == "inf":
-        return math.inf
-    return float(text)
+    """A number or ``inf``; NaN is rejected (exit 2 as a flag or a ``--values`` entry)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise ValidationError(f"not a number: {text!r}")
+    return value
 
 
 def _emit(payload) -> None:
@@ -188,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write a synthetic population CSV")
     gen_sub = gen.add_subparsers(dest="model", required=True)
     gmm = gen_sub.add_parser("gmm")
-    gmm.add_argument("--beta", type=float, default=4.5)
-    gmm.add_argument("--v", type=float, default=5.0)
+    gmm.add_argument("--beta", type=_float_arg, default=4.5)
+    gmm.add_argument("--v", type=_float_arg, default=5.0)
     gmm.add_argument("--kprime", type=int, default=5)
     gmm.add_argument("--tau", type=int, default=1)
     gmm.add_argument("--sizes", type=int, nargs="+", default=[500, 1000, 2000])
@@ -198,12 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     gmm.set_defaults(func=_cmd_generate)
     graph = gen_sub.add_parser("graph")
     graph.add_argument("--communities", type=int, nargs="+", required=True)
-    graph.add_argument("--pin", type=float, default=0.1)
-    graph.add_argument("--pout", type=float, default=0.01)
-    graph.add_argument("--beta-vec", type=float, nargs=4, default=[1.0, 1.0, 1.0, 1.0])
-    graph.add_argument("--v", type=float, default=0.1)
+    graph.add_argument("--pin", type=_float_arg, default=0.1)
+    graph.add_argument("--pout", type=_float_arg, default=0.01)
+    graph.add_argument("--beta-vec", type=_float_arg, nargs=4, default=[1.0, 1.0, 1.0, 1.0])
+    graph.add_argument("--v", type=_float_arg, default=0.1)
     graph.add_argument("--k", type=int, default=8)
-    graph.add_argument("--tau", type=float, default=1.0)
+    graph.add_argument("--tau", type=_float_arg, default=1.0)
     graph.add_argument("--seed", type=int, default=0)
     graph.add_argument("--out", required=True)
     graph.set_defaults(func=_cmd_generate)
@@ -213,10 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     priv.add_argument("--values", help="comma-separated outcome space (default: inferred)")
     priv.add_argument("--kind", default="cluster_dp",
                       choices=["cluster_dp", "cluster_free_dp", "uniform_prior_dp"])
-    priv.add_argument("--gamma", type=float, default=0.02)
+    priv.add_argument("--gamma", type=_float_arg, default=0.02)
     priv.add_argument("--sigma", type=_float_arg, default=10.0)
-    priv.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.8)
-    priv.add_argument("--treated-fraction", type=float, default=0.5)
+    priv.add_argument("--lam", "--lambda", dest="lam", type=_float_arg, default=0.8)
+    priv.add_argument("--treated-fraction", type=_float_arg, default=0.5)
     priv.add_argument("--seed", type=int, default=0)
     priv.add_argument("--out", required=True)
     priv.add_argument("--sidecar", required=True)
@@ -230,19 +235,19 @@ def build_parser() -> argparse.ArgumentParser:
     acct = sub.add_parser("account", help="print a privacy report as JSON")
     acct.add_argument("--kind", default="cluster_dp",
                       choices=["cluster_dp", "uniform_prior_dp"])
-    acct.add_argument("--gamma", type=float, default=0.02)
+    acct.add_argument("--gamma", type=_float_arg, default=0.02)
     acct.add_argument("--sigma", type=_float_arg, default=10.0)
-    acct.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.8)
-    acct.add_argument("--eps-tilde", type=float)
+    acct.add_argument("--lam", "--lambda", dest="lam", type=_float_arg, default=0.8)
+    acct.add_argument("--eps-tilde", type=_float_arg)
     acct.add_argument("--k", type=int)
     acct.set_defaults(func=_cmd_account)
 
     cal = sub.add_parser("calibrate", help="solve for the resampling probability")
     cal.add_argument("--kind", default="cluster_dp",
                      choices=["cluster_dp", "uniform_prior_dp"])
-    cal.add_argument("--target-eps", type=float, required=True)
-    cal.add_argument("--target-delta", type=float, default=0.0)
-    cal.add_argument("--gamma", type=float, default=0.02)
+    cal.add_argument("--target-eps", type=_float_arg, required=True)
+    cal.add_argument("--target-delta", type=_float_arg, default=0.0)
+    cal.add_argument("--gamma", type=_float_arg, default=0.02)
     cal.add_argument("--sigma", type=_float_arg, default=10.0)
     cal.add_argument("--k", type=int)
     cal.set_defaults(func=_cmd_calibrate)
@@ -250,11 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="variance report for a population")
     ana.add_argument("--pop", required=True)
     ana.add_argument("--values")
-    ana.add_argument("--gamma", type=float, default=0.02)
+    ana.add_argument("--gamma", type=_float_arg, default=0.02)
     ana.add_argument("--sigma", type=_float_arg, default=10.0)
-    ana.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.8)
-    ana.add_argument("--treated-fraction", type=float, default=0.5)
-    ana.add_argument("--epsilon", type=float)
+    ana.add_argument("--lam", "--lambda", dest="lam", type=_float_arg, default=0.8)
+    ana.add_argument("--treated-fraction", type=_float_arg, default=0.5)
+    ana.add_argument("--epsilon", type=_float_arg)
     ana.set_defaults(func=_cmd_analyze)
 
     exp = sub.add_parser("experiment", help="run a named experiment")

@@ -17,9 +17,11 @@ tables are byte-identical for a given (config, seed).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -101,8 +103,40 @@ _DEFAULTS: dict = {
 }
 
 
-def _parse_float(x) -> float:
-    return math.inf if x == "inf" else float(x)
+def _check_keys(where: str, raw: dict, allowed) -> None:
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _number(key: str, x) -> float:
+    """A finite JSON number; strings, booleans, NaN and infinities are rejected, naming ``key``."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+        raise ValidationError(f"config {key} must be a finite number, got {x!r}")
+    return float(x)
+
+
+def _number_or_inf(key: str, x) -> float:
+    return math.inf if x == "inf" else _number(key, x)
+
+
+def _integer(key: str, x) -> int:
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValidationError(f"config {key} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _object(key: str, x) -> dict:
+    if not isinstance(x, dict):
+        raise ValidationError(f"config {key} must be an object, got {x!r}")
+    return x
+
+
+def _items(key: str, xs, check) -> tuple:
+    """A JSON list with every entry passed through ``check``."""
+    if not isinstance(xs, (list, tuple)):
+        raise ValidationError(f"config {key} must be a list, got {xs!r}")
+    return tuple(check(key, x) for x in xs)
 
 
 @dataclass(frozen=True)
@@ -124,35 +158,44 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict | None) -> "ExperimentConfig":
         raw = dict(raw or {})
-        unknown = set(raw) - set(_DEFAULTS)
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        _check_keys("config", raw, _DEFAULTS)
         merged = {**_DEFAULTS, **raw}
-        mech = {**_DEFAULTS["mechanism"], **(merged["mechanism"] or {})}
-        mech["sigma"] = _parse_float(mech["sigma"])
+        mech = _object("mechanism", merged["mechanism"] or {})
+        _check_keys("mechanism", mech, _DEFAULTS["mechanism"])
+        mech = {**_DEFAULTS["mechanism"], **mech}
+        # checked but kept as given: tables and the config hash echo them
+        _number("mechanism.gamma", mech["gamma"])
+        _number("mechanism.lambda", mech["lambda"])
+        mech["sigma"] = _number_or_inf("mechanism.sigma", mech["sigma"])
         targets = merged["targets"]
         if targets is not None:
-            targets = {"epsilon": float(targets["epsilon"]), "delta": float(targets.get("delta", 0.0))}
-        if merged["replications"] < 1:
+            _check_keys("targets", _object("targets", targets), ("epsilon", "delta"))
+            targets = {
+                "epsilon": _number_or_inf("targets.epsilon", targets["epsilon"]),
+                "delta": _number("targets.delta", targets.get("delta", 0.0)),
+            }
+        replications = _integer("replications", merged["replications"])
+        if replications < 1:
             raise ValidationError("replications must be >= 1")
-        if int(merged["workers"]) < 1:
+        workers = _integer("workers", merged["workers"])
+        if workers < 1:
             raise ValidationError("workers must be >= 1")
         return cls(
-            population=dict(merged["population"]),
+            population=dict(_object("population", merged["population"])),
             mechanism=mech,
             targets=targets,
-            gamma_grid=tuple(float(g) for g in merged["gamma_grid"]),
-            beta_grid=tuple(float(b) for b in merged["beta_grid"]),
-            lambda_grid=tuple(float(v) for v in merged["lambda_grid"]),
-            epsilon_grid=tuple(_parse_float(e) for e in merged["epsilon_grid"]),
-            replications=int(merged["replications"]),
-            subpop_draws=int(merged["subpop_draws"]),
-            noise_draws=int(merged["noise_draws"]),
+            gamma_grid=_items("gamma_grid", merged["gamma_grid"], _number),
+            beta_grid=_items("beta_grid", merged["beta_grid"], _number),
+            lambda_grid=_items("lambda_grid", merged["lambda_grid"], _number),
+            epsilon_grid=_items("epsilon_grid", merged["epsilon_grid"], _number_or_inf),
+            replications=replications,
+            subpop_draws=_integer("subpop_draws", merged["subpop_draws"]),
+            noise_draws=_integer("noise_draws", merged["noise_draws"]),
             subpop_sizes=None
             if merged["subpop_sizes"] is None
-            else tuple(int(s) for s in merged["subpop_sizes"]),
-            treated_fraction=float(merged["treated_fraction"]),
-            workers=int(merged["workers"]),
+            else _items("subpop_sizes", merged["subpop_sizes"], _integer),
+            treated_fraction=_number("treated_fraction", merged["treated_fraction"]),
+            workers=workers,
         )
 
     def canonical_json(self) -> str:
@@ -177,21 +220,36 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
 
 
+def _generator_config(config_cls, spec: dict):
+    """``config_cls`` built from JSON values checked against its field annotations."""
+    fields = {f.name: f for f in dataclasses.fields(config_cls)}
+    _check_keys("population", spec, fields)
+    missing = [k for k, f in fields.items() if k not in spec and f.default is dataclasses.MISSING]
+    if missing:
+        raise ValidationError(f"missing population keys: {missing}")
+    args = {}
+    for name, value in spec.items():
+        key, annotation = f"population.{name}", fields[name].type
+        check = _integer if annotation.startswith(("int", "tuple[int")) else _number
+        args[name] = _items(key, value, check) if annotation.startswith("tuple") else check(key, value)
+    return config_cls(**args)
+
+
 def build_population(cfg: ExperimentConfig, streams: RngStreams) -> PopulationDataset:
     spec = dict(cfg.population)
     kind = spec.pop("kind", "gmm")
     if kind == "gmm":
-        spec["cluster_sizes"] = tuple(spec.get("cluster_sizes", ()))
-        return gen_gmm(GmmConfig(**spec), streams.child("population"))
+        return gen_gmm(_generator_config(GmmConfig, spec), streams.child("population"))
     if kind == "graph":
-        spec["community_sizes"] = tuple(spec["community_sizes"])
-        spec["beta"] = tuple(spec.get("beta", (1.0, 1.0, 1.0, 1.0)))
-        return gen_graph_population(GraphPopConfig(**spec), streams.child("population"))
+        return gen_graph_population(
+            _generator_config(GraphPopConfig, spec), streams.child("population")
+        )
     if kind == "csv":
+        _check_keys("population", spec, ("path", "values"))
         values = spec.get("values")
         if values is None:
             raise ValidationError("csv population needs an explicit 'values' list")
-        return ingest_csv(spec["path"], OutcomeSpace(tuple(values)))
+        return ingest_csv(spec["path"], OutcomeSpace(_items("population.values", values, _number)))
     raise ValidationError(f"unknown population kind {kind!r}")
 
 
@@ -199,8 +257,7 @@ def counts_design(pop: PopulationDataset, treated) -> Design:
     """A deterministic design carrying the requested counts (for count-only formulas)."""
     n1c = resolve_treated_counts(pop, treated)
     z = np.zeros(pop.n, dtype=np.int8)
-    for c in range(pop.n_clusters):
-        members = np.flatnonzero(pop.cluster == c)
+    for c, members in enumerate(pop.members):
         z[members[: n1c[c]]] = 1
     return Design(z=z, n1c=n1c, n0c=pop.cluster_sizes - n1c)
 
@@ -292,8 +349,7 @@ def _batched_assignments(pop, n1c, g, m) -> np.ndarray:
     """m stratified assignments as an (m, n) 0/1 matrix."""
     z = np.zeros((m, pop.n), dtype=np.int8)
     rows = np.arange(m)[:, None]
-    for c in range(pop.n_clusters):
-        members = np.flatnonzero(pop.cluster == c)
+    for c, members in enumerate(pop.members):
         order = np.argsort(g.random((m, len(members))), axis=1)
         z[rows, members[order[:, : n1c[c]]]] = 1
     return z

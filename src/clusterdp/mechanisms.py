@@ -35,7 +35,6 @@ from .rng import RngStreams, laplace_noise, open_uniform
 
 __all__ = [
     "ArmHistogram",
-    "empirical_histogram",
     "arm_histograms",
     "perturb_clip",
     "renormalize",
@@ -62,12 +61,6 @@ class ArmHistogram:
         return self.counts / self.n_ac[..., None]
 
 
-class HistogramEntry(NamedTuple):
-    counts: np.ndarray
-    p_hat: np.ndarray
-    n_ac: int
-
-
 def arm_histograms(pop: PopulationDataset, design: Design) -> ArmHistogram:
     """Exact observed-outcome counts for every (cluster, arm)."""
     k = pop.space.k
@@ -79,18 +72,6 @@ def arm_histograms(pop: PopulationDataset, design: Design) -> ArmHistogram:
     if np.any(n_ac < 1):
         raise ValidationError("empty treatment arm in cluster")
     return ArmHistogram(counts=counts, n_ac=n_ac)
-
-
-def empirical_histogram(
-    pop: PopulationDataset, design: Design, cluster: int, arm: int
-) -> HistogramEntry:
-    """Frequency vector of observed outcomes for one (cluster, arm)."""
-    hist = arm_histograms(pop, design)
-    return HistogramEntry(
-        counts=hist.counts[cluster, arm],
-        p_hat=hist.p_hat[cluster, arm],
-        n_ac=int(hist.n_ac[cluster, arm]),
-    )
 
 
 def perturb_clip(
@@ -358,22 +339,45 @@ def write_release(release: PrivatizedRelease, csv_path, sidecar_path) -> None:
         fh.write("\n")
 
 
+def _sidecar_table(sidecar, key: str, shape) -> np.ndarray:
+    try:
+        table = np.array(sidecar[key], dtype=float)
+    except (TypeError, ValueError):  # ragged or non-numeric nesting
+        table = None
+    if table is None or table.shape != shape:
+        raise ValidationError(f"sidecar {key} must have shape {shape}")
+    return table
+
+
 def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
     space = OutcomeSpace(tuple(sidecar["space"]))
     labels = tuple(sidecar["cluster_labels"])
     dense = {lab: i for i, lab in enumerate(labels)}
+    shape = (len(labels), 2, space.k)
+    try:
+        kind = MechanismKind(sidecar["kind"])
+    except ValueError:
+        raise ValidationError(f"unknown mechanism kind {sidecar['kind']!r}") from None
+    lam = float(sidecar["params"]["lambda"])
+    if not 0.0 <= lam < 1.0:
+        raise ValidationError(f"release lambda {lam!r} outside [0, 1)")
     unit_ids, cluster, z, y_tilde = [], [], [], []
     with open(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["unit_id", "cluster", "z", "y_tilde"]:
             raise ValidationError(f"unexpected release header {reader.fieldnames}")
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
+            if row["z"] not in ("0", "1"):
+                raise ValidationError(f"release line {lineno}: z must be 0 or 1")
             unit_ids.append(row["unit_id"])
             cluster.append(dense[row["cluster"]])
             z.append(int(row["z"]))
-            y_tilde.append(space.index_of(float(row["y_tilde"])))
+            try:
+                y_tilde.append(space.index_of(float(row["y_tilde"])))
+            except ValueError:  # not a number, or outside the space
+                raise ValidationError(f"release line {lineno}: y_tilde outside the space") from None
     sigma = sidecar["params"]["sigma"]
     return PrivatizedRelease(
         space=space,
@@ -382,10 +386,10 @@ def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
         cluster_labels=labels,
         z=np.array(z, dtype=np.int8),
         y_tilde=np.array(y_tilde),
-        debias=np.array(sidecar["debias_rows"], dtype=float),
-        q_tilde=np.array(sidecar["q_tilde"], dtype=float),
-        kind=MechanismKind(sidecar["kind"]),
+        debias=_sidecar_table(sidecar, "debias_rows", shape),
+        q_tilde=_sidecar_table(sidecar, "q_tilde", shape),
+        kind=kind,
         gamma=float(sidecar["params"]["gamma"]),
         sigma=math.inf if sigma == "inf" else float(sigma),
-        lam=float(sidecar["params"]["lambda"]),
+        lam=lam,
     )

@@ -145,7 +145,9 @@ class PopulationDataset:
     """Units with both potential outcomes and a dense cluster id per unit.
 
     ``y0``/``y1`` hold indices into ``space``; ``cluster_labels[c]`` is the
-    original label of dense cluster ``c``.
+    original label of dense cluster ``c``. ``members[c]`` holds the indices
+    of cluster ``c``'s units in ascending order; it is the one grouping of
+    units by cluster, so per-cluster work never rescans all units.
     """
 
     space: OutcomeSpace
@@ -165,7 +167,11 @@ class PopulationDataset:
         object.__setattr__(self, "y0", _frozen_array(self.y0, np.int64))
         object.__setattr__(self, "y1", _frozen_array(self.y1, np.int64))
         sizes = np.bincount(self.cluster, minlength=len(self.cluster_labels))
+        if len(sizes) != len(self.cluster_labels):
+            raise ValidationError("cluster ids must lie in 0..C-1")
         object.__setattr__(self, "cluster_sizes", _frozen_array(sizes, np.int64))
+        order = _frozen_array(np.argsort(self.cluster, kind="stable"), np.int64)
+        object.__setattr__(self, "members", tuple(np.split(order, np.cumsum(sizes)[:-1])))
 
     @classmethod
     def from_records(
@@ -278,8 +284,7 @@ def draw_design(pop: PopulationDataset, treated, rng: np.random.Generator) -> De
     """
     n1c = resolve_treated_counts(pop, treated)
     z = np.zeros(pop.n, dtype=np.int8)
-    for c in range(pop.n_clusters):
-        members = np.flatnonzero(pop.cluster == c)
+    for c, members in enumerate(pop.members):
         picked = rng.permutation(len(members))[: n1c[c]]
         z[members[picked]] = 1
     return Design(z=z, n1c=n1c, n0c=pop.cluster_sizes - n1c)
@@ -289,8 +294,6 @@ class MechanismKind(str, Enum):
     CLUSTER_DP = "cluster_dp"
     CLUSTER_FREE_DP = "cluster_free_dp"
     UNIFORM_PRIOR_DP = "uniform_prior_dp"
-    NOISY_HT = "noisy_ht"
-    NOISY_HISTOGRAM = "noisy_histogram"
 
 
 @dataclass(frozen=True)
@@ -298,15 +301,13 @@ class MechanismParams:
     """Knobs consumed by the mechanisms, the accountant, and the variance formulas.
 
     ``sigma`` is a Laplace scale; ``math.inf`` is the sentinel for "skip the
-    noise step entirely". For the aggregate mechanisms (noisy HT / histogram)
-    only ``epsilon`` is meaningful and the other knobs are ignored.
+    noise step entirely".
     """
 
     kind: MechanismKind
     gamma: float = 0.0
     sigma: float = math.inf
     lam: float = 0.0
-    epsilon: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
@@ -315,9 +316,6 @@ class MechanismParams:
             raise ValidationError("sigma must be >= 0")
         if not 0.0 <= self.lam <= 1.0:
             raise ValidationError("lambda must lie in [0, 1]")
-        if self.kind in (MechanismKind.NOISY_HT, MechanismKind.NOISY_HISTOGRAM):
-            if self.epsilon is None or self.epsilon <= 0:
-                raise ValidationError(f"{self.kind.value} requires epsilon > 0")
 
     def check_gamma(self, k: int) -> None:
         if self.gamma > 1.0 / k + 1e-12:

@@ -265,8 +265,7 @@ def subsample(
     if np.any(counts < 2):
         raise ValidationError("subsample counts must be >= 2")
     keep = []
-    for c in range(pop.n_clusters):
-        members = np.flatnonzero(pop.cluster == c)
+    for c, members in enumerate(pop.members):
         picked = rng.permutation(len(members))[: counts[c]]
         keep.append(members[np.sort(picked)])
     keep = np.concatenate(keep)

@@ -60,8 +60,7 @@ def sample_variance(u) -> float:
 
 def _cluster_outcome_values(pop: PopulationDataset):
     vals = pop.space.array
-    for c in range(pop.n_clusters):
-        members = pop.cluster == c
+    for members in pop.members:
         yield vals[pop.y0[members]], vals[pop.y1[members]]
 
 

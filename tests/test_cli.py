@@ -180,11 +180,86 @@ class TestExperimentCommand:
         assert "workers must be >= 1" in err
         assert stdout == "" and not outdir.exists()
 
-    def test_bad_config_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            pytest.param({"bogus": 1}, "bogus", id="unknown_key"),
+            pytest.param({"replications": "5"}, "replications", id="replications_string"),
+            pytest.param({"replications": True}, "replications", id="replications_bool"),
+            pytest.param({"replications": 5.7}, "replications", id="replications_fraction"),
+            pytest.param({"workers": "two"}, "workers", id="workers_string"),
+            pytest.param({"mechanism": {"gamma": "0.1"}}, "gamma", id="gamma_string"),
+            pytest.param({"gamma_grid": 0.1}, "gamma_grid", id="grid_scalar"),
+            pytest.param({"population": {"kind": "gmm", "bogus": 1}}, "bogus",
+                         id="unknown_population_key"),
+        ],
+    )
+    def test_bad_config_exit_code(self, tmp_path, capsys, config, key):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        code, _, err = run_cli(
+        cfg.write_text(json.dumps(config))
+        code, stdout, err = run_cli(
             capsys, "experiment", "distribution", "--config", str(cfg),
             "--seed", "1", "--out", str(tmp_path / "o"),
         )
         assert code == 2
+        assert key in err and stdout == ""
+
+
+def _mutate_release(release_csv, sidecar, case):
+    meta = json.loads(sidecar.read_text())
+    if case == "short_debias_rows":
+        meta["debias_rows"] = meta["debias_rows"][:-1]
+    elif case == "short_q_tilde":
+        meta["q_tilde"] = meta["q_tilde"][:-1]
+    elif case == "lambda_above_one":
+        meta["params"]["lambda"] = 1.5
+    elif case == "unknown_kind":
+        meta["kind"] = "bogus"
+    elif case in ("z_outside_arms", "y_tilde_not_a_number"):
+        lines = release_csv.read_text().splitlines()
+        row = lines[1].split(",")  # unit_id, cluster, z, y_tilde
+        if case == "z_outside_arms":
+            row[2] = "2"
+        else:
+            row[3] = "abc"
+        lines[1] = ",".join(row)
+        release_csv.write_text("\n".join(lines) + "\n")
+    sidecar.write_text(json.dumps(meta))
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "short_debias_rows", "short_q_tilde", "lambda_above_one", "unknown_kind",
+            "z_outside_arms", "y_tilde_not_a_number",
+        ],
+    )
+    def test_malformed_release_exit_code(self, tmp_path, capsys, case):
+        pop_csv = tmp_path / "pop.csv"
+        run_cli(capsys, "generate", "gmm", "--kprime", "2", "--sizes", "40", "60",
+                "--seed", "3", "--out", str(pop_csv))
+        release_csv, sidecar = tmp_path / "r.csv", tmp_path / "r.json"
+        code, _, _ = run_cli(capsys, "privatize", "--pop", str(pop_csv), "--seed", "4",
+                             "--out", str(release_csv), "--sidecar", str(sidecar))
+        assert code == 0
+        _mutate_release(release_csv, sidecar, case)
+        code, stdout, err = run_cli(
+            capsys, "estimate", "--release", str(release_csv), "--sidecar", str(sidecar)
+        )
+        assert code == 2
+        assert stdout == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["account", "--sigma", "nan"], id="account_sigma"),
+            pytest.param(["calibrate", "--target-eps", "nan"], id="calibrate_target_eps"),
+        ],
+    )
+    def test_nan_flag_exit_code(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out.out == "" and "'nan'" in out.err

@@ -1,0 +1,146 @@
+"""PopulationDataset.members, the one grouping of units by cluster, on interleaved clusters.
+
+Generated populations store each cluster's units contiguously; a CSV population
+need not. Each per-cluster loop must see the same units, in the same order, as
+a scan of ``pop.cluster == c`` would give, so that every random stream and
+every accumulated float is unchanged.
+"""
+
+import numpy as np
+import pytest
+
+from clusterdp.experiments import _batched_assignments, counts_design
+from clusterdp.model import (
+    OutcomeSpace,
+    PopulationDataset,
+    UnitRecord,
+    ValidationError,
+    draw_design,
+)
+from clusterdp.rng import RngStreams
+from clusterdp.simdata import subsample
+from clusterdp.variance import homogeneity, ht_variance, uniform_prior_variance
+
+from test_mechanisms import fixed_design
+
+LABELS = [f"c{i}" for i in range(12)]  # sorted by str: c0, c1, c10, c11, c2, ...
+
+
+@pytest.fixture
+def interleaved_pop():
+    rng = np.random.default_rng(606)
+    values = (-1.0, 0.0, 1.5, 3.0)
+    records = [
+        UnitRecord(f"{label}_{i}", label, values[rng.integers(4)], values[rng.integers(4)])
+        for label in LABELS
+        for i in range(int(rng.integers(4, 9)))
+    ]
+    records = [records[i] for i in rng.permutation(len(records))]
+    pop = PopulationDataset.from_records(records, OutcomeSpace(values))
+    first_seen = list(dict.fromkeys(pop.cluster.tolist()))
+    assert np.any(np.diff(pop.cluster) < 0)  # clusters really are interleaved
+    assert first_seen != sorted(first_seen)
+    assert list(pop.cluster_labels) != LABELS
+    return pop
+
+
+def contiguous_copy(pop):
+    """The same units grouped cluster by cluster, each cluster keeping its own order."""
+    records = pop.to_records()
+    order = np.argsort(pop.cluster, kind="stable")
+    return PopulationDataset.from_records([records[i] for i in order], pop.space)
+
+
+def treated_counts(pop):
+    return pop.cluster_sizes // 2
+
+
+def mask_scan_draw_design(pop, n1c, rng):
+    z = np.zeros(pop.n, dtype=np.int8)
+    for c in range(pop.n_clusters):
+        members = np.flatnonzero(pop.cluster == c)
+        z[members[rng.permutation(len(members))[: n1c[c]]]] = 1
+    return z
+
+
+def mask_scan_subsample_keep(pop, counts, rng):
+    keep = []
+    for c in range(pop.n_clusters):
+        members = np.flatnonzero(pop.cluster == c)
+        keep.append(members[np.sort(rng.permutation(len(members))[: counts[c]])])
+    return np.concatenate(keep)
+
+
+def mask_scan_batched_assignments(pop, n1c, g, m):
+    z = np.zeros((m, pop.n), dtype=np.int8)
+    for c in range(pop.n_clusters):
+        members = np.flatnonzero(pop.cluster == c)
+        order = np.argsort(g.random((m, len(members))), axis=1)
+        z[np.arange(m)[:, None], members[order[:, : n1c[c]]]] = 1
+    return z
+
+
+class TestMembers:
+    def test_matches_mask_scan(self, interleaved_pop):
+        pop = interleaved_pop
+        assert len(pop.members) == pop.n_clusters
+        for c, members in enumerate(pop.members):
+            assert np.array_equal(members, np.flatnonzero(pop.cluster == c))
+            assert not members.flags.writeable
+        assert sorted(np.concatenate(pop.members).tolist()) == list(range(pop.n))
+
+    def test_cluster_ids_must_match_labels(self):
+        with pytest.raises(ValidationError, match="cluster ids"):
+            PopulationDataset(
+                space=OutcomeSpace((0.0, 1.0)), unit_ids=("a", "b", "c"),
+                cluster=np.array([0, 0, 1]), y0=np.zeros(3), y1=np.zeros(3),
+                cluster_labels=("only",),
+            )
+
+    def test_draw_design_matches_mask_scan(self, interleaved_pop):
+        pop, n1c = interleaved_pop, treated_counts(interleaved_pop)
+        for s in range(5):
+            got_rng, ref_rng = (RngStreams(s).generator("assignment") for _ in range(2))
+            got = draw_design(pop, n1c, got_rng).z
+            assert np.array_equal(got, mask_scan_draw_design(pop, n1c, ref_rng))
+            assert got_rng.random() == ref_rng.random()  # same number of draws
+
+    def test_batched_assignments_match_mask_scan(self, interleaved_pop):
+        pop, n1c = interleaved_pop, treated_counts(interleaved_pop)
+        got_rng, ref_rng = (RngStreams(3).generator("batch") for _ in range(2))
+        got = _batched_assignments(pop, n1c, got_rng, 7)
+        assert np.array_equal(got, mask_scan_batched_assignments(pop, n1c, ref_rng, 7))
+        assert got_rng.random() == ref_rng.random()
+
+    def test_subsample_matches_mask_scan(self, interleaved_pop):
+        pop = interleaved_pop
+        counts = np.maximum(pop.cluster_sizes - 2, 2)
+        got_rng, ref_rng = (RngStreams(9).generator("subpop") for _ in range(2))
+        sub = subsample(pop, counts, got_rng)
+        keep = mask_scan_subsample_keep(pop, counts, ref_rng)
+        assert sub.unit_ids == tuple(pop.unit_ids[i] for i in keep)
+        for name in ("cluster", "y0", "y1"):
+            assert np.array_equal(getattr(sub, name), getattr(pop, name)[keep])
+        assert got_rng.random() == ref_rng.random()
+
+    def test_counts_design_matches_fixed_design(self, interleaved_pop):
+        pop, n1c = interleaved_pop, treated_counts(interleaved_pop)
+        assert np.array_equal(counts_design(pop, n1c).z, fixed_design(pop, n1c).z)
+
+    def test_closed_forms_match_contiguous_copy(self, interleaved_pop):
+        pop = interleaved_pop
+        copy = contiguous_copy(pop)
+        assert copy.cluster_labels == pop.cluster_labels
+        assert np.all(np.diff(copy.cluster) >= 0)
+        design = counts_design(pop, treated_counts(pop))
+        copy_design = counts_design(copy, treated_counts(copy))
+
+        def forms(p, d):
+            return [
+                ht_variance(p, d),
+                homogeneity(p, d, 0),
+                homogeneity(p, d, 1),
+                uniform_prior_variance(p, d, 0.6, True),
+            ]
+
+        assert forms(pop, design) == forms(copy, copy_design)

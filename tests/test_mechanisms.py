@@ -8,8 +8,8 @@ from scipy.stats import chi2
 
 from clusterdp import accounting
 from clusterdp.mechanisms import (
+    arm_histograms,
     cluster_dp,
-    empirical_histogram,
     fit_priors,
     noisy_histogram,
     noisy_ht,
@@ -46,19 +46,19 @@ class TestEmpiricalHistogram:
         pop = make_population((0.0, 1.0), {"a": [(0, 0), (0, 1), (1, 1), (1, 0)]})
         design = fixed_design(pop, [1])
         # control units are the last three: observed y0 = [0, 1, 1]
-        entry = empirical_histogram(pop, design, cluster=0, arm=0)
-        assert entry.p_hat.tolist() == [1 / 3, 2 / 3]
-        assert entry.counts.tolist() == [1, 2]
+        hist = arm_histograms(pop, design)
+        assert hist.p_hat[0, 0].tolist() == [1 / 3, 2 / 3]
+        assert hist.counts[0, 0].tolist() == [1, 2]
 
     def test_degenerate_histogram(self):
         pop = make_population((0.0, 1.0), {"a": [(1, 1)] * 4})
-        entry = empirical_histogram(pop, fixed_design(pop, [2]), 0, 0)
-        assert entry.p_hat.tolist() == [0.0, 1.0]
+        hist = arm_histograms(pop, fixed_design(pop, [2]))
+        assert hist.p_hat[0, 0].tolist() == [0.0, 1.0]
 
     def test_quarter_three_quarter(self):
         pop = make_population((0.0, 1.0), {"a": [(0, 0), (1, 0), (1, 0), (1, 0), (0, 1)]})
-        entry = empirical_histogram(pop, fixed_design(pop, [1]), 0, 0)
-        assert entry.p_hat.tolist() == [0.25, 0.75]
+        hist = arm_histograms(pop, fixed_design(pop, [1]))
+        assert hist.p_hat[0, 0].tolist() == [0.25, 0.75]
 
 
 class TestPerturbClip:

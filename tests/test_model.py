@@ -172,11 +172,6 @@ class TestMechanismParams:
         with pytest.raises(ValidationError):
             MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.3).check_gamma(5)
 
-    def test_aggregate_kinds_require_epsilon(self):
-        with pytest.raises(ValidationError):
-            MechanismParams(kind=MechanismKind.NOISY_HT)
-        MechanismParams(kind=MechanismKind.NOISY_HT, epsilon=1.0)
-
 
 class TestRngStreams:
     def test_same_path_same_draws(self):
