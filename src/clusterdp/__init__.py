@@ -10,16 +10,7 @@ from .accounting import (
     uniform_prior_eps,
     uniform_prior_eps_delta,
 )
-from .estimation import (
-    RandomizationMatrix,
-    build_q,
-    debias_value,
-    invert_q,
-    tau_no_dp,
-    tau_no_dp_unstratified,
-    tau_q,
-    tau_uniform,
-)
+from .estimation import tau_no_dp, tau_q
 from .mechanisms import (
     cluster_dp,
     noisy_histogram,

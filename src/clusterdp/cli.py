@@ -47,15 +47,7 @@ def _emit(payload) -> None:
 def _space_from_pop_file(path, values_arg):
     if values_arg:
         return OutcomeSpace(tuple(_float_arg(v) for v in values_arg.split(",")))
-    import csv as _csv
-
-    seen = set()
-    with open(path, newline="") as fh:
-        reader = _csv.DictReader(fh)
-        for row in reader:
-            seen.add(float(row["y0"]))
-            seen.add(float(row["y1"]))
-    return OutcomeSpace(tuple(sorted(seen)))
+    return simdata.infer_space(path)
 
 
 def _cmd_generate(args) -> None:
@@ -86,6 +78,8 @@ def _cmd_generate(args) -> None:
 
 
 def _cmd_privatize(args) -> None:
+    if args.lam >= 1.0:  # checked first, so nothing is read or written
+        raise ValidationError("privatize needs lambda < 1: a lambda = 1 release cannot be debiased")
     space = _space_from_pop_file(args.pop, args.values)
     pop = simdata.ingest_csv(args.pop, space)
     streams = RngStreams(args.seed)

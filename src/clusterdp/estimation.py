@@ -1,83 +1,26 @@
-"""Response-randomization matrices, closed-form debiasing, and the estimators.
+"""Closed-form debiasing and the estimators.
 
 The randomization matrix for a resampling distribution q and resampling
 probability lam is ``Q[y', y] = (1-lam) * 1(y'=y) + lam * q[y']``, i.e. a
 scaled identity plus a rank-one term, so its inverse has the closed form
 ``Q^{-1} = I/(1-lam) - lam/(1-lam) * q 1^T`` and the debiasing row
-``y^T Q^{-1}`` costs O(K) to evaluate. Dense inversion is kept out of the
-production path and used only as a test oracle.
+``y^T Q^{-1}`` costs O(K) to evaluate; ``tests/oracles.py`` checks it against the
+dense inverse.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Design, OutcomeSpace, PopulationDataset, PrivatizedRelease, ValidationError
 
 __all__ = [
-    "RandomizationMatrix",
-    "build_q",
-    "invert_q",
     "debias_rows",
-    "debias_value",
     "tau_q",
     "per_cluster_contributions",
     "tau_no_dp",
-    "tau_no_dp_unstratified",
-    "tau_uniform",
     "singular_value_bound",
 ]
-
-
-def q_matrix(q_tilde: np.ndarray, lam: float) -> np.ndarray:
-    """Column-stochastic K x K matrix giving P(released = y' | true = y)."""
-    q_tilde = np.asarray(q_tilde, dtype=float)
-    k = q_tilde.shape[-1]
-    return (1.0 - lam) * np.eye(k) + lam * np.outer(q_tilde, np.ones(k))
-
-def q_inverse(q_tilde: np.ndarray, lam: float) -> np.ndarray:
-    """Rank-one-update inverse: I/(1-lam) - lam/(1-lam) q 1^T."""
-    q_tilde = np.asarray(q_tilde, dtype=float)
-    k = q_tilde.shape[-1]
-    return (np.eye(k) - lam * np.outer(q_tilde, np.ones(k))) / (1.0 - lam)
-
-
-@dataclass(frozen=True, eq=False)
-class RandomizationMatrix:
-    """One (cluster, arm) randomization matrix with its cached closed-form inverse."""
-
-    q_tilde: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam < 1.0:
-            raise ValidationError("randomization matrix singular at lambda = 1")
-        q = np.asarray(self.q_tilde, dtype=float)
-        object.__setattr__(self, "q_tilde", q)
-        object.__setattr__(self, "_matrix", q_matrix(q, self.lam))
-        object.__setattr__(self, "_inverse", q_inverse(q, self.lam))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return self._inverse
-
-    @property
-    def k(self) -> int:
-        return len(self.q_tilde)
-
-
-def build_q(q_tilde, lam: float) -> RandomizationMatrix:
-    return RandomizationMatrix(q_tilde=np.asarray(q_tilde, dtype=float), lam=lam)
-
-
-def invert_q(entry: RandomizationMatrix) -> np.ndarray:
-    return entry.inverse
 
 
 def singular_value_bound(lam: float, k: int) -> float:
@@ -95,12 +38,6 @@ def debias_rows(values: np.ndarray, q_tilde: np.ndarray, lam: float) -> np.ndarr
     q_tilde = np.asarray(q_tilde, dtype=float)
     prior_mean = q_tilde @ values
     return (values - lam * prior_mean[..., None]) / (1.0 - lam)
-
-
-def debias_value(values: np.ndarray, entry: RandomizationMatrix, y_tilde_index: int) -> float:
-    """Unbiased reconstruction of a single privatized outcome (O(K) closed form)."""
-    row = debias_rows(np.asarray(values, dtype=float), entry.q_tilde, entry.lam)
-    return float(row[y_tilde_index])
 
 
 def _cluster_sums(values_per_unit, cluster, z, n1c, n0c) -> np.ndarray:
@@ -137,33 +74,3 @@ def tau_no_dp(pop: PopulationDataset, design: Design) -> float:
     vals = pop.space.array
     observed = vals[pop.observed(design)]
     return float(per_cluster_contributions(observed, pop.cluster, design).sum())
-
-
-def tau_no_dp_unstratified(pop: PopulationDataset, design: Design) -> float:
-    """Pooled difference-in-means on true observed outcomes."""
-    vals = pop.space.array
-    observed = vals[pop.observed(design)]
-    z = design.z
-    return float(
-        observed[z == 1].sum() / design.n1 - observed[z == 0].sum() / design.n0
-    )
-
-
-def tau_uniform(
-    release: PrivatizedRelease,
-    design: Design,
-    space: OutcomeSpace,
-    lam: float | None = None,
-    stratified: bool = True,
-) -> float:
-    """(1-lam)^{-1}-scaled difference of privatized outcomes (uniform-prior estimator)."""
-    lam = release.lam if lam is None else lam
-    if lam >= 1.0:
-        raise ValidationError("estimator undefined at lambda = 1")
-    vals = space.array[release.y_tilde]
-    if stratified:
-        raw = float(per_cluster_contributions(vals, release.cluster, design).sum())
-    else:
-        z = release.z
-        raw = float(vals[z == 1].sum() / design.n1 - vals[z == 0].sum() / design.n0)
-    return raw / (1.0 - lam)

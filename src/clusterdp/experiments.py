@@ -45,6 +45,7 @@ from .model import (
     PopulationDataset,
     ValidationError,
     draw_design,
+    finite_number,
     resolve_treated_counts,
 )
 from .rng import RngStreams, laplace_noise, open_uniform
@@ -68,7 +69,6 @@ __all__ = [
     "build_population",
     "counts_design",
     "cluster_mechanism_taus",
-    "cluster_taus_fixed_design",
     "uniform_prior_taus",
     "nodp_taus",
     "jackknife_variance_se",
@@ -110,10 +110,7 @@ def _check_keys(where: str, raw: dict, allowed) -> None:
 
 
 def _number(key: str, x) -> float:
-    """A finite JSON number; strings, booleans, NaN and infinities are rejected, naming ``key``."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
-        raise ValidationError(f"config {key} must be a finite number, got {x!r}")
-    return float(x)
+    return finite_number(f"config {key}", x)
 
 
 def _number_or_inf(key: str, x) -> float:
@@ -300,49 +297,19 @@ def cluster_mechanism_taus(
     return np.array([one(r) for r in range(reps)])
 
 
-def _debiased_units(pop, design, params, p_hat, n_ac, cl, std, u_keep, u_cat) -> np.ndarray:
+def _debiased_units(pop, design, params, hist, std, u_keep, u_cat) -> np.ndarray:
     """Per-unit debiased values of the cluster mechanism from supplied draws.
 
-    ``std`` (standard Laplace), ``u_keep`` and ``u_cat`` carry a leading
-    replication axis; ``cl`` maps each unit to its row of ``p_hat``.
+    ``hist`` is ``arm_histograms(pop, design)``; ``std`` (standard Laplace),
+    ``u_keep`` and ``u_cat`` carry a leading replication axis.
     """
-    scale = 0.0 if math.isinf(params.sigma) else params.sigma / n_ac[..., None]
-    q = perturb_clip(p_hat, params.gamma, params.sigma, n_ac, noise=std * scale)
+    scale = 0.0 if math.isinf(params.sigma) else params.sigma / hist.n_ac[..., None]
+    q = perturb_clip(hist.p_hat, params.gamma, params.sigma, hist.n_ac, noise=std * scale)
     qt = renormalize(q, params.gamma)
+    cl = pop.cluster
     y_t = resample_from_uniforms(pop.observed(design), cl, design.z, qt, params.lam, u_keep, u_cat)
     rows = debias_rows(pop.space.array, qt, params.lam)
     return rows[np.arange(len(qt))[:, None], cl, design.z, y_t]
-
-
-def cluster_taus_fixed_design(
-    pop: PopulationDataset,
-    design: Design,
-    params: MechanismParams,
-    streams: RngStreams,
-    reps: int,
-    chunk: int = 5000,
-) -> np.ndarray:
-    """Batched replications of the cluster mechanism at a fixed assignment."""
-    params.check_gamma(pop.space.k)
-    hist = arm_histograms(pop, design)
-    pooled = params.kind is MechanismKind.CLUSTER_FREE_DP
-    counts = hist.counts.sum(axis=0, keepdims=True) if pooled else hist.counts
-    n_ac = hist.n_ac.sum(axis=0, keepdims=True) if pooled else hist.n_ac
-    p_hat = counts / n_ac[..., None]
-    cl = np.zeros(pop.n, dtype=np.int64) if pooled else pop.cluster
-    w_unit = _batched_weights(design.z, pop, design.n1c, design.n0c, True)
-
-    out = np.empty(reps)
-    for ci, start in enumerate(range(0, reps, chunk)):
-        m = min(chunk, reps - start)
-        g = streams.generator("batch", ci)
-        shape = (m, *p_hat.shape)
-        std = np.zeros(shape) if math.isinf(params.sigma) else laplace_noise(g, 1.0, shape)
-        per_unit = _debiased_units(
-            pop, design, params, p_hat, n_ac, cl, std, *resample_draws(g, (m, pop.n))
-        )
-        out[start : start + m] = per_unit @ w_unit
-    return out
 
 
 def _batched_assignments(pop, n1c, g, m) -> np.ndarray:
@@ -386,10 +353,11 @@ def uniform_prior_taus(
         m = min(chunk, reps - start)
         g = streams.generator("batch", ci)
         z = _batched_assignments(pop, n1c, g, m)
-        y_obs = np.where(z == 1, y1v, y0v)
-        u_keep, u_cat = resample_draws(g, (m, pop.n))
-        drawn = np.minimum((u_cat * k).astype(np.int64), k - 1)
-        y_t = np.where(u_keep < lam, vals[drawn], y_obs)
+        y_t = np.where(z == 1, y1v, y0v)
+        if lam > 0.0:  # the assignment is drawn first, so skipping keeps its bits
+            u_keep, u_cat = resample_draws(g, (m, pop.n))
+            drawn = np.minimum((u_cat * k).astype(np.int64), k - 1)
+            y_t = np.where(u_keep < lam, vals[drawn], y_t)
         w = _batched_weights(z, pop, n1c, n0c, stratified)
         out[start : start + m] = (y_t * w).sum(axis=1) / (1.0 - lam)
     return out
@@ -693,9 +661,8 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
                 sub_idx = np.array([unit_index[uid] for uid in sub.unit_ids])
                 truth = sub.ate
                 base_tau = tau_no_dp(sub, design)
-                hist = arm_histograms(sub, design)
                 per_unit = _debiased_units(  # frozen noise and per-unit draws
-                    sub, design, params, hist.p_hat, hist.n_ac, sub.cluster,
+                    sub, design, params, arm_histograms(sub, design),
                     std_prior[None], u_keep[None, sub_idx], u_cat[None, sub_idx],
                 )[0]
                 w = _batched_weights(design.z, sub, design.n1c, design.n0c, True)

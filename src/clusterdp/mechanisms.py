@@ -30,6 +30,7 @@ from .model import (
     PrivatizedRelease,
     ProjectedPrior,
     ValidationError,
+    finite_number,
 )
 from .rng import RngStreams, laplace_noise, open_uniform
 
@@ -349,10 +350,26 @@ def _sidecar_table(sidecar, key: str, shape) -> np.ndarray:
     return table
 
 
+def _read_sidecar(path) -> dict:
+    """The sidecar's JSON with its containers type-checked; values are checked by the caller."""
+    with open(path) as fh:
+        try:
+            sidecar = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValidationError(f"sidecar is not JSON: {exc}") from None
+    if not isinstance(sidecar, dict) or not isinstance(sidecar.get("params"), dict):
+        raise ValidationError("sidecar must be an object with a params object")
+    for key in ("space", "cluster_labels"):
+        if not isinstance(sidecar.get(key), list):
+            raise ValidationError(f"sidecar {key} must be a list")
+    if not all(isinstance(lab, str) for lab in sidecar["cluster_labels"]):
+        raise ValidationError("sidecar cluster_labels must be strings")
+    return sidecar
+
+
 def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
-    space = OutcomeSpace(tuple(sidecar["space"]))
+    sidecar = _read_sidecar(sidecar_path)
+    space = OutcomeSpace(tuple(finite_number("sidecar space entry", v) for v in sidecar["space"]))
     labels = tuple(sidecar["cluster_labels"])
     dense = {lab: i for i, lab in enumerate(labels)}
     shape = (len(labels), 2, space.k)
@@ -360,7 +377,8 @@ def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
         kind = MechanismKind(sidecar["kind"])
     except ValueError:
         raise ValidationError(f"unknown mechanism kind {sidecar['kind']!r}") from None
-    lam = float(sidecar["params"]["lambda"])
+    params = sidecar["params"]
+    lam = finite_number("sidecar params.lambda", params["lambda"])
     if not 0.0 <= lam < 1.0:
         raise ValidationError(f"release lambda {lam!r} outside [0, 1)")
     unit_ids, cluster, z, y_tilde = [], [], [], []
@@ -371,14 +389,16 @@ def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
         for lineno, row in enumerate(reader, start=2):
             if row["z"] not in ("0", "1"):
                 raise ValidationError(f"release line {lineno}: z must be 0 or 1")
+            if row["cluster"] not in dense:
+                raise ValidationError(f"release line {lineno}: cluster not in the sidecar")
             unit_ids.append(row["unit_id"])
             cluster.append(dense[row["cluster"]])
             z.append(int(row["z"]))
             try:
                 y_tilde.append(space.index_of(float(row["y_tilde"])))
-            except ValueError:  # not a number, or outside the space
+            except (TypeError, ValueError):  # missing, not a number, or outside the space
                 raise ValidationError(f"release line {lineno}: y_tilde outside the space") from None
-    sigma = sidecar["params"]["sigma"]
+    sigma = params["sigma"]
     return PrivatizedRelease(
         space=space,
         unit_ids=tuple(unit_ids),
@@ -389,7 +409,7 @@ def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
         debias=_sidecar_table(sidecar, "debias_rows", shape),
         q_tilde=_sidecar_table(sidecar, "q_tilde", shape),
         kind=kind,
-        gamma=float(sidecar["params"]["gamma"]),
-        sigma=math.inf if sigma == "inf" else float(sigma),
+        gamma=finite_number("sidecar params.gamma", params["gamma"]),
+        sigma=math.inf if sigma == "inf" else finite_number("sidecar params.sigma", sigma),
         lam=lam,
     )

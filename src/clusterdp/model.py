@@ -9,6 +9,7 @@ preserved for serialization. All types are immutable after construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -36,6 +37,13 @@ class ValidationError(ValueError):
     """Malformed population, design, or parameters (CLI exit code 2)."""
 
 
+def finite_number(name: str, x) -> float:
+    """A finite JSON number; strings, booleans, NaN and infinities are rejected, naming ``name``."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+        raise ValidationError(f"{name} must be a finite number, got {x!r}")
+    return float(x)
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=dtype)
     arr.setflags(write=False)
@@ -56,6 +64,8 @@ class OutcomeSpace:
         vals = tuple(float(v) for v in self.values)
         if len(vals) < 2:
             raise ValidationError("outcome space needs at least 2 distinct values")
+        if not all(math.isfinite(v) for v in vals):
+            raise ValidationError(f"outcome values must be finite, got {vals}")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValidationError("outcome values must be strictly increasing")
         object.__setattr__(self, "values", vals)

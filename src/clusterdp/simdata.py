@@ -29,6 +29,7 @@ __all__ = [
     "quantize",
     "gen_gmm",
     "gen_graph_population",
+    "infer_space",
     "ingest_csv",
     "write_population_csv",
     "subsample",
@@ -218,8 +219,8 @@ def _read_rows(path, expected_header):
         yield from enumerate(reader, start=2)
 
 
-def ingest_csv(path, space: OutcomeSpace) -> PopulationDataset:
-    """Load and validate a population file; errors carry 1-based line numbers."""
+def _read_population(path) -> list[UnitRecord]:
+    """Rows of a population file, checked for field count and numbers; errors carry line numbers."""
     records = []
     problems = []
     for lineno, row in _read_rows(path, ["unit_id", "cluster", "y0", "y1"]):
@@ -232,7 +233,17 @@ def ingest_csv(path, space: OutcomeSpace) -> PopulationDataset:
             problems.append(f"line {lineno}: malformed outcome value")
     if problems:
         raise ValidationError("; ".join(problems))
-    return PopulationDataset.from_records(records, space)  # validates the records
+    return records
+
+
+def infer_space(path) -> OutcomeSpace:
+    """The outcome space made of every y0 and y1 value in a population file."""
+    return OutcomeSpace(tuple(sorted({y for r in _read_population(path) for y in (r.y0, r.y1)})))
+
+
+def ingest_csv(path, space: OutcomeSpace) -> PopulationDataset:
+    """Load and validate a population file; errors carry 1-based line numbers."""
+    return PopulationDataset.from_records(_read_population(path), space)  # validates the records
 
 
 def write_population_csv(pop: PopulationDataset, path) -> None:

@@ -26,7 +26,6 @@ from clusterdp.experiments import (
     ExperimentConfig,
     build_population,
     cluster_mechanism_taus,
-    cluster_taus_fixed_design,
     counts_design,
     jackknife_variance_se,
     run_experiment,
@@ -51,6 +50,7 @@ from clusterdp.variance import (
 )
 
 from conftest import make_population, random_population
+from oracles import cluster_taus_fixed_design
 
 from test_mechanisms import fixed_design
 from test_variance import enumeration_ht_variance

@@ -215,27 +215,48 @@ def _mutate_release(release_csv, sidecar, case):
         meta["params"]["lambda"] = 1.5
     elif case == "unknown_kind":
         meta["kind"] = "bogus"
-    elif case in ("z_outside_arms", "y_tilde_not_a_number"):
+    elif case == "gamma_string":
+        meta["params"]["gamma"] = "abc"
+    elif case == "sigma_list":
+        meta["params"]["sigma"] = [1]
+    elif case == "space_entry_string":
+        meta["space"][0] = "x"
+    elif case in ("z_outside_arms", "y_tilde_not_a_number", "unknown_cluster", "short_row"):
         lines = release_csv.read_text().splitlines()
         row = lines[1].split(",")  # unit_id, cluster, z, y_tilde
         if case == "z_outside_arms":
             row[2] = "2"
+        elif case == "unknown_cluster":
+            row[1] = "no_such_cluster"
+        elif case == "short_row":
+            row = row[:3]
         else:
             row[3] = "abc"
         lines[1] = ",".join(row)
         release_csv.write_text("\n".join(lines) + "\n")
-    sidecar.write_text(json.dumps(meta))
+    sidecar.write_text("{" if case == "not_json" else json.dumps(meta))
+
+
+def _write_population(path, rows):
+    path.write_text("unit_id,cluster,y0,y1\n" + "".join(f"{r}\n" for r in rows))
 
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
-        "case",
+        "case, named",
         [
-            "short_debias_rows", "short_q_tilde", "lambda_above_one", "unknown_kind",
-            "z_outside_arms", "y_tilde_not_a_number",
+            pytest.param(case, named, id=case)
+            for case, named in [
+                ("short_debias_rows", "debias_rows"), ("short_q_tilde", "q_tilde"),
+                ("lambda_above_one", "lambda"), ("unknown_kind", "kind"),
+                ("z_outside_arms", "line 2"), ("y_tilde_not_a_number", "line 2"),
+                ("gamma_string", "gamma"), ("sigma_list", "sigma"),
+                ("space_entry_string", "space"), ("unknown_cluster", "line 2"),
+                ("short_row", "line 2"), ("not_json", "JSON"),
+            ]
         ],
     )
-    def test_malformed_release_exit_code(self, tmp_path, capsys, case):
+    def test_malformed_release_exit_code(self, tmp_path, capsys, case, named):
         pop_csv = tmp_path / "pop.csv"
         run_cli(capsys, "generate", "gmm", "--kprime", "2", "--sizes", "40", "60",
                 "--seed", "3", "--out", str(pop_csv))
@@ -248,7 +269,53 @@ class TestMalformedInput:
             capsys, "estimate", "--release", str(release_csv), "--sidecar", str(sidecar)
         )
         assert code == 2
-        assert stdout == "" and err.startswith("error:")
+        assert stdout == "" and err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("kind", ["cluster_dp", "uniform_prior_dp"])
+    @pytest.mark.parametrize("lam", ["1", "0.99999999999999999"])
+    def test_privatize_lambda_one_exit_code(self, tmp_path, capsys, kind, lam):
+        pop_csv = tmp_path / "pop.csv"
+        run_cli(capsys, "generate", "gmm", "--kprime", "2", "--sizes", "40", "60",
+                "--seed", "3", "--out", str(pop_csv))
+        release_csv, sidecar = tmp_path / "r.csv", tmp_path / "r.json"
+        code, stdout, err = run_cli(capsys, "privatize", "--pop", str(pop_csv), "--kind", kind,
+                                    "--lam", lam, "--out", str(release_csv),
+                                    "--sidecar", str(sidecar))
+        assert code == 2
+        assert stdout == "" and "lambda" in err
+        assert not release_csv.exists() and not sidecar.exists()
+
+    @pytest.mark.parametrize(
+        "rows, values, named",
+        [
+            pytest.param(["a,0,0,1", "b,0,1,inf", "c,1,0,1", "d,1,1,0"], None, "finite",
+                         id="inf_outcome_inferred"),
+            pytest.param(["a,0,0,1", "b,0,1,0", "c,1,0,1", "d,1,1,0"], "0,1,inf", "finite",
+                         id="inf_in_values"),
+            pytest.param(["a,0,0,1", "b,0,1,x", "c,1,0,1", "d,1,1,0"], None,
+                         "line 3: malformed outcome value", id="malformed_outcome_inferred"),
+            pytest.param(["a,0,0", "b,0,1", "c,1,0", "d,1,1"], None, "line 2: expected 4 fields",
+                         id="missing_field_inferred"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "privatize"])
+    def test_malformed_population_exit_code(self, tmp_path, capsys, command, rows, values, named):
+        pop_csv, sidecar = tmp_path / "pop.csv", tmp_path / "r.json"
+        _write_population(pop_csv, rows)
+        argv = [command, "--pop", str(pop_csv)] + (["--values", values] if values else [])
+        if command == "privatize":
+            argv += ["--out", str(tmp_path / "r.csv"), "--sidecar", str(sidecar)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert stdout == "" and named in err
+        assert not sidecar.exists()
+
+    def test_population_without_y1_column_names_header(self, tmp_path, capsys):
+        pop_csv = tmp_path / "pop.csv"
+        pop_csv.write_text("unit_id,cluster,y0\na,0,0\nb,0,1\n")
+        code, stdout, err = run_cli(capsys, "analyze", "--pop", str(pop_csv))
+        assert code == 2
+        assert stdout == "" and "expected header" in err
 
     @pytest.mark.parametrize(
         "argv",

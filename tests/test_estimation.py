@@ -5,18 +5,12 @@ import numpy as np
 import pytest
 
 from clusterdp.estimation import (
-    build_q,
     debias_rows,
-    debias_value,
-    invert_q,
     per_cluster_contributions,
     singular_value_bound,
     tau_no_dp,
-    tau_no_dp_unstratified,
     tau_q,
-    tau_uniform,
 )
-from clusterdp.experiments import cluster_taus_fixed_design
 from clusterdp.mechanisms import cluster_dp, uniform_prior_dp
 from clusterdp.model import (
     Design,
@@ -28,21 +22,21 @@ from clusterdp.model import (
 from clusterdp.rng import RngStreams
 
 from conftest import make_population
+from oracles import cluster_taus_fixed_design, q_inverse, q_matrix
 
 from test_mechanisms import fixed_design
 
 
 class TestBuildQ:
     def test_lambda_zero_identity(self):
-        rm = build_q([0.3, 0.7], 0.0)
-        assert np.array_equal(rm.matrix, np.eye(2))
-        assert np.array_equal(rm.inverse, np.eye(2))
+        assert np.array_equal(q_matrix([0.3, 0.7], 0.0), np.eye(2))
+        assert np.array_equal(q_inverse([0.3, 0.7], 0.0), np.eye(2))
 
     def test_worked_matrix(self):
-        rm = build_q([0.5, 0.5], 0.5)
-        assert rm.matrix.tolist() == [[0.75, 0.25], [0.25, 0.75]]
-        assert invert_q(rm).tolist() == [[1.5, -0.5], [-0.5, 1.5]]
-        assert np.allclose(rm.matrix @ rm.inverse, np.eye(2), atol=1e-12)
+        q, q_inv = q_matrix([0.5, 0.5], 0.5), q_inverse([0.5, 0.5], 0.5)
+        assert q.tolist() == [[0.75, 0.25], [0.25, 0.75]]
+        assert q_inv.tolist() == [[1.5, -0.5], [-0.5, 1.5]]
+        assert np.allclose(q @ q_inv, np.eye(2), atol=1e-12)
 
     def test_columns_sum_to_one(self):
         rng = np.random.default_rng(1)
@@ -50,11 +44,11 @@ class TestBuildQ:
             k = int(rng.integers(2, 13))
             q = rng.dirichlet(np.ones(k))
             lam = float(rng.uniform(0.0, 0.99))
-            assert np.allclose(build_q(q, lam).matrix.sum(axis=0), 1.0, atol=1e-12)
+            assert np.allclose(q_matrix(q, lam).sum(axis=0), 1.0, atol=1e-12)
 
     def test_lambda_one_rejected(self):
         with pytest.raises(ValidationError, match="singular"):
-            build_q([0.5, 0.5], 1.0)
+            debias_rows(np.array([0.0, 1.0]), [0.5, 0.5], 1.0)
 
     def test_closed_form_matches_dense_inverse(self):
         rng = np.random.default_rng(2)
@@ -62,9 +56,8 @@ class TestBuildQ:
             k = int(rng.integers(2, 13))
             q = rng.dirichlet(np.ones(k) * rng.uniform(0.2, 3.0))
             lam = float(rng.uniform(0.0, 0.95))
-            rm = build_q(q, lam)
-            dense = np.linalg.inv(rm.matrix)
-            assert np.max(np.abs(rm.inverse - dense)) < 1e-10
+            dense = np.linalg.inv(q_matrix(q, lam))
+            assert np.max(np.abs(q_inverse(q, lam) - dense)) < 1e-10
 
     def test_singular_value_bound_sample(self):
         rng = np.random.default_rng(3)
@@ -72,28 +65,26 @@ class TestBuildQ:
             k = int(rng.integers(2, 13))
             q = rng.dirichlet(np.ones(k) * rng.uniform(0.2, 3.0))
             lam = float(rng.uniform(0.0, 0.98))
-            top = np.linalg.svd(build_q(q, lam).inverse, compute_uv=False)[0]
+            top = np.linalg.svd(q_inverse(q, lam), compute_uv=False)[0]
             assert top <= singular_value_bound(lam, k) + 1e-9
 
 
 class TestDebias:
     def test_lambda_zero_returns_value(self):
         vals = np.array([0.0, 1.0, 5.0])
-        rm = build_q([0.2, 0.3, 0.5], 0.0)
-        assert debias_value(vals, rm, 2) == 5.0
+        assert debias_rows(vals, [0.2, 0.3, 0.5], 0.0)[2] == 5.0
 
     def test_worked_values(self):
         vals = np.array([0.0, 1.0])
-        rm = build_q([0.5, 0.5], 0.5)
-        assert debias_value(vals, rm, 1) == pytest.approx(1.5, abs=1e-12)
-        assert debias_value(vals, rm, 0) == pytest.approx(-0.5, abs=1e-12)
+        row = debias_rows(vals, [0.5, 0.5], 0.5)
+        assert row[1] == pytest.approx(1.5, abs=1e-12)
+        assert row[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_micro_unbiasedness(self):
         # true y = 1: 0.75 * 1.5 + 0.25 * (-0.5) = 1
         vals = np.array([0.0, 1.0])
-        rm = build_q([0.5, 0.5], 0.5)
-        col = rm.matrix[:, 1]
-        row = debias_rows(vals, rm.q_tilde, rm.lam)
+        col = q_matrix([0.5, 0.5], 0.5)[:, 1]
+        row = debias_rows(vals, [0.5, 0.5], 0.5)
         assert float(col @ row) == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form_equals_explicit_row_product(self):
@@ -105,8 +96,7 @@ class TestDebias:
                 continue
             q = rng.dirichlet(np.ones(k))
             lam = float(rng.uniform(0.0, 0.95))
-            rm = build_q(q, lam)
-            explicit = vals @ rm.inverse
+            explicit = vals @ q_inverse(q, lam)
             closed = debias_rows(vals, q, lam)
             assert np.max(np.abs(explicit - closed)) < 1e-12
 
@@ -173,7 +163,7 @@ class TestTauQ:
         per_unit_released = release.debias[release.cluster, release.z, release.y_tilde]
         rebuilt = np.array(
             [
-                float(vals @ build_q(prior.q[c, a], release.lam).inverse[:, y])
+                float(vals @ q_inverse(prior.q[c, a], release.lam)[:, y])
                 for c, a, y in zip(release.cluster, release.z, release.y_tilde)
             ]
         )
@@ -223,22 +213,13 @@ class TestTauQ:
 
 
 class TestTauUniform:
+    """The uniform-prior release is estimated by tau_q, as a Cluster-DP release with q = 1/K."""
+
     def test_lambda_zero_matches_no_dp(self, small_pop, streams):
         design = draw_design(small_pop, 0.5, streams.generator("z"))
         release = uniform_prior_dp(small_pop, design, 0.0, streams.child("u"))
-        assert tau_uniform(release, design, small_pop.space, stratified=True) == pytest.approx(
+        assert tau_q(release, design, small_pop.space) == pytest.approx(
             tau_no_dp(small_pop, design), abs=1e-12
-        )
-        assert tau_uniform(release, design, small_pop.space, stratified=False) == pytest.approx(
-            tau_no_dp_unstratified(small_pop, design), abs=1e-12
-        )
-
-    def test_matches_tau_q_on_uniform_release(self, small_pop, streams):
-        # the uniform-prior estimator is the debiased estimator with a uniform prior
-        design = draw_design(small_pop, 0.5, streams.generator("z"))
-        release = uniform_prior_dp(small_pop, design, 0.6, streams.child("u"))
-        assert tau_uniform(release, design, small_pop.space) == pytest.approx(
-            tau_q(release, design, small_pop.space), abs=1e-10
         )
 
     def test_mc_unbiasedness(self, streams):
@@ -251,7 +232,7 @@ class TestTauUniform:
         target = tau_no_dp(pop, design)
         taus = np.array(
             [
-                tau_uniform(
+                tau_q(
                     uniform_prior_dp(pop, design, 0.5, streams.child("rep", r)),
                     design,
                     pop.space,
@@ -267,7 +248,7 @@ class TestTauUniform:
         design = draw_design(small_pop, 0.5, streams.generator("z"))
         release = uniform_prior_dp(small_pop, design, 1.0, streams.child("u"))
         with pytest.raises(ValidationError):
-            tau_uniform(release, design, small_pop.space, lam=1.0)
+            tau_q(release, design, small_pop.space)
 
 
 class TestKernelOpConsistency:

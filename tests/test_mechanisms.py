@@ -30,6 +30,7 @@ from clusterdp.model import (
 from clusterdp.rng import RngStreams, laplace_noise
 
 from conftest import make_population, random_population
+from oracles import q_matrix
 
 
 def fixed_design(pop, n1c):
@@ -334,8 +335,6 @@ class TestReleaseSerialization:
         assert side1.read_bytes() == side2.read_bytes()
 
     def test_debias_row_reproduces_outcomes_through_q(self, small_pop, streams):
-        from clusterdp.estimation import q_matrix
-
         design = draw_design(small_pop, 0.5, streams.generator("z"))
         params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.05, sigma=3.0, lam=0.7)
         _, release = cluster_dp(small_pop, design, params, streams.child("dbg"))

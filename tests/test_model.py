@@ -33,6 +33,13 @@ class TestOutcomeSpace:
         with pytest.raises(ValidationError):
             OutcomeSpace((0.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "values", [(0.0, 1.0, math.inf), (-math.inf, 0.0, 1.0), (0.0, 1.0, math.nan)]
+    )
+    def test_rejects_non_finite(self, values):
+        with pytest.raises(ValidationError, match="finite"):
+            OutcomeSpace(values)
+
     def test_membership_is_exact(self):
         space = OutcomeSpace((0.0, 1.0))
         assert 1.0 in space
