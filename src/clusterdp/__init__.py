@@ -49,7 +49,6 @@ from .variance import (
     cluster_dp_variance_bound,
     homogeneity,
     ht_variance,
-    sample_variance,
     uniform_prior_variance,
 )
 

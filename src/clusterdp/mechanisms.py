@@ -381,6 +381,14 @@ def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
     lam = finite_number("sidecar params.lambda", params["lambda"])
     if not 0.0 <= lam < 1.0:
         raise ValidationError(f"release lambda {lam!r} outside [0, 1)")
+    gamma = finite_number("sidecar params.gamma", params["gamma"])
+    q_tilde = _sidecar_table(sidecar, "q_tilde", shape)
+    on_simplex = np.all(np.abs(q_tilde.sum(axis=-1) - 1.0) <= 1e-12)
+    if not (on_simplex and np.all(q_tilde >= gamma - 1e-12)):
+        raise ValidationError(f"sidecar q_tilde is off the simplex or below gamma {gamma!r}")
+    debias = _sidecar_table(sidecar, "debias_rows", shape)
+    if not np.all(np.abs(debias - debias_rows(space.array, q_tilde, lam)) <= 1e-12):
+        raise ValidationError("sidecar debias_rows differ from debias_rows(space, q_tilde, lambda)")
     unit_ids, cluster, z, y_tilde = [], [], [], []
     with open(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -406,10 +414,10 @@ def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
         cluster_labels=labels,
         z=np.array(z, dtype=np.int8),
         y_tilde=np.array(y_tilde),
-        debias=_sidecar_table(sidecar, "debias_rows", shape),
-        q_tilde=_sidecar_table(sidecar, "q_tilde", shape),
+        debias=debias,
+        q_tilde=q_tilde,
         kind=kind,
-        gamma=finite_number("sidecar params.gamma", params["gamma"]),
+        gamma=gamma,
         sigma=math.inf if sigma == "inf" else finite_number("sidecar params.sigma", sigma),
         lam=lam,
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,7 +17,6 @@ from .model import Design, MechanismParams, OutcomeSpace, PopulationDataset, Val
 
 __all__ = [
     "VarianceReport",
-    "sample_variance",
     "ht_variance",
     "ht_variance_unstratified",
     "homogeneity",
@@ -50,18 +50,45 @@ class VarianceReport:
         }
 
 
-def sample_variance(u) -> float:
-    """Unbiased sample variance S^2(u) = sum (u - mean)^2 / (len - 1)."""
-    u = np.asarray(u, dtype=float)
-    if u.size < 2:
-        raise ValidationError("sample variance needs at least 2 entries")
-    return float(u.var(ddof=1))
+class _Moments(NamedTuple):
+    """Per-stratum moments; row r of ``mean``, ``mean_sq`` and ``s2`` is y0, y1, y1 - y0."""
+
+    size: np.ndarray
+    weight: np.ndarray  # (n_s / n)^2
+    mean: np.ndarray
+    mean_sq: np.ndarray
+    s2: np.ndarray
 
 
-def _cluster_outcome_values(pop: PopulationDataset):
+def _moments(pop: PopulationDataset, pooled: bool = False) -> _Moments:
+    """Size, mean, mean square and sample variance S^2 of y0, y1 and y1 - y0 per stratum.
+
+    The strata are the clusters, or all units as one stratum when ``pooled``
+    (complete randomization). Two passes over the units in stratum order (sums
+    and sums of squares, then squared deviations), each summed pairwise per
+    stratum by ``np.add.reduceat``; a sequential sum lost 1e-11 at 10^6 units.
+    """
+    if pooled:
+        order, size = slice(None), np.array([pop.n])
+    else:
+        order, size = np.concatenate(pop.members), pop.cluster_sizes
+    starts = np.cumsum(size) - size
     vals = pop.space.array
-    for members in pop.members:
-        yield vals[pop.y0[members]], vals[pop.y1[members]]
+    y0, y1 = vals[pop.y0[order]], vals[pop.y1[order]]
+    ys = (y0, y1, y1 - y0)
+
+    def sums(rows):
+        return np.stack([np.add.reduceat(r, starts) for r in rows])
+
+    mean = sums(ys) / size
+    mean_sq = sums(y * y for y in ys) / size
+    s2 = sums((y - np.repeat(mu, size)) ** 2 for y, mu in zip(ys, mean)) / (size - 1)
+    return _Moments(size, (size / pop.n) ** 2, mean, mean_sq, s2)
+
+
+def _ht(m: _Moments, n0c, n1c) -> float:
+    """sum_s (n_s/n)^2 [S^2(y(1))/n1s + S^2(y(0))/n0s - S^2(y(1)-y(0))/n_s]."""
+    return float(np.sum(m.weight * (m.s2[1] / n1c + m.s2[0] / n0c - m.s2[2] / m.size)))
 
 
 def ht_variance(pop: PopulationDataset, design: Design) -> float:
@@ -70,27 +97,12 @@ def ht_variance(pop: PopulationDataset, design: Design) -> float:
     Per cluster: (n_c/n)^2 [S^2(y(1))/n1c + S^2(y(0))/n0c - S^2(y(1)-y(0))/n_c];
     the last term may be negative, the total never is.
     """
-    n = pop.n
-    total = 0.0
-    for c, (y0, y1) in enumerate(_cluster_outcome_values(pop)):
-        w = (pop.cluster_sizes[c] / n) ** 2
-        total += w * (
-            sample_variance(y1) / design.n1c[c]
-            + sample_variance(y0) / design.n0c[c]
-            - sample_variance(y1 - y0) / pop.cluster_sizes[c]
-        )
-    return total
+    return _ht(_moments(pop), design.n0c, design.n1c)
 
 
 def ht_variance_unstratified(pop: PopulationDataset, n1: int, n0: int) -> float:
     """Single-stratum version: variance of the pooled estimator under complete randomization."""
-    vals = pop.space.array
-    y0, y1 = vals[pop.y0], vals[pop.y1]
-    return (
-        sample_variance(y1) / n1
-        + sample_variance(y0) / n0
-        - sample_variance(y1 - y0) / pop.n
-    )
+    return _ht(_moments(pop, pooled=True), n0, n1)
 
 
 def homogeneity(pop: PopulationDataset, design: Design, arm: int) -> float:
@@ -99,51 +111,43 @@ def homogeneity(pop: PopulationDataset, design: Design, arm: int) -> float:
     phi_a = sum_c (n_c/n)^2 S^2(y_c(a)) / n_{a,c}; zero iff each cluster's
     arm-a outcomes sit in a singleton set.
     """
-    n = pop.n
-    counts = design.n1c if arm == 1 else design.n0c
-    total = 0.0
-    for c, (y0, y1) in enumerate(_cluster_outcome_values(pop)):
-        y = y1 if arm == 1 else y0
-        total += (pop.cluster_sizes[c] / n) ** 2 * sample_variance(y) / counts[c]
-    return total
+    m = _moments(pop)
+    return float(np.sum(m.weight * m.s2[arm] / (design.n0c, design.n1c)[arm]))
 
 
-def _bracket(x: float, gamma: float, sigma: float) -> float:
+def _bracket(x, gamma: float, sigma: float):
     """Expected clip-or-noise mass gamma + (sigma/x)(e^{-gamma x/sigma} - e^{-x/sigma}).
 
-    sigma limits are taken analytically: the noise term tends to (1 - gamma)
-    as sigma -> inf and to 0 as sigma -> 0.
+    Elementwise in ``x``. sigma limits are taken analytically: the noise term
+    tends to (1 - gamma) as sigma -> inf and to 0 as sigma -> 0.
     """
     if sigma == 0.0:
-        return gamma
+        return np.full(np.shape(x), gamma)
     if math.isinf(sigma):
-        return 1.0
-    return gamma + (sigma / x) * (
-        math.exp(-gamma * x / sigma) - math.exp(-x / sigma)
-    )
+        return np.ones(np.shape(x))
+    return gamma + (sigma / x) * (np.exp(-gamma * x / sigma) - np.exp(-x / sigma))
 
 
-def a_of_x(x: float, space: OutcomeSpace, params: MechanismParams) -> float:
-    """Cluster-agnostic term of the variance-gap bound, per arm-size x.
+def a_of_x(x, space: OutcomeSpace, params: MechanismParams):
+    """Cluster-agnostic term of the variance-gap bound, per arm size x (a float or an array).
 
     The squared-norm tail is multiplied by the rank-one factor (lam sqrt(K)+1)^2:
 
       2K [B^2 (3/(1-lam)^2 + 2)
           + (lam sqrt(K)+1)^2/(1-lam)^2 * |y|_2^2 (1 - lam (K-1) gamma)] * bracket
     """
-    if x < 1:
+    if np.any(np.asarray(x) < 1):
         raise ValidationError("arm size x must be >= 1")
     lam, gamma, sigma = params.lam, params.gamma, params.sigma
     if lam >= 1.0:
         raise ValidationError("variance bound undefined at lambda = 1")
     k = space.k
-    b_sq = space.max_abs**2
-    l2_sq = space.l2_sq
     shrink = (1.0 - lam) ** 2
     rank_one = (lam * math.sqrt(k) + 1.0) ** 2
-    tail = l2_sq * (1.0 - lam * (k - 1) * gamma)
-    multiplier = b_sq * (3.0 / shrink + 2.0) + rank_one / shrink * tail
-    return 2.0 * k * multiplier * _bracket(x, gamma, sigma)
+    tail = space.l2_sq * (1.0 - lam * (k - 1) * gamma)
+    multiplier = space.max_abs**2 * (3.0 / shrink + 2.0) + rank_one / shrink * tail
+    a = 2.0 * k * multiplier * _bracket(x, gamma, sigma)
+    return a if np.ndim(x) else float(a)
 
 
 def cluster_dp_variance_bound(
@@ -157,17 +161,17 @@ def cluster_dp_variance_bound(
     (1/(1-lam)^2 - 1)(phi_0 + phi_1) + sum_a sum_c (n_c/n)^2 A(n_{a,c})/n_{a,c};
     the homogeneity term alone is the reported lower boundary of the band.
     """
-    no_dp = ht_variance(pop, design)
     lam = params.lam
+    if lam >= 1.0:
+        raise ValidationError("variance bound undefined at lambda = 1")
+    params.check_gamma(pop.space.k)
+    no_dp = ht_variance(pop, design)
     phi0 = homogeneity(pop, design, 0)
     phi1 = homogeneity(pop, design, 1)
     homo_term = (1.0 / (1.0 - lam) ** 2 - 1.0) * (phi0 + phi1)
-    n = pop.n
-    a_term = 0.0
-    for c in range(pop.n_clusters):
-        w = (pop.cluster_sizes[c] / n) ** 2
-        for count in (design.n0c[c], design.n1c[c]):
-            a_term += w * a_of_x(int(count), pop.space, params) / count
+    counts = design.arm_counts()
+    weight = (pop.cluster_sizes / pop.n) ** 2
+    a_term = float(np.sum(weight[:, None] * a_of_x(counts, pop.space, params) / counts))
     return VarianceReport(
         no_dp_variance=no_dp,
         value=no_dp + homo_term + a_term,
@@ -198,30 +202,17 @@ def uniform_prior_variance(
     """
     if lam >= 1.0:
         raise ValidationError("estimator undefined at lambda = 1")
-    space = pop.space
-    vals = space.array
-    ym, ym2 = space.mean, space.mean_sq
-    shrink = (1.0 - lam) ** 2
-    space_term_unit = (lam * ym2 - lam**2 * ym**2) / shrink
-    n = pop.n
-    if stratified:
-        total = ht_variance(pop, design)
-        for c, (y0, y1) in enumerate(_cluster_outcome_values(pop)):
-            w = (pop.cluster_sizes[c] / n) ** 2
-            inv0, inv1 = 1.0 / design.n0c[c], 1.0 / design.n1c[c]
-            total += w * (inv0 + inv1) * space_term_unit
-            total += w * (
-                lam / (1.0 - lam) * ((y0**2).mean() * inv0 + (y1**2).mean() * inv1)
-                - 2.0 * lam * ym / (1.0 - lam) * (y0.mean() * inv0 + y1.mean() * inv1)
-            )
-        return total
-    n1, n0 = design.n1, design.n0
-    y0, y1 = vals[pop.y0], vals[pop.y1]
-    total = ht_variance_unstratified(pop, n1, n0)
-    total += n / (n1 * n0) * space_term_unit
-    total += lam / (1.0 - lam) * ((y0**2).mean() / n0 + (y1**2).mean() / n1)
-    total -= 2.0 * lam * ym / (1.0 - lam) * (y0.mean() / n0 + y1.mean() / n1)
-    return total
+    ym, ym2 = pop.space.mean, pop.space.mean_sq
+    space_term_unit = (lam * ym2 - lam**2 * ym**2) / (1.0 - lam) ** 2
+    m = _moments(pop, pooled=not stratified)
+    n0c, n1c = (design.n0c, design.n1c) if stratified else (design.n0, design.n1)
+    inv0, inv1 = 1.0 / n0c, 1.0 / n1c
+    per_stratum = (
+        (inv0 + inv1) * space_term_unit
+        + lam / (1.0 - lam) * (m.mean_sq[0] * inv0 + m.mean_sq[1] * inv1)
+        - 2.0 * lam * ym / (1.0 - lam) * (m.mean[0] * inv0 + m.mean[1] * inv1)
+    )
+    return _ht(m, n0c, n1c) + float(np.sum(m.weight * per_stratum))
 
 
 def baseline_gaps(

@@ -146,6 +146,21 @@ class TestAnalyze:
         )
         assert payload["baseline_gaps"]["noisy_ht"] <= payload["baseline_gaps"]["noisy_histogram"]
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            pytest.param(["--gamma", "0.9"], "gamma", id="gamma_above_one_over_k"),
+            pytest.param(["--lam", "1"], "lambda", id="lambda_one"),
+        ],
+    )
+    def test_bound_parameters_exit_code(self, tmp_path, capsys, flags, named):
+        pop_csv = tmp_path / "pop.csv"
+        run_cli(capsys, "generate", "gmm", "--kprime", "2", "--sizes", "40", "60",
+                "--seed", "3", "--out", str(pop_csv))
+        code, stdout, err = run_cli(capsys, "analyze", "--pop", str(pop_csv), *flags)
+        assert code == 2
+        assert stdout == "" and err.startswith("error:") and named in err
+
 
 class TestExperimentCommand:
     def test_runs_and_writes(self, tmp_path, capsys):
@@ -221,6 +236,13 @@ def _mutate_release(release_csv, sidecar, case):
         meta["params"]["sigma"] = [1]
     elif case == "space_entry_string":
         meta["space"][0] = "x"
+    elif case == "q_tilde_off_simplex":
+        meta["q_tilde"][0][0][0] = 0.9
+    elif case == "q_tilde_below_gamma":
+        k = len(meta["space"])
+        meta["q_tilde"][0][0] = [1.0] + [0.0] * (k - 1)
+    elif case == "debias_row_shifted":
+        meta["debias_rows"][0][0] = [v + 100.0 for v in meta["debias_rows"][0][0]]
     elif case in ("z_outside_arms", "y_tilde_not_a_number", "unknown_cluster", "short_row"):
         lines = release_csv.read_text().splitlines()
         row = lines[1].split(",")  # unit_id, cluster, z, y_tilde
@@ -253,6 +275,8 @@ class TestMalformedInput:
                 ("gamma_string", "gamma"), ("sigma_list", "sigma"),
                 ("space_entry_string", "space"), ("unknown_cluster", "line 2"),
                 ("short_row", "line 2"), ("not_json", "JSON"),
+                ("q_tilde_off_simplex", "q_tilde"), ("q_tilde_below_gamma", "q_tilde"),
+                ("debias_row_shifted", "debias_rows"),
             ]
         ],
     )

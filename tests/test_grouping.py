@@ -26,8 +26,7 @@ from test_mechanisms import fixed_design
 LABELS = [f"c{i}" for i in range(12)]  # sorted by str: c0, c1, c10, c11, c2, ...
 
 
-@pytest.fixture
-def interleaved_pop():
+def interleaved_population():
     rng = np.random.default_rng(606)
     values = (-1.0, 0.0, 1.5, 3.0)
     records = [
@@ -42,6 +41,11 @@ def interleaved_pop():
     assert first_seen != sorted(first_seen)
     assert list(pop.cluster_labels) != LABELS
     return pop
+
+
+@pytest.fixture
+def interleaved_pop():
+    return interleaved_population()
 
 
 def contiguous_copy(pop):

@@ -18,7 +18,7 @@ from clusterdp.simdata import (
     subsample,
     write_population_csv,
 )
-from clusterdp.variance import homogeneity, sample_variance
+from clusterdp.variance import homogeneity
 from clusterdp.experiments import counts_design
 
 
@@ -135,7 +135,7 @@ class TestGraphPopulation:
         )
         design = counts_design(pop, 0.5)
         vals = pop.space.array
-        pooled = sample_variance(vals[pop.y0])
+        pooled = np.var(vals[pop.y0], ddof=1)
         phi0 = homogeneity(pop, design, 0)
         scale = sum(
             (pop.cluster_sizes[c] / pop.n) ** 2 / design.n0c[c] for c in range(pop.n_clusters)

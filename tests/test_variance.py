@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from clusterdp.experiments import uniform_prior_taus
+from clusterdp.experiments import counts_design, uniform_prior_taus
 from clusterdp.model import (
     MechanismKind,
     MechanismParams,
     OutcomeSpace,
     ValidationError,
 )
+from clusterdp.rng import RngStreams
+from clusterdp.simdata import GmmConfig, GraphPopConfig, gen_gmm, gen_graph_population
 from clusterdp.variance import (
     a_of_x,
     baseline_gaps,
@@ -18,12 +20,19 @@ from clusterdp.variance import (
     homogeneity,
     ht_variance,
     ht_variance_unstratified,
-    sample_variance,
     uniform_prior_variance,
 )
 
 from conftest import make_population, random_population
+from oracles import (
+    homogeneity_loop,
+    ht_variance_loop,
+    ht_variance_unstratified_loop,
+    sample_variance,
+    uniform_prior_variance_loop,
+)
 
+from test_grouping import interleaved_population
 from test_mechanisms import fixed_design
 
 
@@ -109,6 +118,61 @@ class TestHomogeneity:
             design = fixed_design(pop, [s // 2 for s in pop.cluster_sizes])
             assert homogeneity(pop, design, 0) >= 0.0
             assert homogeneity(pop, design, 1) >= 0.0
+
+
+def random_populations(seed=2024, count=60):
+    """1-4 clusters of 2-9 units over K = 2..5 values, integer and non-integer."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(2, 6))
+        grid = np.arange(-6.0, 7.0) if rng.random() < 0.5 else np.round(rng.normal(size=40) * 3, 3)
+        values = tuple(sorted(rng.choice(np.unique(grid), size=k, replace=False)))
+        pop = random_population(
+            rng, n_clusters=int(rng.integers(1, 5)), size_range=(2, 9), space_values=values
+        )
+        yield pop, fixed_design(pop, [int(rng.integers(1, s)) for s in pop.cluster_sizes])
+
+
+def reference_cases():
+    yield from random_populations()
+    pop = interleaved_population()
+    yield pop, counts_design(pop, 0.5)
+    graph = GraphPopConfig(community_sizes=(20, 30, 40, 55), p_in=0.3, p_out=0.02,
+                           beta=(1.0, 1.0, 1.0, 1.0), v=0.1, k=8, tau=1.0)
+    pop = gen_graph_population(graph, RngStreams(2))
+    yield pop, counts_design(pop, 0.5)
+    pop = gen_gmm(GmmConfig(beta=2.0, v=5.0, k_prime=5, cluster_sizes=(20,) * 5000), RngStreams(1))
+    yield pop, counts_design(pop, 0.5)
+
+
+class TestMomentsMatchLoops:
+    """The one-pass moments give the closed forms of the per-cluster loops they replaced."""
+
+    def test_closed_forms_match_loops(self):
+        for pop, design in reference_cases():
+            pairs = [
+                (ht_variance(pop, design), ht_variance_loop(pop, design)),
+                (ht_variance_unstratified(pop, design.n1, design.n0),
+                 ht_variance_unstratified_loop(pop, design.n1, design.n0)),
+            ]
+            pairs += [(homogeneity(pop, design, a), homogeneity_loop(pop, design, a))
+                      for a in (0, 1)]
+            pairs += [(uniform_prior_variance(pop, design, lam, strat),
+                       uniform_prior_variance_loop(pop, design, lam, strat))
+                      for lam in (0.3, 0.9) for strat in (True, False)]
+            for got, ref in pairs:
+                assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 2.0, math.inf])
+    def test_a_of_x_array_equals_scalar_calls(self, sigma):
+        pop = random_population(np.random.default_rng(3), n_clusters=6, size_range=(2, 40))
+        counts = fixed_design(pop, [max(1, s // 3) for s in pop.cluster_sizes]).arm_counts()
+        p = params(gamma=0.05, sigma=sigma, lam=0.7)
+        got = a_of_x(counts, pop.space, p)
+        assert got.shape == counts.shape
+        expected = [[a_of_x(int(x), pop.space, p) for x in row] for row in counts]
+        assert np.array_equal(got, expected)
+        assert all(isinstance(v, float) for row in expected for v in row)
 
 
 class TestAOfX:
