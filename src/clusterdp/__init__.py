@@ -4,11 +4,8 @@ from .accounting import (
     CalibrationError,
     PrivacyReport,
     calibrate_lambda,
-    calibrate_lambda_uniform,
     cluster_dp_eps_delta,
     cluster_dp_pure_eps,
-    uniform_prior_eps,
-    uniform_prior_eps_delta,
 )
 from .estimation import tau_no_dp, tau_q
 from .mechanisms import (
@@ -16,7 +13,6 @@ from .mechanisms import (
     noisy_histogram,
     noisy_ht,
     read_release,
-    uniform_prior_dp,
     write_release,
 )
 from .model import (

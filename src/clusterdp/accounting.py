@@ -4,9 +4,11 @@ The cluster mechanism's privacy loss decomposes into a prior-estimation
 budget ``min(1/sigma, 2/gamma)`` and a resampling budget ``eps_tilde`` with
 failure probability ``delta = max(0, 1 - lam + lam * gamma * (1 - e^eps_tilde))``.
 Choosing ``eps_tilde = log(1 + (1-lam)/(lam*gamma))`` makes delta vanish,
-which gives the pure-epsilon form. The uniform-prior mechanism is the
-special case gamma = 1/K with no prior-estimation spend. Calibration
-algebraically inverts these identities; round trips are exact to ~1e-15.
+which gives the pure-epsilon form. The uniform-prior mechanism has no
+functions of its own: it is priced and calibrated as the cluster mechanism at
+``MechanismParams.uniform_prior(k)`` (gamma = 1/K, sigma = inf), where the
+prior budget is 0. Calibration algebraically inverts these identities;
+round trips are exact to ~1e-15.
 """
 
 from __future__ import annotations
@@ -23,10 +25,7 @@ __all__ = [
     "prior_budget",
     "cluster_dp_eps_delta",
     "cluster_dp_pure_eps",
-    "uniform_prior_eps",
-    "uniform_prior_eps_delta",
     "calibrate_lambda",
-    "calibrate_lambda_uniform",
 ]
 
 
@@ -102,23 +101,6 @@ def cluster_dp_pure_eps(params: MechanismParams, k: int | None = None) -> float:
     return prior + math.log1p((1.0 - params.lam) / (params.lam * params.gamma))
 
 
-def uniform_prior_eps(k: int, lam: float) -> float:
-    """Pure epsilon of uniform resampling: log(1 + (1-lam) K / lam)."""
-    if lam == 0.0:
-        return math.inf
-    return math.log1p((1.0 - lam) * k / lam)
-
-
-def uniform_prior_eps_delta(k: int, lam: float, eps_tilde: float) -> PrivacyReport:
-    """(eps_tilde, delta) guarantee of uniform resampling; no prior-estimation spend."""
-    if not eps_tilde > 0:
-        raise ValidationError("eps_tilde must be > 0")
-    delta = max(0.0, 1.0 - lam - (lam / k) * math.expm1(eps_tilde))
-    return PrivacyReport(
-        epsilon=eps_tilde, delta=delta, prior_budget=0.0, resample_budget=eps_tilde
-    )
-
-
 def calibrate_lambda(
     target_eps: float,
     target_delta: float,
@@ -132,6 +114,8 @@ def calibrate_lambda(
     whatever remains after the prior spend, then lam solves the delta identity,
     lam = (1 - delta) / (1 + gamma (e^eps_tilde - 1)).
     """
+    if not target_eps > 0:
+        raise CalibrationError("target_eps must be > 0")
     if not 0.0 <= target_delta < 1.0:
         raise ValidationError("target_delta must lie in [0, 1)")
     prior = prior_budget(gamma, sigma, k)
@@ -142,12 +126,3 @@ def calibrate_lambda(
             f"<= prior budget {prior}"
         )
     return (1.0 - target_delta) / (1.0 + gamma * math.expm1(eps_tilde))
-
-
-def calibrate_lambda_uniform(target_eps: float, target_delta: float, k: int) -> float:
-    """Inverse of the uniform-prior guarantee: lam = (1 - delta) / (1 + (e^eps - 1)/K)."""
-    if not target_eps > 0:
-        raise CalibrationError("target_eps must be > 0")
-    if not 0.0 <= target_delta < 1.0:
-        raise ValidationError("target_delta must lie in [0, 1)")
-    return (1.0 - target_delta) / (1.0 + math.expm1(target_eps) / k)

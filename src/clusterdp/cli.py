@@ -77,6 +77,21 @@ def _cmd_generate(args) -> None:
            "k": pop.space.k, "ate": pop.ate})
 
 
+def _mechanism_params(args, k: int | None, lam: float = 0.0) -> MechanismParams:
+    """The mechanism the flags name; the uniform kind takes gamma = 1/K and sigma = inf."""
+    if k is not None and k < 2:
+        raise ValidationError(f"--k must be an integer >= 2, got {k}")
+    kind = MechanismKind(args.kind)
+    if kind is MechanismKind.UNIFORM_PRIOR_DP:
+        if k is None:
+            raise ValidationError("--kind uniform_prior_dp needs --k")
+        return MechanismParams.uniform_prior(k, lam)
+    params = MechanismParams(kind=kind, gamma=args.gamma, sigma=args.sigma, lam=lam)
+    if k is not None:
+        params.check_gamma(k)
+    return params
+
+
 def _cmd_privatize(args) -> None:
     if args.lam >= 1.0:  # checked first, so nothing is read or written
         raise ValidationError("privatize needs lambda < 1: a lambda = 1 release cannot be debiased")
@@ -84,12 +99,8 @@ def _cmd_privatize(args) -> None:
     pop = simdata.ingest_csv(args.pop, space)
     streams = RngStreams(args.seed)
     design = draw_design(pop, args.treated_fraction, streams.generator("assignment"))
-    kind = MechanismKind(args.kind)
-    if kind is MechanismKind.UNIFORM_PRIOR_DP:
-        release = mechanisms.uniform_prior_dp(pop, design, args.lam, streams)
-    else:
-        params = MechanismParams(kind=kind, gamma=args.gamma, sigma=args.sigma, lam=args.lam)
-        _, release = mechanisms.cluster_dp(pop, design, params, streams)
+    params = _mechanism_params(args, pop.space.k, args.lam)
+    _, release = mechanisms.cluster_dp(pop, design, params, streams)
     mechanisms.write_release(release, args.out, args.sidecar)
     _emit({"written": str(args.out), "sidecar": str(args.sidecar), "n": release.n})
 
@@ -115,32 +126,21 @@ def _cmd_estimate(args) -> None:
 
 
 def _cmd_account(args) -> None:
-    if args.kind == "uniform_prior_dp":
-        if args.eps_tilde is not None:
-            report = accounting.uniform_prior_eps_delta(args.k, args.lam, args.eps_tilde)
-        else:
-            eps = accounting.uniform_prior_eps(args.k, args.lam)
-            report = accounting.PrivacyReport(eps, 0.0, 0.0, eps)
+    params = _mechanism_params(args, args.k, args.lam)
+    if args.eps_tilde is not None:
+        report = accounting.cluster_dp_eps_delta(params, args.eps_tilde, args.k)
     else:
-        params = MechanismParams(
-            kind=MechanismKind.CLUSTER_DP, gamma=args.gamma, sigma=args.sigma, lam=args.lam
-        )
-        if args.eps_tilde is not None:
-            report = accounting.cluster_dp_eps_delta(params, args.eps_tilde, args.k)
-        else:
-            eps = accounting.cluster_dp_pure_eps(params, args.k)
-            prior = accounting.prior_budget(params.gamma, params.sigma)
-            report = accounting.PrivacyReport(eps, 0.0, prior, eps - prior)
+        eps = accounting.cluster_dp_pure_eps(params, args.k)
+        prior = accounting.prior_budget(params.gamma, params.sigma)
+        report = accounting.PrivacyReport(eps, 0.0, prior, eps - prior)
     _emit(report.as_dict())
 
 
 def _cmd_calibrate(args) -> None:
-    if args.kind == "uniform_prior_dp":
-        lam = accounting.calibrate_lambda_uniform(args.target_eps, args.target_delta, args.k)
-    else:
-        lam = accounting.calibrate_lambda(
-            args.target_eps, args.target_delta, args.gamma, args.sigma, args.k
-        )
+    params = _mechanism_params(args, args.k)
+    lam = accounting.calibrate_lambda(
+        args.target_eps, args.target_delta, params.gamma, params.sigma, args.k
+    )
     _emit({"lambda": lam})
 
 

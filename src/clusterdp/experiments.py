@@ -331,6 +331,11 @@ def _batched_weights(z, pop, n1c, n0c, stratified: bool) -> np.ndarray:
     return np.where(z == 1, 1.0 / n1c.sum(), -1.0 / n0c.sum())
 
 
+# Replications per ("batch", ci) stream of uniform_prior_taus. The chunk size
+# fixes which draws each stream makes, so changing it changes every table.
+_UNIFORM_CHUNK = 20000
+
+
 def uniform_prior_taus(
     pop: PopulationDataset,
     lam: float,
@@ -338,7 +343,6 @@ def uniform_prior_taus(
     streams: RngStreams,
     reps: int,
     stratified: bool = True,
-    chunk: int = 20000,
 ) -> np.ndarray:
     """Uniform-prior estimator over joint (assignment, resampling) replications."""
     if lam >= 1.0:
@@ -349,13 +353,14 @@ def uniform_prior_taus(
     y0v, y1v = vals[pop.y0], vals[pop.y1]
     k = pop.space.k
     out = np.empty(reps)
-    for ci, start in enumerate(range(0, reps, chunk)):
-        m = min(chunk, reps - start)
+    for ci, start in enumerate(range(0, reps, _UNIFORM_CHUNK)):
+        m = min(_UNIFORM_CHUNK, reps - start)
         g = streams.generator("batch", ci)
         z = _batched_assignments(pop, n1c, g, m)
         y_t = np.where(z == 1, y1v, y0v)
         if lam > 0.0:  # the assignment is drawn first, so skipping keeps its bits
             u_keep, u_cat = resample_draws(g, (m, pop.n))
+            # inverse CDF of q = 1/K, without resample_from_uniforms' (m, n, K) gather
             drawn = np.minimum((u_cat * k).astype(np.int64), k - 1)
             y_t = np.where(u_keep < lam, vals[drawn], y_t)
         w = _batched_weights(z, pop, n1c, n0c, stratified)
@@ -393,32 +398,16 @@ def _mc_row(taus: np.ndarray, truth: float) -> dict:
     }
 
 
-def _calibrated_cluster(cfg, gamma) -> tuple[float, float, float, float]:
-    """(lam, eps, delta, eps_tilde) for the cluster mechanisms at one grid point."""
-    sigma = cfg.mechanism["sigma"]
+def _calibrated(cfg, gamma, sigma) -> tuple[float, float, float]:
+    """(lam, eps, delta) at one grid point: pure epsilon without targets, else calibrated."""
     if cfg.targets is None:
         lam = cfg.mechanism["lambda"]
         params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=gamma, sigma=sigma, lam=lam)
-        if lam == 0.0 or gamma == 0.0:
-            return lam, math.inf, 0.0, math.inf
-        eps_tilde = math.log1p((1.0 - lam) / (lam * gamma))
-        report = accounting.cluster_dp_eps_delta(params, eps_tilde)
-        return lam, report.epsilon, report.delta, eps_tilde
+        return lam, accounting.cluster_dp_pure_eps(params), 0.0
     eps_t, delta_t = cfg.targets["epsilon"], cfg.targets["delta"]
     lam = accounting.calibrate_lambda(eps_t, delta_t, gamma, sigma)
-    eps_tilde = eps_t - accounting.prior_budget(gamma, sigma)
     params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=gamma, sigma=sigma, lam=lam)
-    report = accounting.cluster_dp_eps_delta(params, eps_tilde)
-    return lam, report.epsilon, report.delta, eps_tilde
-
-
-def _calibrated_uniform(cfg, k) -> tuple[float, float, float]:
-    if cfg.targets is None:
-        lam = cfg.mechanism["lambda"]
-        return lam, accounting.uniform_prior_eps(k, lam), 0.0
-    eps_t, delta_t = cfg.targets["epsilon"], cfg.targets["delta"]
-    lam = accounting.calibrate_lambda_uniform(eps_t, delta_t, k)
-    report = accounting.uniform_prior_eps_delta(k, lam, eps_t)
+    report = accounting.cluster_dp_eps_delta(params, eps_t - accounting.prior_budget(gamma, sigma))
     return lam, report.epsilon, report.delta
 
 
@@ -462,7 +451,7 @@ def run_variance_sweep(cfg: ExperimentConfig, seed: int):
                 **base,
             }
             try:
-                lam, eps, delta, _ = _calibrated_cluster(cfg, gamma)
+                lam, eps, delta = _calibrated(cfg, gamma, sigma)
             except accounting.CalibrationError as exc:
                 rows.append(
                     {**row, "lambda": "", "epsilon": "", "delta": "",
@@ -480,10 +469,10 @@ def run_variance_sweep(cfg: ExperimentConfig, seed: int):
                  "theory_variance_or_bound": bound, **_mc_row(taus, truth)}
             )
 
-    k = pop.space.k
+    uniform = MechanismParams.uniform_prior(pop.space.k)
+    lam, eps, delta = _calibrated(cfg, uniform.gamma, uniform.sigma)
     for stratified in (True, False):
         name = "uniform_prior" + ("_stratified" if stratified else "_unstratified")
-        lam, eps, delta = _calibrated_uniform(cfg, k)
         taus = uniform_prior_taus(
             pop, lam, cfg.treated_fraction, streams.child("sweep", name), reps,
             stratified=stratified,
@@ -491,7 +480,7 @@ def run_variance_sweep(cfg: ExperimentConfig, seed: int):
         rows.append(
             {
                 "mechanism": name,
-                "gamma": 1.0 / k,
+                "gamma": uniform.gamma,
                 "sigma": "",
                 "lambda": lam,
                 "epsilon": eps,
@@ -629,18 +618,17 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
         )
     unit_index = {uid: i for i, uid in enumerate(superpop.unit_ids)}
     mech = cfg.mechanism
-    prior_spend = accounting.prior_budget(mech["gamma"], mech["sigma"])
     base = {"seed": seed, "config_hash": cfg.config_hash}
     rows = []
     for ei, eps in enumerate(cfg.epsilon_grid):
-        if math.isinf(eps):
-            lam = 0.0
-        elif eps <= prior_spend:
+        try:
+            lam = 0.0 if math.isinf(eps) else accounting.calibrate_lambda(
+                eps, 0.0, mech["gamma"], mech["sigma"]
+            )
+        except accounting.CalibrationError:
             rows.append({"mechanism": "cluster_dp", "epsilon": eps,
                          "status": "infeasible: budget exhausted by prior estimation", **base})
             continue
-        else:
-            lam = 1.0 / (1.0 + mech["gamma"] * math.expm1(eps - prior_spend))
         params = MechanismParams(
             kind=MechanismKind.CLUSTER_DP, gamma=mech["gamma"], sigma=mech["sigma"], lam=lam
         )

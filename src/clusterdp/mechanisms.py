@@ -41,7 +41,6 @@ __all__ = [
     "renormalize",
     "resample_outcomes",
     "cluster_dp",
-    "uniform_prior_dp",
     "NoisyEstimate",
     "noisy_ht",
     "noisy_histogram",
@@ -129,8 +128,14 @@ def fit_priors(
     params: MechanismParams,
     rng: np.random.Generator,
 ) -> ProjectedPrior:
-    """Noise/clip/renormalize per (cluster, arm); pooled first for the cluster-free kind."""
-    params.check_gamma(pop.space.k)
+    """Noise/clip/renormalize per (cluster, arm); pooled first for the cluster-free kind.
+
+    The uniform-prior kind draws nothing: its prior is exactly 1/K everywhere.
+    """
+    k = pop.space.k
+    params.check_gamma(k)
+    if params.kind is MechanismKind.UNIFORM_PRIOR_DP:
+        return ProjectedPrior(q=np.full((pop.n_clusters, 2, k), 1.0 / k), gamma=params.gamma)
     hist = arm_histograms(pop, design)
     if params.kind is MechanismKind.CLUSTER_FREE_DP:
         counts = hist.counts.sum(axis=0, keepdims=True)
@@ -141,7 +146,7 @@ def fit_priors(
     q = perturb_clip(p_hat, params.gamma, params.sigma, n_ac, rng)
     q_tilde = renormalize(q, params.gamma)
     if params.kind is MechanismKind.CLUSTER_FREE_DP:
-        q_tilde = np.broadcast_to(q_tilde, (pop.n_clusters, 2, pop.space.k)).copy()
+        q_tilde = np.broadcast_to(q_tilde, (pop.n_clusters, 2, k)).copy()
     return ProjectedPrior(q=q_tilde, gamma=params.gamma)
 
 
@@ -201,13 +206,12 @@ def cluster_dp(
     params: MechanismParams,
     streams: RngStreams,
 ) -> tuple[ProjectedPrior, PrivatizedRelease]:
-    """Full cluster-aware (or pooled) randomized-response release.
+    """Randomized-response release of any unit-level kind: per-cluster, pooled or uniform prior.
 
     Consumes two named sub-streams of ``streams``: ``laplace`` for the prior
-    perturbation and ``resample`` for the per-unit randomization.
+    perturbation (untouched by the uniform prior) and ``resample`` for the
+    per-unit randomization.
     """
-    if params.kind not in (MechanismKind.CLUSTER_DP, MechanismKind.CLUSTER_FREE_DP):
-        raise ValidationError(f"unsupported kind {params.kind} for cluster_dp")
     prior = fit_priors(pop, design, params, streams.generator("laplace"))
     y_tilde = resample_outcomes(
         pop.observed(design),
@@ -218,29 +222,6 @@ def cluster_dp(
         streams.generator("resample"),
     )
     return prior, _release(pop, design, prior.q, params, y_tilde)
-
-
-def uniform_prior_dp(
-    pop: PopulationDataset,
-    design: Design,
-    lam: float,
-    streams: RngStreams,
-) -> PrivatizedRelease:
-    """Report truthfully w.p. 1-lam, else draw uniformly from the outcome space."""
-    k = pop.space.k
-    q_tilde = np.full((pop.n_clusters, 2, k), 1.0 / k)
-    params = MechanismParams(
-        kind=MechanismKind.UNIFORM_PRIOR_DP, gamma=1.0 / k, sigma=math.inf, lam=lam
-    )
-    y_tilde = resample_outcomes(
-        pop.observed(design),
-        pop.cluster,
-        design.z,
-        q_tilde,
-        lam,
-        streams.generator("resample"),
-    )
-    return _release(pop, design, q_tilde, params, y_tilde)
 
 
 class NoisyEstimate(NamedTuple):

@@ -327,6 +327,11 @@ class MechanismParams:
         if not 0.0 <= self.lam <= 1.0:
             raise ValidationError("lambda must lie in [0, 1]")
 
+    @classmethod
+    def uniform_prior(cls, k: int, lam: float = 0.0) -> "MechanismParams":
+        """The uniform prior as Cluster-DP: q = 1/K, so gamma = 1/K and no prior noise."""
+        return cls(kind=MechanismKind.UNIFORM_PRIOR_DP, gamma=1.0 / k, sigma=math.inf, lam=lam)
+
     def check_gamma(self, k: int) -> None:
         if self.gamma > 1.0 / k + 1e-12:
             raise ValidationError(f"gamma={self.gamma} exceeds 1/K with K={k}")

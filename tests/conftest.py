@@ -1,6 +1,7 @@
 import pytest
 
-from clusterdp.model import OutcomeSpace, PopulationDataset, UnitRecord
+from clusterdp.mechanisms import cluster_dp
+from clusterdp.model import MechanismParams, OutcomeSpace, PopulationDataset, UnitRecord
 from clusterdp.rng import RngStreams
 
 
@@ -12,6 +13,12 @@ def make_population(space_values, outcomes_by_cluster):
         for i, (y0, y1) in enumerate(pairs):
             records.append(UnitRecord(f"{label}_{i}", label, float(y0), float(y1)))
     return PopulationDataset.from_records(records, space)
+
+
+def uniform_release(pop, design, lam, streams):
+    """The uniform-prior release: cluster_dp at MechanismParams.uniform_prior(K, lam)."""
+    _, release = cluster_dp(pop, design, MechanismParams.uniform_prior(pop.space.k, lam), streams)
+    return release
 
 
 def random_population(rng, n_clusters=3, size_range=(4, 8), space_values=(0.0, 1.0, 2.0)):

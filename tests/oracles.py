@@ -3,8 +3,11 @@
 The dense randomization matrix and its inverse check the closed-form
 debiasing rows; the batched fixed-design kernel gives the many Monte Carlo
 replications that the conditional-unbiasedness tests need; the per-cluster
-loops over ``sample_variance`` check the vectorized closed-form variances.
+loops over ``sample_variance`` check the vectorized closed-form variances;
+the uniform-prior closed form checks the accountant at gamma = 1/K.
 """
+
+import math
 
 import numpy as np
 
@@ -26,6 +29,13 @@ def q_inverse(q_tilde, lam: float) -> np.ndarray:
     q_tilde = np.asarray(q_tilde, dtype=float)
     k = q_tilde.shape[-1]
     return (np.eye(k) - lam * np.outer(q_tilde, np.ones(k))) / (1.0 - lam)
+
+
+def uniform_prior_eps(k: int, lam: float) -> float:
+    """Pure epsilon of uniform resampling: log(1 + (1-lam) K / lam)."""
+    if lam == 0.0:
+        return math.inf
+    return math.log1p((1.0 - lam) * k / lam)
 
 
 def cluster_taus_fixed_design(pop, design, params, streams, reps: int) -> np.ndarray:

@@ -14,12 +14,9 @@ from clusterdp import accounting
 from clusterdp.accounting import (
     CalibrationError,
     calibrate_lambda,
-    calibrate_lambda_uniform,
     cluster_dp_eps_delta,
     cluster_dp_pure_eps,
     prior_budget,
-    uniform_prior_eps,
-    uniform_prior_eps_delta,
 )
 from clusterdp.estimation import debias_rows, singular_value_bound, tau_no_dp
 from clusterdp.experiments import (
@@ -50,7 +47,7 @@ from clusterdp.variance import (
 )
 
 from conftest import make_population, random_population
-from oracles import cluster_taus_fixed_design
+from oracles import cluster_taus_fixed_design, uniform_prior_eps
 
 from test_mechanisms import fixed_design
 from test_variance import enumeration_ht_variance
@@ -346,7 +343,8 @@ def test_10_privacy_matched_mechanism_ordering():
     eps, delta = 0.2, 1e-4
     gamma, sigma = 0.1 / k, 10.0
     lam_cluster = calibrate_lambda(eps, delta, gamma, sigma)
-    lam_uniform = calibrate_lambda_uniform(eps, delta, k)
+    uniform = MechanismParams.uniform_prior(k)
+    lam_uniform = calibrate_lambda(eps, delta, uniform.gamma, uniform.sigma)
     design = counts_design(pop, 0.5)
     floor, lam_min = resampling_variance_floor(pop, design, eps, delta, gamma)
     exact_u = uniform_prior_variance(pop, design, lam_uniform, stratified=True)
@@ -354,7 +352,10 @@ def test_10_privacy_matched_mechanism_ordering():
     got_c = cluster_dp_eps_delta(
         cluster_params(gamma, sigma, lam_cluster), eps - prior_budget(gamma, sigma)
     )
-    got_u = uniform_prior_eps_delta(k, lam_uniform, eps)
+    got_u = cluster_dp_eps_delta(
+        MechanismParams.uniform_prior(k, lam_uniform),
+        eps - prior_budget(uniform.gamma, uniform.sigma),
+    )
     drift = max(abs(r.epsilon - eps) + abs(r.delta - delta) for r in (got_c, got_u))
     matched = drift < 1e-12
 

@@ -7,15 +7,16 @@ from clusterdp import accounting
 from clusterdp.accounting import (
     CalibrationError,
     calibrate_lambda,
-    calibrate_lambda_uniform,
     cluster_dp_eps_delta,
     cluster_dp_pure_eps,
     prior_budget,
-    uniform_prior_eps,
-    uniform_prior_eps_delta,
 )
 from clusterdp.model import MechanismKind, MechanismParams
 from clusterdp.rng import RngStreams
+
+from oracles import uniform_prior_eps
+
+uniform = MechanismParams.uniform_prior
 
 
 def params(gamma, sigma, lam):
@@ -66,18 +67,20 @@ class TestClusterAccounting:
 
 
 class TestUniformAccounting:
+    """The uniform prior is priced by the cluster accountant at gamma = 1/K, sigma = inf."""
+
     def test_worked_examples(self):
-        assert uniform_prior_eps(12, 0.8) == pytest.approx(math.log(4.0), abs=1e-12)
-        assert uniform_prior_eps(2, 0.5) == pytest.approx(math.log(3.0), abs=1e-12)
+        assert cluster_dp_pure_eps(uniform(12, 0.8)) == pytest.approx(math.log(4.0), abs=1e-12)
+        assert cluster_dp_pure_eps(uniform(2, 0.5)) == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_full_resampling_costs_nothing(self):
-        assert uniform_prior_eps(7, 1.0) == 0.0
+        assert cluster_dp_pure_eps(uniform(7, 1.0)) == 0.0
 
     def test_lambda_zero_infinite(self):
-        assert math.isinf(uniform_prior_eps(7, 0.0))
+        assert math.isinf(cluster_dp_pure_eps(uniform(7, 0.0)))
 
     def test_eps_delta_decomposition(self):
-        report = uniform_prior_eps_delta(5, 0.9, 0.7)
+        report = cluster_dp_eps_delta(uniform(5, 0.9), 0.7)
         assert report.prior_budget == 0.0
         assert report.epsilon == 0.7
         assert report.delta == pytest.approx(max(0.0, 1 - 0.9 - 0.9 / 5 * math.expm1(0.7)))
@@ -100,13 +103,20 @@ class TestCalibration:
         assert cluster_dp_pure_eps(p) == pytest.approx(1.5, abs=1e-12)
 
     def test_uniform_inverse_round_trip(self):
-        lam = calibrate_lambda_uniform(math.log(4.0), 0.0, 12)
+        u = uniform(12)
+        lam = calibrate_lambda(math.log(4.0), 0.0, u.gamma, u.sigma)
         assert lam == pytest.approx(0.8, abs=1e-12)
-        assert uniform_prior_eps(12, lam) == pytest.approx(math.log(4.0), abs=1e-12)
+        assert cluster_dp_pure_eps(uniform(12, lam)) == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_budget_exhausted(self):
         with pytest.raises(CalibrationError, match="budget exhausted"):
             calibrate_lambda(0.05, 0.0, 0.02, 10.0)
+
+    def test_nonpositive_target_named(self):
+        # named as the target's fault even where the prior budget is 0 (the uniform prior)
+        for gamma, sigma in ((0.02, 10.0), (1.0 / 12.0, math.inf)):
+            with pytest.raises(CalibrationError, match="target_eps must be > 0"):
+                calibrate_lambda(0.0, 0.0, gamma, sigma)
 
     def test_round_trip_grid(self):
         for gamma in (0.002, 0.02, 1.0 / 12.0):
@@ -150,7 +160,6 @@ class TestEmpiricalAudit:
         k, lam, gamma = 2, 0.7, 0.3
         q = np.array([gamma, 1.0 - gamma])
         eps_tilde = 0.6
-        report = uniform_prior_eps_delta(k, lam, eps_tilde)  # not used; keep cluster form
         report = cluster_dp_eps_delta(params(gamma, math.inf, lam), eps_tilde)
         n = 1_000_000
         rng = RngStreams(77).generator("audit")

@@ -123,6 +123,34 @@ class TestAccountCalibrate:
         assert code == 3
         assert "budget exhausted" in err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            pytest.param(["account", "--kind", "uniform_prior_dp", "--lam", "0.8"], "--k",
+                         id="account_uniform_without_k"),
+            pytest.param(["calibrate", "--kind", "uniform_prior_dp", "--target-eps", "1"], "--k",
+                         id="calibrate_uniform_without_k"),
+            pytest.param(["calibrate", "--kind", "uniform_prior_dp", "--target-eps", "1",
+                          "--k", "0"], "--k", id="calibrate_uniform_k_zero"),
+            pytest.param(["account", "--kind", "cluster_dp", "--sigma", "inf", "--k", "0",
+                          "--lam", "0.8"], "--k", id="account_cluster_k_zero"),
+            pytest.param(["account", "--kind", "uniform_prior_dp", "--k", "12", "--lam", "1.5"],
+                         "lambda", id="account_uniform_lambda_above_one"),
+            pytest.param(["account", "--kind", "uniform_prior_dp", "--k", "0", "--lam", "0.8"],
+                         "--k", id="account_uniform_k_zero"),
+            pytest.param(["calibrate", "--kind", "uniform_prior_dp", "--target-eps", "1",
+                          "--k", "-3"], "--k", id="calibrate_uniform_k_negative"),
+            pytest.param(["account", "--gamma", "0.9", "--k", "4"], "gamma",
+                         id="account_gamma_above_one_over_k"),
+            pytest.param(["calibrate", "--target-eps", "1", "--gamma", "0.9", "--k", "4"],
+                         "gamma", id="calibrate_gamma_above_one_over_k"),
+        ],
+    )
+    def test_bad_k_gamma_or_lambda_exit_code(self, capsys, argv, named):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert stdout == "" and err.startswith("error:") and named in err
+
     def test_validation_exit_code(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "privatize", "--pop", str(tmp_path / "missing.csv"),
                                "--out", str(tmp_path / "o.csv"), "--sidecar", str(tmp_path / "o.json"))

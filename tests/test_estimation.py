@@ -11,7 +11,7 @@ from clusterdp.estimation import (
     tau_no_dp,
     tau_q,
 )
-from clusterdp.mechanisms import cluster_dp, uniform_prior_dp
+from clusterdp.mechanisms import cluster_dp
 from clusterdp.model import (
     Design,
     MechanismKind,
@@ -21,7 +21,7 @@ from clusterdp.model import (
 )
 from clusterdp.rng import RngStreams
 
-from conftest import make_population
+from conftest import make_population, uniform_release
 from oracles import cluster_taus_fixed_design, q_inverse, q_matrix
 
 from test_mechanisms import fixed_design
@@ -217,7 +217,7 @@ class TestTauUniform:
 
     def test_lambda_zero_matches_no_dp(self, small_pop, streams):
         design = draw_design(small_pop, 0.5, streams.generator("z"))
-        release = uniform_prior_dp(small_pop, design, 0.0, streams.child("u"))
+        release = uniform_release(small_pop, design, 0.0, streams.child("u"))
         assert tau_q(release, design, small_pop.space) == pytest.approx(
             tau_no_dp(small_pop, design), abs=1e-12
         )
@@ -233,7 +233,7 @@ class TestTauUniform:
         taus = np.array(
             [
                 tau_q(
-                    uniform_prior_dp(pop, design, 0.5, streams.child("rep", r)),
+                    uniform_release(pop, design, 0.5, streams.child("rep", r)),
                     design,
                     pop.space,
                 )
@@ -246,7 +246,7 @@ class TestTauUniform:
 
     def test_lambda_one_rejected(self, small_pop, streams):
         design = draw_design(small_pop, 0.5, streams.generator("z"))
-        release = uniform_prior_dp(small_pop, design, 1.0, streams.child("u"))
+        release = uniform_release(small_pop, design, 1.0, streams.child("u"))
         with pytest.raises(ValidationError):
             tau_q(release, design, small_pop.space)
 

@@ -93,6 +93,28 @@ class TestVarianceSweep:
         assert statuses and all(s.startswith("infeasible") for s in statuses)
         assert any(r["mechanism"].startswith("uniform_prior") for r in tables["results"])
 
+    def test_pure_eps_rows_report_zero_delta(self):
+        # without targets every row is a pure-epsilon guarantee; the delta
+        # identity evaluated at its own eps_tilde leaves a rounding residue
+        cfg = ExperimentConfig.from_dict(
+            {
+                "population": TINY_GMM,
+                "mechanism": {"gamma": 0.02, "sigma": 10.0, "lambda": 0.05},
+                "gamma_grid": [0.001],
+                "replications": 3,
+            }
+        )
+        tables, _ = run_variance_sweep(cfg, 5)
+        rows = [r for r in tables["results"] if r["mechanism"] != "no_dp"]
+        assert len(rows) == 4
+        for row in rows:
+            sigma = math.inf if row["sigma"] == "" else row["sigma"]
+            params = MechanismParams(
+                kind=MechanismKind.CLUSTER_DP, gamma=row["gamma"], sigma=sigma, lam=0.05
+            )
+            assert row["delta"] == 0.0
+            assert row["epsilon"] == accounting.cluster_dp_pure_eps(params)
+
     def test_emitted_privacy_matches_accountant(self):
         cfg = ExperimentConfig.from_dict(
             {
@@ -107,7 +129,7 @@ class TestVarianceSweep:
             if row["status"] != "ok" or row["mechanism"] == "no_dp":
                 continue
             if row["mechanism"].startswith("uniform_prior"):
-                report = accounting.uniform_prior_eps_delta(6, row["lambda"], 0.4)
+                params = MechanismParams.uniform_prior(6, row["lambda"])
             else:
                 params = MechanismParams(
                     kind=MechanismKind.CLUSTER_DP,
@@ -115,9 +137,9 @@ class TestVarianceSweep:
                     sigma=row["sigma"],
                     lam=row["lambda"],
                 )
-                report = accounting.cluster_dp_eps_delta(
-                    params, 0.4 - accounting.prior_budget(row["gamma"], row["sigma"])
-                )
+            report = accounting.cluster_dp_eps_delta(
+                params, 0.4 - accounting.prior_budget(params.gamma, params.sigma)
+            )
             assert row["epsilon"] == report.epsilon
             assert row["delta"] == report.delta
 

@@ -16,7 +16,7 @@ from clusterdp.mechanisms import (
     perturb_clip,
     read_release,
     renormalize,
-    uniform_prior_dp,
+    resample_outcomes,
     write_release,
 )
 from clusterdp.model import (
@@ -29,7 +29,7 @@ from clusterdp.model import (
 )
 from clusterdp.rng import RngStreams, laplace_noise
 
-from conftest import make_population, random_population
+from conftest import make_population, random_population, uniform_release
 from oracles import q_matrix
 
 
@@ -246,15 +246,27 @@ class TestNeighboringStability:
 
 
 class TestUniformPriorDp:
+    def test_release_is_cluster_dp_with_prior_one_over_k(self, small_pop, streams):
+        design = draw_design(small_pop, 0.5, streams.generator("z"))
+        node = streams.child("u")
+        release = uniform_release(small_pop, design, 0.6, node)
+        assert release.kind is MechanismKind.UNIFORM_PRIOR_DP
+        assert np.all(release.q_tilde == 1.0 / 3.0) and release.q_tilde.shape == (2, 2, 3)
+        y_tilde = resample_outcomes(
+            small_pop.observed(design), small_pop.cluster, design.z, release.q_tilde, 0.6,
+            node.generator("resample"),
+        )
+        assert np.array_equal(release.y_tilde, y_tilde)
+
     def test_lambda_zero_identity(self, small_pop, streams):
         design = draw_design(small_pop, 0.5, streams.generator("z"))
-        release = uniform_prior_dp(small_pop, design, 0.0, streams.child("u0"))
+        release = uniform_release(small_pop, design, 0.0, streams.child("u0"))
         assert np.array_equal(release.y_tilde, small_pop.observed(design))
 
     def test_lambda_one_uniform_frequencies(self, streams):
         k, n = 3, 60_000
         pop = uniform_pop(k, n)
-        release = uniform_prior_dp(pop, fixed_design(pop, [n // 2]), 1.0, streams.child("u1"))
+        release = uniform_release(pop, fixed_design(pop, [n // 2]), 1.0, streams.child("u1"))
         freqs = np.bincount(release.y_tilde, minlength=k) / n
         bound = 3 * math.sqrt((1 / k) * (1 - 1 / k) / n)
         assert np.all(np.abs(freqs - 1.0 / k) < bound)
@@ -263,7 +275,7 @@ class TestUniformPriorDp:
         # K=2, lam=0.5, true y=1: P(report 1) = 1 - lam + lam/K = 0.75
         n = 50_000
         pop = make_population((0.0, 1.0), {"a": [(1, 1)] * n})
-        release = uniform_prior_dp(pop, fixed_design(pop, [n // 2]), 0.5, streams.child("u2"))
+        release = uniform_release(pop, fixed_design(pop, [n // 2]), 0.5, streams.child("u2"))
         p_hat = release.y_tilde.mean()
         assert abs(p_hat - 0.75) < 3 * math.sqrt(0.75 * 0.25 / n)
 
