@@ -23,10 +23,8 @@ from .model import (
     PopulationDataset,
     PrivatizedRelease,
     ProjectedPrior,
-    UnitRecord,
     ValidationError,
     draw_design,
-    validate_population,
 )
 from .rng import RngStreams
 from .simdata import (

@@ -171,12 +171,12 @@ class ExperimentConfig:
                 "epsilon": _number_or_inf("targets.epsilon", targets["epsilon"]),
                 "delta": _number("targets.delta", targets.get("delta", 0.0)),
             }
-        replications = _integer("replications", merged["replications"])
-        if replications < 1:
-            raise ValidationError("replications must be >= 1")
-        workers = _integer("workers", merged["workers"])
-        if workers < 1:
-            raise ValidationError("workers must be >= 1")
+        # the fewest draws that give every table cell a variance or standard error
+        least = {"replications": 3, "subpop_draws": 2, "noise_draws": 1, "workers": 1}
+        counts = {key: _integer(key, merged[key]) for key in least}
+        for key, count in counts.items():
+            if count < least[key]:
+                raise ValidationError(f"{key} must be >= {least[key]}")
         return cls(
             population=dict(_object("population", merged["population"])),
             mechanism=mech,
@@ -185,14 +185,11 @@ class ExperimentConfig:
             beta_grid=_items("beta_grid", merged["beta_grid"], _number),
             lambda_grid=_items("lambda_grid", merged["lambda_grid"], _number),
             epsilon_grid=_items("epsilon_grid", merged["epsilon_grid"], _number_or_inf),
-            replications=replications,
-            subpop_draws=_integer("subpop_draws", merged["subpop_draws"]),
-            noise_draws=_integer("noise_draws", merged["noise_draws"]),
+            **counts,
             subpop_sizes=None
             if merged["subpop_sizes"] is None
             else _items("subpop_sizes", merged["subpop_sizes"], _integer),
             treated_fraction=_number("treated_fraction", merged["treated_fraction"]),
-            workers=workers,
         )
 
     def canonical_json(self) -> str:

@@ -16,6 +16,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +34,7 @@ from .model import (
     finite_number,
 )
 from .rng import RngStreams, laplace_noise, open_uniform
+from .simdata import float_column, format_value, read_columns
 
 __all__ = [
     "ArmHistogram",
@@ -285,25 +287,18 @@ def noisy_histogram(
 # debiasing information. Byte-stable for a given seed.
 # ---------------------------------------------------------------------------
 
-def format_value(v: float) -> str:
-    f = float(v)
-    return str(int(f)) if f.is_integer() and abs(f) < 1e15 else repr(f)
+RELEASE_HEADER = ["unit_id", "cluster", "z", "y_tilde"]
+_ARMS = {"0": 0, "1": 1}
 
 
 def write_release(release: PrivatizedRelease, csv_path, sidecar_path) -> None:
-    vals = release.space.array
+    text = np.array([format_value(v) for v in release.space.values], dtype=object)
+    labels = np.array([str(lab) for lab in release.cluster_labels], dtype=object)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["unit_id", "cluster", "z", "y_tilde"])
-        for i in range(release.n):
-            writer.writerow(
-                [
-                    release.unit_ids[i],
-                    release.cluster_labels[release.cluster[i]],
-                    int(release.z[i]),
-                    format_value(vals[release.y_tilde[i]]),
-                ]
-            )
+        writer.writerow(RELEASE_HEADER)
+        columns = (labels[release.cluster], release.z, text[release.y_tilde])
+        writer.writerows(zip(release.unit_ids, *(c.tolist() for c in columns)))
     sidecar = {
         "kind": release.kind.value,
         "params": {
@@ -370,31 +365,25 @@ def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
     debias = _sidecar_table(sidecar, "debias_rows", shape)
     if not np.all(np.abs(debias - debias_rows(space.array, q_tilde, lam)) <= 1e-12):
         raise ValidationError("sidecar debias_rows differ from debias_rows(space, q_tilde, lambda)")
-    unit_ids, cluster, z, y_tilde = [], [], [], []
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["unit_id", "cluster", "z", "y_tilde"]:
-            raise ValidationError(f"unexpected release header {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            if row["z"] not in ("0", "1"):
-                raise ValidationError(f"release line {lineno}: z must be 0 or 1")
-            if row["cluster"] not in dense:
-                raise ValidationError(f"release line {lineno}: cluster not in the sidecar")
-            unit_ids.append(row["unit_id"])
-            cluster.append(dense[row["cluster"]])
-            z.append(int(row["z"]))
-            try:
-                y_tilde.append(space.index_of(float(row["y_tilde"])))
-            except (TypeError, ValueError):  # missing, not a number, or outside the space
-                raise ValidationError(f"release line {lineno}: y_tilde outside the space") from None
+    unit_ids, label_col, z_col, y_col = read_columns(csv_path, RELEASE_HEADER)
+    n = len(unit_ids)
+    z = np.fromiter(map(_ARMS.get, z_col, repeat(-1)), np.int8, n)
+    cluster = np.fromiter(map(dense.get, label_col, repeat(-1)), np.int64, n)
+    y_tilde, found = space.lookup(float_column(y_col))  # NaN where not a number
+    bad = (z < 0) | (cluster < 0) | ~found
+    if bad.any():  # the first bad row, named by its first bad field
+        i = int(np.argmax(bad))
+        fault = ("z must be 0 or 1" if z[i] < 0 else "cluster not in the sidecar"
+                 if cluster[i] < 0 else "y_tilde outside the space")
+        raise ValidationError(f"release line {i + 2}: {fault}")
     sigma = params["sigma"]
     return PrivatizedRelease(
         space=space,
         unit_ids=tuple(unit_ids),
-        cluster=np.array(cluster),
+        cluster=cluster,
         cluster_labels=labels,
-        z=np.array(z, dtype=np.int8),
-        y_tilde=np.array(y_tilde),
+        z=z,
+        y_tilde=y_tilde,
         debias=debias,
         q_tilde=q_tilde,
         kind=kind,

@@ -12,21 +12,18 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "ValidationError",
     "OutcomeSpace",
-    "UnitRecord",
     "PopulationDataset",
     "Design",
     "MechanismKind",
     "MechanismParams",
     "ProjectedPrior",
     "PrivatizedRelease",
-    "validate_population",
     "draw_design",
 ]
 
@@ -70,7 +67,6 @@ class OutcomeSpace:
             raise ValidationError("outcome values must be strictly increasing")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_array", _frozen_array(vals, float))
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(vals)})
 
     @property
     def k(self) -> int:
@@ -101,53 +97,20 @@ class OutcomeSpace:
     def mean_sq(self) -> float:
         return float((self._array**2).mean())
 
+    def lookup(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Index of each value, and whether the space holds it exactly (NaN never)."""
+        values = np.asarray(values, dtype=float)
+        idx = np.minimum(np.searchsorted(self._array, values), self.k - 1)
+        return idx, self._array[idx] == values
+
     def __contains__(self, value) -> bool:
-        return float(value) in self._index
+        return bool(self.lookup(value)[1])
 
     def index_of(self, value) -> int:
-        try:
-            return self._index[float(value)]
-        except KeyError:
-            raise ValidationError(f"outcome {value!r} outside space") from None
-
-
-class UnitRecord(NamedTuple):
-    """Raw ingestion record, before outcome values are resolved to indices."""
-
-    unit_id: str
-    cluster: object
-    y0: float
-    y1: float
-
-
-def validate_population(pop, space: OutcomeSpace) -> list[str]:
-    """Report invariant violations for a population; empty list iff valid.
-
-    Accepts either an iterable of :class:`UnitRecord` or a built
-    :class:`PopulationDataset` (which is converted back to records).
-    """
-    records = pop.to_records() if isinstance(pop, PopulationDataset) else pop
-    violations: list[str] = []
-    seen: set[str] = set()
-    sizes: dict[object, int] = {}
-    for rec in records:
-        if rec.unit_id in seen:
-            violations.append(f"duplicate unit id {rec.unit_id!r}")
-        seen.add(rec.unit_id)
-        sizes[rec.cluster] = sizes.get(rec.cluster, 0) + 1
-        for name, y in (("y0", rec.y0), ("y1", rec.y1)):
-            if y not in space:
-                violations.append(
-                    f"unit {rec.unit_id!r}: {name}={y!r} outside space"
-                )
-    for label in sorted(sizes, key=str):
-        if sizes[label] < MIN_CLUSTER_SIZE:
-            violations.append(
-                f"cluster {label!r} below minimum size {MIN_CLUSTER_SIZE}"
-            )
-    if not sizes:
-        violations.append("population is empty")
-    return violations
+        idx, found = self.lookup(value)
+        if not found:
+            raise ValidationError(f"outcome {value!r} outside space")
+        return int(idx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,35 +147,50 @@ class PopulationDataset:
         object.__setattr__(self, "members", tuple(np.split(order, np.cumsum(sizes)[:-1])))
 
     @classmethod
-    def from_records(
-        cls, records: Iterable[UnitRecord], space: OutcomeSpace
-    ) -> "PopulationDataset":
-        records = [UnitRecord(*r) for r in records]
-        violations = validate_population(records, space)
-        if violations:
-            raise ValidationError("; ".join(violations))
-        labels = sorted({r.cluster for r in records}, key=str)
-        dense = {lab: i for i, lab in enumerate(labels)}
+    def from_columns(cls, unit_ids, labels, y0, y1, space: OutcomeSpace) -> "PopulationDataset":
+        """A population from one id, cluster label and pair of outcome values per unit.
+
+        Every fault is named, grouped by kind: duplicate ids, then y0 and y1
+        values outside ``space``, then clusters below the minimum size.
+        Dense cluster ids follow the labels sorted as strings.
+        """
+        unit_ids = tuple(unit_ids)
+        n = len(unit_ids)
+        if not len(labels) == len(y0) == len(y1) == n:
+            raise ValidationError("need one cluster label and two outcomes per unit")
+        problems = []
+        if len(set(unit_ids)) < n:
+            seen: set = set()  # every repeat, in row order
+            problems += [f"duplicate unit id {u!r}" for u in unit_ids if u in seen or seen.add(u)]
+        indices = []
+        for name, values in (("y0", y0), ("y1", y1)):
+            values = np.asarray(values, dtype=float)
+            idx, found = space.lookup(values)
+            problems += [
+                f"unit {unit_ids[i]!r}: {name}={float(values[i])!r} outside space"
+                for i in np.flatnonzero(~found)
+            ]
+            indices.append(idx)
+        cluster_labels = sorted(set(labels), key=str)
+        dense = {label: c for c, label in enumerate(cluster_labels)}
+        cluster = np.fromiter(map(dense.__getitem__, labels), np.int64, n)
+        sizes = np.bincount(cluster, minlength=len(cluster_labels))
+        problems += [
+            f"cluster {cluster_labels[c]!r} below minimum size {MIN_CLUSTER_SIZE}"
+            for c in np.flatnonzero(sizes < MIN_CLUSTER_SIZE)
+        ]
+        if n == 0:
+            problems.append("population is empty")
+        if problems:
+            raise ValidationError("; ".join(problems))
         return cls(
             space=space,
-            unit_ids=tuple(r.unit_id for r in records),
-            cluster=np.array([dense[r.cluster] for r in records]),
-            y0=np.array([space.index_of(r.y0) for r in records]),
-            y1=np.array([space.index_of(r.y1) for r in records]),
-            cluster_labels=tuple(labels),
+            unit_ids=unit_ids,
+            cluster=cluster,
+            y0=indices[0],
+            y1=indices[1],
+            cluster_labels=tuple(cluster_labels),
         )
-
-    def to_records(self) -> list[UnitRecord]:
-        vals = self.space.array
-        return [
-            UnitRecord(
-                self.unit_ids[i],
-                self.cluster_labels[self.cluster[i]],
-                float(vals[self.y0[i]]),
-                float(vals[self.y1[i]]),
-            )
-            for i in range(self.n)
-        ]
 
     @property
     def n(self) -> int:
@@ -352,14 +330,6 @@ class ProjectedPrior:
         object.__setattr__(self, "q", _frozen_array(self.q, float))
         if self.q.ndim != 3 or self.q.shape[1] != 2:
             raise ValidationError("prior table must have shape (C, 2, K)")
-
-    def violations(self, tol: float = 1e-12) -> list[str]:
-        out = []
-        if np.any(self.q < self.gamma - tol):
-            out.append("prior entry below gamma")
-        if np.any(np.abs(self.q.sum(axis=-1) - 1.0) > tol):
-            out.append("prior does not sum to 1")
-        return out
 
 
 @dataclass(frozen=True, eq=False)

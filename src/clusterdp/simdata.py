@@ -12,15 +12,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .model import (
-    OutcomeSpace,
-    PopulationDataset,
-    UnitRecord,
-    ValidationError,
-)
+from .model import OutcomeSpace, PopulationDataset, ValidationError
 from .rng import RngStreams, standard_normal
 
 __all__ = [
@@ -205,63 +201,94 @@ def gen_graph_population(config: GraphPopConfig, streams: RngStreams) -> Populat
 
 
 # ---------------------------------------------------------------------------
-# CSV schema. Population files: unit_id,cluster,y0,y1 (header required).
+# CSV files, read and written by column. Population files: unit_id,cluster,y0,y1
+# (header required); release files are written and read in mechanisms.
 # ---------------------------------------------------------------------------
 
-def _read_rows(path, expected_header):
+POPULATION_HEADER = ["unit_id", "cluster", "y0", "y1"]
+
+
+def read_columns(path, header: list[str]) -> list[list[str]]:
+    """The columns of a CSV file under ``header``; rows of the wrong length are named by line.
+
+    Rows are moved into the columns a block at a time, so only one block of
+    row lists is alive at once.
+    """
+    width = len(header)
+    columns: list[list[str]] = [[] for _ in header]
+    misfits = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected_header:
-            raise ValidationError(
-                f"expected header {','.join(expected_header)!r}, got {header!r}"
-            )
-        yield from enumerate(reader, start=2)
+        first = next(reader, None)
+        if first != header:
+            raise ValidationError(f"expected header {','.join(header)!r}, got {first!r}")
+        line = 2  # of the block's first row
+        while block := list(islice(reader, 4096)):
+            misfits += [f"line {i}: expected {width} fields"
+                        for i, row in enumerate(block, start=line) if len(row) != width]
+            line += len(block)
+            if not misfits:
+                for column, values in zip(columns, zip(*block)):
+                    column.extend(values)
+    if misfits:
+        raise ValidationError("; ".join(misfits))
+    return columns
 
 
-def _read_population(path) -> list[UnitRecord]:
-    """Rows of a population file, checked for field count and numbers; errors carry line numbers."""
-    records = []
-    problems = []
-    for lineno, row in _read_rows(path, ["unit_id", "cluster", "y0", "y1"]):
-        if len(row) != 4:
-            problems.append(f"line {lineno}: expected 4 fields")
-            continue
-        try:
-            records.append(UnitRecord(row[0], row[1], float(row[2]), float(row[3])))
-        except ValueError:
-            problems.append(f"line {lineno}: malformed outcome value")
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return records
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def float_column(column) -> np.ndarray:
+    """Each field through Python ``float``; NaN where ``float`` rejects it."""
+    try:
+        return np.fromiter(map(float, column), float, len(column))
+    except ValueError:
+        return np.array([float(t) if _is_number(t) else math.nan for t in column])
+
+
+def format_value(v: float) -> str:
+    f = float(v)
+    return str(int(f)) if f.is_integer() and abs(f) < 1e15 else repr(f)
+
+
+def _read_population(path):
+    """(unit ids, cluster labels, y0, y1) of a population file; errors carry line numbers."""
+    unit_ids, labels, y0_text, y1_text = read_columns(path, POPULATION_HEADER)
+    y0, y1 = float_column(y0_text), float_column(y1_text)
+    malformed = [
+        f"line {i + 2}: malformed outcome value"
+        for i in np.flatnonzero(np.isnan(y0) | np.isnan(y1))
+        if not (_is_number(y0_text[i]) and _is_number(y1_text[i]))
+    ]
+    if malformed:
+        raise ValidationError("; ".join(malformed))
+    return unit_ids, labels, y0, y1
 
 
 def infer_space(path) -> OutcomeSpace:
-    """The outcome space made of every y0 and y1 value in a population file."""
-    return OutcomeSpace(tuple(sorted({y for r in _read_population(path) for y in (r.y0, r.y1)})))
+    """The sorted distinct y0 and y1 values of a population file (of 0.0 and -0.0, the first)."""
+    values = np.column_stack(_read_population(path)[2:]).ravel()
+    return OutcomeSpace(tuple(values[np.unique(values, return_index=True)[1]].tolist()))
 
 
 def ingest_csv(path, space: OutcomeSpace) -> PopulationDataset:
     """Load and validate a population file; errors carry 1-based line numbers."""
-    return PopulationDataset.from_records(_read_population(path), space)  # validates the records
+    return PopulationDataset.from_columns(*_read_population(path), space)
 
 
 def write_population_csv(pop: PopulationDataset, path) -> None:
-    from .mechanisms import format_value
-
-    vals = pop.space.array
+    text = np.array([format_value(v) for v in pop.space.values], dtype=object)
+    labels = np.array([str(lab) for lab in pop.cluster_labels], dtype=object)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["unit_id", "cluster", "y0", "y1"])
-        for i in range(pop.n):
-            writer.writerow(
-                [
-                    pop.unit_ids[i],
-                    pop.cluster_labels[pop.cluster[i]],
-                    format_value(vals[pop.y0[i]]),
-                    format_value(vals[pop.y1[i]]),
-                ]
-            )
+        writer.writerow(POPULATION_HEADER)
+        columns = (labels[pop.cluster], text[pop.y0], text[pop.y1])
+        writer.writerows(zip(pop.unit_ids, *(c.tolist() for c in columns)))
 
 
 def subsample(

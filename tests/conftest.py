@@ -1,18 +1,19 @@
 import pytest
 
 from clusterdp.mechanisms import cluster_dp
-from clusterdp.model import MechanismParams, OutcomeSpace, PopulationDataset, UnitRecord
+from clusterdp.model import MechanismParams, OutcomeSpace, PopulationDataset
 from clusterdp.rng import RngStreams
 
 
 def make_population(space_values, outcomes_by_cluster):
     """Build a population from {cluster_label: [(y0, y1), ...]}."""
     space = OutcomeSpace(tuple(space_values))
-    records = []
-    for label, pairs in outcomes_by_cluster.items():
-        for i, (y0, y1) in enumerate(pairs):
-            records.append(UnitRecord(f"{label}_{i}", label, float(y0), float(y1)))
-    return PopulationDataset.from_records(records, space)
+    rows = [
+        (f"{label}_{i}", label, float(y0), float(y1))
+        for label, pairs in outcomes_by_cluster.items()
+        for i, (y0, y1) in enumerate(pairs)
+    ]
+    return PopulationDataset.from_columns(*zip(*rows), space)
 
 
 def uniform_release(pop, design, lam, streams):

@@ -4,16 +4,25 @@ The dense randomization matrix and its inverse check the closed-form
 debiasing rows; the batched fixed-design kernel gives the many Monte Carlo
 replications that the conditional-unbiasedness tests need; the per-cluster
 loops over ``sample_variance`` check the vectorized closed-form variances;
-the uniform-prior closed form checks the accountant at gamma = 1/K.
+the uniform-prior closed form checks the accountant at gamma = 1/K; the
+row-by-row record reader checks the column reader of population files.
 """
 
+import csv
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from clusterdp.experiments import _batched_weights, _debiased_units
 from clusterdp.mechanisms import arm_histograms, resample_draws
-from clusterdp.model import MechanismKind, ValidationError
+from clusterdp.model import (
+    MIN_CLUSTER_SIZE,
+    MechanismKind,
+    OutcomeSpace,
+    PopulationDataset,
+    ValidationError,
+)
 from clusterdp.rng import laplace_noise
 
 
@@ -57,6 +66,16 @@ def cluster_taus_fixed_design(pop, design, params, streams, reps: int) -> np.nda
             pop, design, params, hist, std, *resample_draws(g, (m, pop.n))
         )
         out[start : start + m] = per_unit @ w_unit
+    return out
+
+
+def prior_violations(prior, tol: float = 1e-12) -> list[str]:
+    """The ProjectedPrior invariants: every entry >= gamma and each vector sums to 1, within tol."""
+    out = []
+    if np.any(prior.q < prior.gamma - tol):
+        out.append("prior entry below gamma")
+    if np.any(np.abs(prior.q.sum(axis=-1) - 1.0) > tol):
+        out.append("prior does not sum to 1")
     return out
 
 
@@ -133,3 +152,68 @@ def uniform_prior_variance_loop(pop, design, lam, stratified=True) -> float:
     total += lam / (1.0 - lam) * ((y0**2).mean() / n0 + (y1**2).mean() / n1)
     total -= 2.0 * lam * ym / (1.0 - lam) * (y0.mean() / n0 + y1.mean() / n1)
     return total
+
+
+class UnitRecord(NamedTuple):
+    """One population row, before outcome values are resolved to indices."""
+
+    unit_id: str
+    cluster: object
+    y0: float
+    y1: float
+
+
+def read_records(path) -> list[UnitRecord]:
+    """Rows of a population file, one record each; field count and numbers checked by line."""
+    records, problems = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["unit_id", "cluster", "y0", "y1"]:
+            raise ValidationError(f"expected header 'unit_id,cluster,y0,y1', got {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                problems.append(f"line {lineno}: expected 4 fields")
+                continue
+            try:
+                records.append(UnitRecord(row[0], row[1], float(row[2]), float(row[3])))
+            except ValueError:
+                problems.append(f"line {lineno}: malformed outcome value")
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return records
+
+
+def records_space(records) -> OutcomeSpace:
+    return OutcomeSpace(tuple(sorted({y for r in records for y in (r.y0, r.y1)})))
+
+
+def records_population(records, space: OutcomeSpace) -> PopulationDataset:
+    """Validate records one by one, in row order, then build the population."""
+    index = {v: i for i, v in enumerate(space.values)}  # exact float lookup
+    violations, seen, sizes = [], set(), {}
+    for rec in records:
+        if rec.unit_id in seen:
+            violations.append(f"duplicate unit id {rec.unit_id!r}")
+        seen.add(rec.unit_id)
+        sizes[rec.cluster] = sizes.get(rec.cluster, 0) + 1
+        for name, y in (("y0", rec.y0), ("y1", rec.y1)):
+            if y not in index:
+                violations.append(f"unit {rec.unit_id!r}: {name}={y!r} outside space")
+    for label in sorted(sizes, key=str):
+        if sizes[label] < MIN_CLUSTER_SIZE:
+            violations.append(f"cluster {label!r} below minimum size {MIN_CLUSTER_SIZE}")
+    if not sizes:
+        violations.append("population is empty")
+    if violations:
+        raise ValidationError("; ".join(violations))
+    labels = sorted(sizes, key=str)
+    dense = {lab: i for i, lab in enumerate(labels)}
+    return PopulationDataset(
+        space=space,
+        unit_ids=tuple(r.unit_id for r in records),
+        cluster=np.array([dense[r.cluster] for r in records]),
+        y0=np.array([index[r.y0] for r in records]),
+        y1=np.array([index[r.y1] for r in records]),
+        cluster_labels=tuple(labels),
+    )

@@ -1,24 +1,28 @@
-"""The benchmark tracer's view of the package, checked without running the benchmark.
+"""The benchmark's view of the package, checked without running the benchmark.
 
 ``perfbench/tracing.py`` wraps the functions it lists in ``TRACED`` and binds
 some of their arguments by name. A rename or a dropped parameter in ``src/``
 would otherwise only show up as a failed ``perfbench/run.py --trace 1`` run.
-The tracer module is loaded from its file and never modified.
+``perfbench/checks.py`` parses release files on its own; a writer change it
+rejects would otherwise only show up as failed benchmark operations. Both
+modules are loaded from their files and never modified.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from clusterdp.cli import main
 from clusterdp.mechanisms import fit_priors
 from clusterdp.model import MechanismKind, MechanismParams, draw_design
 from clusterdp.rng import RngStreams
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # The arguments the tracer reads from each call it binds.
 BOUND = {
@@ -29,12 +33,16 @@ BOUND = {
 }
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
 
 
 def _function(name: str):
@@ -66,3 +74,18 @@ def test_fit_priors_result_has_q(small_pop, streams, kind):
     prior = fit_priors(small_pop, design, params, streams.generator("laplace"))
     assert isinstance(prior.q, np.ndarray)
     assert prior.q.shape == (small_pop.n_clusters, 2, k)
+
+
+def test_checks_accept_the_cli_release(tmp_path, capsys):
+    checks = _load("checks")
+    pop, release, sidecar = tmp_path / "pop.csv", tmp_path / "r.csv", tmp_path / "r.json"
+    assert main(["generate", "gmm", "--kprime", "2", "--sizes", "8", "12", "10",
+                 "--seed", "3", "--out", str(pop)]) == 0
+    assert main(["privatize", "--pop", str(pop), "--seed", "4",
+                 "--out", str(release), "--sidecar", str(sidecar)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--release", str(release), "--sidecar", str(sidecar)]) == 0
+    tau_hat = json.loads(capsys.readouterr().out)["tau_hat"]
+    meta = json.loads(sidecar.read_text())
+    assert checks.release_problems(release, meta, 30, 3) == []
+    assert abs(checks.recompute_tau(release, meta) - tau_hat) <= 1e-9

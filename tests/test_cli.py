@@ -235,6 +235,11 @@ class TestExperimentCommand:
             pytest.param({"gamma_grid": 0.1}, "gamma_grid", id="grid_scalar"),
             pytest.param({"population": {"kind": "gmm", "bogus": 1}}, "bogus",
                          id="unknown_population_key"),
+            # draw counts too small for a variance: the tables would hold nan cells
+            pytest.param({"replications": 1}, "replications", id="replications_one"),
+            pytest.param({"replications": 2}, "replications", id="replications_two"),
+            pytest.param({"noise_draws": 0}, "noise_draws", id="noise_draws_zero"),
+            pytest.param({"subpop_draws": 1}, "subpop_draws", id="subpop_draws_one"),
         ],
     )
     def test_bad_config_exit_code(self, tmp_path, capsys, config, key):
@@ -271,7 +276,10 @@ def _mutate_release(release_csv, sidecar, case):
         meta["q_tilde"][0][0] = [1.0] + [0.0] * (k - 1)
     elif case == "debias_row_shifted":
         meta["debias_rows"][0][0] = [v + 100.0 for v in meta["debias_rows"][0][0]]
-    elif case in ("z_outside_arms", "y_tilde_not_a_number", "unknown_cluster", "short_row"):
+    elif case == "bad_header":
+        release_csv.write_text(release_csv.read_text().replace("y_tilde", "y", 1))
+    elif case in ("z_outside_arms", "y_tilde_not_a_number", "unknown_cluster", "short_row",
+                  "long_row"):
         lines = release_csv.read_text().splitlines()
         row = lines[1].split(",")  # unit_id, cluster, z, y_tilde
         if case == "z_outside_arms":
@@ -280,6 +288,8 @@ def _mutate_release(release_csv, sidecar, case):
             row[1] = "no_such_cluster"
         elif case == "short_row":
             row = row[:3]
+        elif case == "long_row":
+            row = row + ["extra"]
         else:
             row[3] = "abc"
         lines[1] = ",".join(row)
@@ -302,7 +312,9 @@ class TestMalformedInput:
                 ("z_outside_arms", "line 2"), ("y_tilde_not_a_number", "line 2"),
                 ("gamma_string", "gamma"), ("sigma_list", "sigma"),
                 ("space_entry_string", "space"), ("unknown_cluster", "line 2"),
-                ("short_row", "line 2"), ("not_json", "JSON"),
+                ("short_row", "line 2"), ("long_row", "line 2: expected 4 fields"),
+                ("bad_header", "expected header 'unit_id,cluster,z,y_tilde'"),
+                ("not_json", "JSON"),
                 ("q_tilde_off_simplex", "q_tilde"), ("q_tilde_below_gamma", "q_tilde"),
                 ("debias_row_shifted", "debias_rows"),
             ]

@@ -13,7 +13,6 @@ from clusterdp.experiments import _batched_assignments, counts_design
 from clusterdp.model import (
     OutcomeSpace,
     PopulationDataset,
-    UnitRecord,
     ValidationError,
     draw_design,
 )
@@ -29,13 +28,13 @@ LABELS = [f"c{i}" for i in range(12)]  # sorted by str: c0, c1, c10, c11, c2, ..
 def interleaved_population():
     rng = np.random.default_rng(606)
     values = (-1.0, 0.0, 1.5, 3.0)
-    records = [
-        UnitRecord(f"{label}_{i}", label, values[rng.integers(4)], values[rng.integers(4)])
+    rows = [
+        (f"{label}_{i}", label, values[rng.integers(4)], values[rng.integers(4)])
         for label in LABELS
         for i in range(int(rng.integers(4, 9)))
     ]
-    records = [records[i] for i in rng.permutation(len(records))]
-    pop = PopulationDataset.from_records(records, OutcomeSpace(values))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    pop = PopulationDataset.from_columns(*zip(*rows), OutcomeSpace(values))
     first_seen = list(dict.fromkeys(pop.cluster.tolist()))
     assert np.any(np.diff(pop.cluster) < 0)  # clusters really are interleaved
     assert first_seen != sorted(first_seen)
@@ -50,9 +49,15 @@ def interleaved_pop():
 
 def contiguous_copy(pop):
     """The same units grouped cluster by cluster, each cluster keeping its own order."""
-    records = pop.to_records()
     order = np.argsort(pop.cluster, kind="stable")
-    return PopulationDataset.from_records([records[i] for i in order], pop.space)
+    vals = pop.space.array
+    return PopulationDataset.from_columns(
+        [pop.unit_ids[i] for i in order],
+        [pop.cluster_labels[c] for c in pop.cluster[order]],
+        vals[pop.y0[order]],
+        vals[pop.y1[order]],
+        pop.space,
+    )
 
 
 def treated_counts(pop):

@@ -30,7 +30,7 @@ from clusterdp.model import (
 from clusterdp.rng import RngStreams, laplace_noise
 
 from conftest import make_population, random_population, uniform_release
-from oracles import q_matrix
+from oracles import prior_violations, q_matrix
 
 
 def fixed_design(pop, n1c):
@@ -174,7 +174,7 @@ class TestClusterDp:
             prior = fit_priors(
                 pop, design, self.params(gamma=gamma, sigma=sigma), streams.generator("nn", trial)
             )
-            assert prior.violations() == []
+            assert prior_violations(prior) == []
 
     def test_prior_invariants_batched_ten_thousand(self, streams):
         # 10^4 noise/clip/renormalize draws per K: entries >= gamma, sums 1 +- 1e-12

@@ -12,10 +12,8 @@ from clusterdp.model import (
     MechanismParams,
     OutcomeSpace,
     PopulationDataset,
-    UnitRecord,
     ValidationError,
     draw_design,
-    validate_population,
 )
 from clusterdp.rng import RngStreams, laplace_noise, open_uniform
 
@@ -67,41 +65,35 @@ class TestOutcomeSpace:
         assert space.mean_sq == pytest.approx((arr**2).mean())
 
 
+def from_rows(rows, space):
+    """PopulationDataset.from_columns on (unit_id, cluster, y0, y1) rows."""
+    return PopulationDataset.from_columns(*zip(*rows), space)
+
+
 class TestValidatePopulation:
     def test_well_formed(self, binary_space):
-        records = [
-            UnitRecord("u1", "a", 0, 1),
-            UnitRecord("u2", "a", 1, 1),
-            UnitRecord("u3", "b", 0, 0),
-            UnitRecord("u4", "b", 1, 0),
-            UnitRecord("u5", "b", 0, 1),
-        ]
-        assert validate_population(records, binary_space) == []
+        rows = [("u1", "a", 0, 1), ("u2", "a", 1, 1), ("u3", "b", 0, 0), ("u4", "b", 1, 0),
+                ("u5", "b", 0, 1)]
+        assert from_rows(rows, binary_space).n == 5
 
     def test_cluster_below_minimum(self, binary_space):
-        records = [
-            UnitRecord("u1", "a", 0, 1),
-            UnitRecord("u2", "b", 1, 1),
-            UnitRecord("u3", "b", 0, 0),
-        ]
-        report = validate_population(records, binary_space)
-        assert any("below minimum size 2" in v for v in report)
+        rows = [("u1", "a", 0, 1), ("u2", "b", 1, 1), ("u3", "b", 0, 0)]
+        with pytest.raises(ValidationError, match="cluster 'a' below minimum size 2"):
+            from_rows(rows, binary_space)
 
     def test_outcome_outside_space(self, binary_space):
-        records = [UnitRecord("u1", "a", 7, 1), UnitRecord("u2", "a", 0, 1)]
-        report = validate_population(records, binary_space)
-        assert any("outside space" in v for v in report)
+        rows = [("u1", "a", 7, 1), ("u2", "a", 0, 1)]
+        with pytest.raises(ValidationError, match="unit 'u1': y0=7.0 outside space"):
+            from_rows(rows, binary_space)
 
     def test_duplicate_unit(self, binary_space):
-        records = [UnitRecord("u1", "a", 0, 1), UnitRecord("u1", "a", 1, 1)]
-        assert any("duplicate" in v for v in validate_population(records, binary_space))
+        rows = [("u1", "a", 0, 1), ("u1", "a", 1, 1)]
+        with pytest.raises(ValidationError, match="duplicate unit id 'u1'"):
+            from_rows(rows, binary_space)
 
     def test_constructor_enforces_report(self, binary_space):
         with pytest.raises(ValidationError, match="below minimum"):
-            PopulationDataset.from_records([UnitRecord("u1", "a", 0, 1)], binary_space)
-
-    def test_roundtrip_through_dataset(self, small_pop):
-        assert validate_population(small_pop, small_pop.space) == []
+            from_rows([("u1", "a", 0, 1)], binary_space)
 
 
 class TestPopulationDataset:
@@ -111,8 +103,8 @@ class TestPopulationDataset:
         assert pop.cluster_sizes.tolist() == [2, 2]
 
     def test_ate(self, small_pop):
-        recs = small_pop.to_records()
-        expected = np.mean([r.y1 - r.y0 for r in recs])
+        vals = small_pop.space.array
+        expected = np.mean([vals[b] - vals[a] for a, b in zip(small_pop.y0, small_pop.y1)])
         assert small_pop.ate == pytest.approx(expected)
 
     def test_immutable_arrays(self, small_pop):
