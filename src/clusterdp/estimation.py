@@ -19,13 +19,7 @@ __all__ = [
     "tau_q",
     "per_cluster_contributions",
     "tau_no_dp",
-    "singular_value_bound",
 ]
-
-
-def singular_value_bound(lam: float, k: int) -> float:
-    """Upper bound (lam sqrt(K) + 1) / (1 - lam) on the largest singular value of Q^{-1}."""
-    return (lam * np.sqrt(k) + 1.0) / (1.0 - lam)
 
 
 def debias_rows(values: np.ndarray, q_tilde: np.ndarray, lam: float) -> np.ndarray:
@@ -43,9 +37,8 @@ def debias_rows(values: np.ndarray, q_tilde: np.ndarray, lam: float) -> np.ndarr
 def _cluster_sums(values_per_unit, cluster, z, n1c, n0c) -> np.ndarray:
     """Per-cluster `mean(treated) - mean(control)` contrasts, weighted within arms."""
     c = len(n1c)
-    treated = np.bincount(cluster, weights=values_per_unit * (z == 1), minlength=c)
-    control = np.bincount(cluster, weights=values_per_unit * (z == 0), minlength=c)
-    return treated / n1c - control / n0c
+    sums = np.bincount(cluster * 2 + z, weights=values_per_unit, minlength=2 * c).reshape(c, 2)
+    return sums[:, 1] / n1c - sums[:, 0] / n0c
 
 
 def per_cluster_contributions(values_per_unit, cluster, design: Design) -> np.ndarray:

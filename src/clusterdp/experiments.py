@@ -357,7 +357,7 @@ def uniform_prior_taus(
         y_t = np.where(z == 1, y1v, y0v)
         if lam > 0.0:  # the assignment is drawn first, so skipping keeps its bits
             u_keep, u_cat = resample_draws(g, (m, pop.n))
-            # inverse CDF of q = 1/K, without resample_from_uniforms' (m, n, K) gather
+            # inverse CDF of q = 1/K in one multiply, with no CDF table to compare against
             drawn = np.minimum((u_cat * k).astype(np.int64), k - 1)
             y_t = np.where(u_keep < lam, vals[drawn], y_t)
         w = _batched_weights(z, pop, n1c, n0c, stratified)

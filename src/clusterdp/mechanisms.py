@@ -161,10 +161,19 @@ def resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat) 
     """Keep each outcome where u_keep >= lam, else draw from its arm prior by inverse CDF at u_cat.
 
     ``q_tilde`` (..., C, 2, K) and the uniforms (..., n) may carry a leading replication axis.
+    The CDF is summed once per (cluster, arm) cell, and each unit's draw counts the
+    entries j < K - 1 of its cell's CDF that lie below u_cat, with no (n, K) array.
+    This equals the capped count min(#{j < K : u_cat > cdf[j]}, K - 1) bit for bit:
+    a cumsum adds the same numbers in the same order per row, and q_tilde >= 0 makes
+    each CDF row non-decreasing in floating point, so the entries below u_cat form
+    a prefix and dropping the last one only applies the cap.
     """
-    k = q_tilde.shape[-1]
-    cum = np.cumsum(q_tilde[..., cluster, z, :], axis=-1)
-    drawn = np.minimum((u_cat[..., None] > cum).sum(axis=-1), k - 1)
+    cdf = np.cumsum(q_tilde, axis=-1)
+    cdf = cdf.reshape(*cdf.shape[:-3], -1, cdf.shape[-1])  # (..., 2C, K), row cluster * 2 + z
+    cell = cluster * 2 + z
+    drawn = np.zeros(u_cat.shape, dtype=np.int64)
+    for j in range(cdf.shape[-1] - 1):
+        drawn += u_cat > np.take(cdf[..., j], cell, axis=-1)
     return np.where(u_keep < lam, drawn, y_observed)
 
 

@@ -103,15 +103,6 @@ class OutcomeSpace:
         idx = np.minimum(np.searchsorted(self._array, values), self.k - 1)
         return idx, self._array[idx] == values
 
-    def __contains__(self, value) -> bool:
-        return bool(self.lookup(value)[1])
-
-    def index_of(self, value) -> int:
-        idx, found = self.lookup(value)
-        if not found:
-            raise ValidationError(f"outcome {value!r} outside space")
-        return int(idx)
-
 
 @dataclass(frozen=True, eq=False)
 class PopulationDataset:
@@ -300,7 +291,7 @@ class MechanismParams:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValidationError("gamma must lie in [0, 1/K] (at most 1)")
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # NaN fails this too
             raise ValidationError("sigma must be >= 0")
         if not 0.0 <= self.lam <= 1.0:
             raise ValidationError("lambda must lie in [0, 1]")

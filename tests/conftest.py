@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from clusterdp.mechanisms import cluster_dp
@@ -33,6 +34,18 @@ def random_population(rng, n_clusters=3, size_range=(4, 8), space_values=(0.0, 1
             for _ in range(size)
         ]
     return make_population(space_values, clusters)
+
+
+def interleaved_cells(rng, n_clusters):
+    """(cluster, z, n1c, n0c) with units in random cluster order and both arms in every
+    cluster; cluster 0 has a single treated unit."""
+    sizes = rng.integers(2, 8, n_clusters)
+    n1c = np.array([int(rng.integers(1, s)) for s in sizes])
+    n1c[0] = 1
+    cluster = np.repeat(np.arange(n_clusters), sizes)
+    z = np.concatenate([np.arange(s) < t for s, t in zip(sizes, n1c)]).astype(np.int8)
+    order = rng.permutation(len(cluster))
+    return cluster[order], z[order], n1c, sizes - n1c
 
 
 @pytest.fixture

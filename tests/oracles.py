@@ -5,7 +5,10 @@ debiasing rows; the batched fixed-design kernel gives the many Monte Carlo
 replications that the conditional-unbiasedness tests need; the per-cluster
 loops over ``sample_variance`` check the vectorized closed-form variances;
 the uniform-prior closed form checks the accountant at gamma = 1/K; the
-row-by-row record reader checks the column reader of population files.
+row-by-row record reader checks the column reader of population files; the
+(n, K) inverse-CDF resampler and the two per-arm bincounts check the
+CDF-table resampler and the one-bincount cluster sums bit for bit; the
+singular-value bound and the scalar outcome lookups serve only tests.
 """
 
 import csv
@@ -38,6 +41,38 @@ def q_inverse(q_tilde, lam: float) -> np.ndarray:
     q_tilde = np.asarray(q_tilde, dtype=float)
     k = q_tilde.shape[-1]
     return (np.eye(k) - lam * np.outer(q_tilde, np.ones(k))) / (1.0 - lam)
+
+
+def singular_value_bound(lam: float, k: int) -> float:
+    """Upper bound (lam sqrt(K) + 1) / (1 - lam) on the largest singular value of Q^{-1}."""
+    return (lam * np.sqrt(k) + 1.0) / (1.0 - lam)
+
+
+def space_contains(space: OutcomeSpace, value) -> bool:
+    return bool(space.lookup(value)[1])
+
+
+def space_index_of(space: OutcomeSpace, value) -> int:
+    idx, found = space.lookup(value)
+    if not found:
+        raise ValidationError(f"outcome {value!r} outside space")
+    return int(idx)
+
+
+def resample_dense(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat) -> np.ndarray:
+    """Inverse-CDF resampling through an (..., n, K) gather, cumsum and comparison."""
+    k = q_tilde.shape[-1]
+    cum = np.cumsum(q_tilde[..., cluster, z, :], axis=-1)
+    drawn = np.minimum((u_cat[..., None] > cum).sum(axis=-1), k - 1)
+    return np.where(u_keep < lam, drawn, y_observed)
+
+
+def cluster_sums_two_pass(values_per_unit, cluster, z, n1c, n0c) -> np.ndarray:
+    """Per-cluster arm contrasts from one masked bincount per arm."""
+    c = len(n1c)
+    treated = np.bincount(cluster, weights=values_per_unit * (z == 1), minlength=c)
+    control = np.bincount(cluster, weights=values_per_unit * (z == 0), minlength=c)
+    return treated / n1c - control / n0c
 
 
 def uniform_prior_eps(k: int, lam: float) -> float:

@@ -18,7 +18,7 @@ from clusterdp.accounting import (
     cluster_dp_pure_eps,
     prior_budget,
 )
-from clusterdp.estimation import debias_rows, singular_value_bound, tau_no_dp
+from clusterdp.estimation import debias_rows, tau_no_dp
 from clusterdp.experiments import (
     ExperimentConfig,
     build_population,
@@ -47,7 +47,7 @@ from clusterdp.variance import (
 )
 
 from conftest import make_population, random_population
-from oracles import cluster_taus_fixed_design, uniform_prior_eps
+from oracles import cluster_taus_fixed_design, singular_value_bound, uniform_prior_eps
 
 from test_mechanisms import fixed_design
 from test_variance import enumeration_ht_variance

@@ -4,8 +4,10 @@
 some of their arguments by name. A rename or a dropped parameter in ``src/``
 would otherwise only show up as a failed ``perfbench/run.py --trace 1`` run.
 ``perfbench/checks.py`` parses release files on its own; a writer change it
-rejects would otherwise only show up as failed benchmark operations. Both
-modules are loaded from their files and never modified.
+rejects would otherwise only show up as failed benchmark operations. The
+tracer also rebuilds replication 0 of ``cluster_mechanism_taus`` from the
+public calls; a kernel change that breaks that parity is caught here too.
+Both modules are loaded from their files and never modified.
 """
 
 import importlib
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from clusterdp.cli import main
+from clusterdp.experiments import cluster_mechanism_taus
 from clusterdp.mechanisms import fit_priors
 from clusterdp.model import MechanismKind, MechanismParams, draw_design
 from clusterdp.rng import RngStreams
@@ -63,13 +66,16 @@ def test_bound_parameters_exist(tracing):
         assert set(params) <= set(signature.parameters), name
 
 
+def _params(kind, k):
+    if kind is MechanismKind.UNIFORM_PRIOR_DP:
+        return MechanismParams.uniform_prior(k, 0.5)
+    return MechanismParams(kind=kind, gamma=0.1, sigma=10.0, lam=0.5)
+
+
 @pytest.mark.parametrize("kind", list(MechanismKind))
 def test_fit_priors_result_has_q(small_pop, streams, kind):
     k = small_pop.space.k
-    if kind is MechanismKind.UNIFORM_PRIOR_DP:
-        params = MechanismParams.uniform_prior(k, 0.5)
-    else:
-        params = MechanismParams(kind=kind, gamma=0.1, sigma=10.0, lam=0.5)
+    params = _params(kind, k)
     design = draw_design(small_pop, 0.5, streams.generator("assignment"))
     prior = fit_priors(small_pop, design, params, streams.generator("laplace"))
     assert isinstance(prior.q, np.ndarray)
@@ -89,3 +95,12 @@ def test_checks_accept_the_cli_release(tmp_path, capsys):
     meta = json.loads(sidecar.read_text())
     assert checks.release_problems(release, meta, 30, 3) == []
     assert abs(checks.recompute_tau(release, meta) - tau_hat) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", list(MechanismKind))
+def test_tracer_replays_replication_zero(tracing, small_pop, streams, kind):
+    args = {"pop": small_pop, "params": _params(kind, small_pop.space.k),
+            "treated": 0.5, "streams": streams}
+    taus = cluster_mechanism_taus(**args, reps=2)
+    assert len(taus) == 2
+    assert tracing._replay_replication(args, taus) is True

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterdp.estimation import (
+    _cluster_sums,
     debias_rows,
     per_cluster_contributions,
-    singular_value_bound,
     tau_no_dp,
     tau_q,
 )
@@ -21,8 +23,14 @@ from clusterdp.model import (
 )
 from clusterdp.rng import RngStreams
 
-from conftest import make_population, uniform_release
-from oracles import cluster_taus_fixed_design, q_inverse, q_matrix
+from conftest import interleaved_cells, make_population, uniform_release
+from oracles import (
+    cluster_sums_two_pass,
+    cluster_taus_fixed_design,
+    q_inverse,
+    q_matrix,
+    singular_value_bound,
+)
 
 from test_mechanisms import fixed_design
 
@@ -210,6 +218,29 @@ class TestTauQ:
         per_unit = release.debias[release.cluster, release.z, release.y_tilde]
         contrib = per_cluster_contributions(per_unit, release.cluster, design)
         assert contrib.sum() == pytest.approx(tau_q(release, design, small_pop.space), abs=1e-12)
+
+
+class TestClusterSums:
+    """The one-bincount arm sums against one masked bincount per arm, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.integers(1, 6),
+        pool=st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 0.1, -3.7e-300]),
+            min_size=1, max_size=8,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_two_pass_oracle(self, seed, c, pool):
+        rng = np.random.default_rng(seed)
+        cluster, z, n1c, n0c = interleaved_cells(rng, c)
+        values = rng.choice(np.array(pool), len(cluster))
+        got = _cluster_sums(values, cluster, z, n1c, n0c)
+        want = cluster_sums_two_pass(values, cluster, z, n1c, n0c)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
 
 
 class TestTauUniform:

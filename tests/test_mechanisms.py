@@ -16,6 +16,7 @@ from clusterdp.mechanisms import (
     perturb_clip,
     read_release,
     renormalize,
+    resample_from_uniforms,
     resample_outcomes,
     write_release,
 )
@@ -29,8 +30,8 @@ from clusterdp.model import (
 )
 from clusterdp.rng import RngStreams, laplace_noise
 
-from conftest import make_population, random_population, uniform_release
-from oracles import prior_violations, q_matrix
+from conftest import interleaved_cells, make_population, random_population, uniform_release
+from oracles import prior_violations, q_matrix, resample_dense
 
 
 def fixed_design(pop, n1c):
@@ -278,6 +279,60 @@ class TestUniformPriorDp:
         release = uniform_release(pop, fixed_design(pop, [n // 2]), 0.5, streams.child("u2"))
         p_hat = release.y_tilde.mean()
         assert abs(p_hat - 0.75) < 3 * math.sqrt(0.75 * 0.25 / n)
+
+
+class TestResampleKernel:
+    """The CDF-table resampler against the (n, K) inverse-CDF oracle, bit for bit."""
+
+    @staticmethod
+    def _tables(rng, table, shape, k):
+        if table == "uniform":
+            return np.full((*shape, k), 1.0 / k)
+        # the prior fit at gamma = 0, which clips many entries to exactly 0
+        counts = rng.multinomial(6, np.full(k, 1.0 / k), size=shape)
+        noise = laplace_noise(rng, 0.3, counts.shape)
+        return renormalize(perturb_clip(counts / 6.0, 0.0, 1.0, 6, noise=noise), 0.0)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([2, 3, 13]),
+        c=st.integers(1, 4),
+        reps=st.sampled_from([None, 3]),
+        table=st.sampled_from(["uniform", "fitted"]),
+        lam=st.sampled_from([0.0, 0.4, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_oracle(self, seed, k, c, reps, table, lam):
+        rng = np.random.default_rng(seed)
+        cluster, z, _, _ = interleaved_cells(rng, c)
+        n = len(cluster)
+        lead = () if reps is None else (reps,)
+        q = self._tables(rng, table, (*lead, c, 2), k)
+        cdf = np.cumsum(q, axis=-1)[..., cluster, z, :]  # (..., n, K)
+        # u_cat: a fresh uniform, exactly a CDF entry, or just above the last entry
+        entry = np.take_along_axis(cdf, rng.integers(0, k, (*lead, n, 1)), axis=-1)[..., 0]
+        above = np.nextafter(cdf[..., -1], 2.0)
+        mode = rng.integers(0, 3, (*lead, n))
+        u_cat = np.select([mode == 0, mode == 1], [rng.random((*lead, n)), entry], above)
+        u_keep = rng.random((*lead, n))
+        y = rng.integers(0, k, n)
+        got = resample_from_uniforms(y, cluster, z, q, lam, u_keep, u_cat)
+        want = resample_dense(y, cluster, z, q, lam, u_keep, u_cat)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_last_cdf_entry_below_one(self):
+        # 13 summed thirteenths round below 1, so u_cat can lie above the whole CDF
+        k = 13
+        q = np.full((1, 2, k), 1.0 / k)
+        top = np.cumsum(q[0, 0])[-1]
+        assert top < 1.0
+        u_cat = np.array([top, np.nextafter(top, 1.0), 0.5 / k])
+        cluster, z = np.zeros(3, dtype=np.int64), np.array([0, 1, 0], dtype=np.int8)
+        args = (np.zeros(3, dtype=np.int64), cluster, z, q, 1.0, np.zeros(3), u_cat)
+        got = resample_from_uniforms(*args)
+        assert np.array_equal(got, resample_dense(*args))
+        assert got.tolist() == [k - 1, k - 1, 0]
 
 
 class TestAggregateBaselines:

@@ -18,6 +18,7 @@ from clusterdp.model import (
 from clusterdp.rng import RngStreams, laplace_noise, open_uniform
 
 from conftest import make_population
+from oracles import space_contains, space_index_of
 
 
 class TestOutcomeSpace:
@@ -40,11 +41,11 @@ class TestOutcomeSpace:
 
     def test_membership_is_exact(self):
         space = OutcomeSpace((0.0, 1.0))
-        assert 1.0 in space
-        assert 1.0 + 1e-12 not in space
-        assert space.index_of(1) == 1
+        assert space_contains(space, 1.0)
+        assert not space_contains(space, 1.0 + 1e-12)
+        assert space_index_of(space, 1) == 1
         with pytest.raises(ValidationError):
-            space.index_of(7.0)
+            space_index_of(space, 7.0)
 
     @given(
         st.lists(
@@ -170,6 +171,14 @@ class TestMechanismParams:
         MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.1).check_gamma(5)
         with pytest.raises(ValidationError):
             MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.3).check_gamma(5)
+
+    def test_sigma_range(self):
+        # NaN compares False with everything, so a `sigma < 0` test lets it through
+        for sigma in (-1.0, math.nan):
+            with pytest.raises(ValidationError, match="sigma"):
+                MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.02, sigma=sigma, lam=0.5)
+        for sigma in (0.0, 10.0, math.inf):
+            assert MechanismParams(kind=MechanismKind.CLUSTER_DP, sigma=sigma).sigma == sigma
 
 
 class TestRngStreams:
