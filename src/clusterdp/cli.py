@@ -12,11 +12,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import accounting, estimation, experiments, mechanisms, simdata, variance
 from .model import (
-    Design,
     MechanismKind,
     MechanismParams,
     OutcomeSpace,
@@ -100,19 +97,16 @@ def _cmd_privatize(args) -> None:
     streams = RngStreams(args.seed)
     design = draw_design(pop, args.treated_fraction, streams.generator("assignment"))
     params = _mechanism_params(args, pop.space.k, args.lam)
-    _, release = mechanisms.cluster_dp(pop, design, params, streams)
+    release = mechanisms.cluster_dp(pop, design, params, streams)
     mechanisms.write_release(release, args.out, args.sidecar)
     _emit({"written": str(args.out), "sidecar": str(args.sidecar), "n": release.n})
 
 
 def _cmd_estimate(args) -> None:
     release = mechanisms.read_release(args.release, args.sidecar)
-    c = len(release.cluster_labels)
-    n1c = np.bincount(release.cluster[release.z == 1], minlength=c)
-    n0c = np.bincount(release.cluster[release.z == 0], minlength=c)
-    design = Design(z=release.z, n1c=n1c, n0c=n0c)
-    tau = estimation.tau_q(release, design, release.space)
-    rows = release.debias[release.cluster, release.z, release.y_tilde]
+    design = release.design
+    tau = estimation.tau_q(release)
+    rows = release.debias[release.cluster, design.z, release.y_tilde]
     contributions = estimation.per_cluster_contributions(rows, release.cluster, design)
     _emit(
         {
@@ -169,7 +163,12 @@ def _cmd_experiment(args) -> None:
     config = None
     if args.config:
         with open(args.config) as fh:
-            config = json.load(fh)
+            try:
+                config = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValidationError(f"config is not JSON: {exc}") from None
+        if not isinstance(config, dict):
+            raise ValidationError(f"config must be an object, got {config!r}")
     if args.workers is not None:
         config = dict(config or {})
         config["workers"] = args.workers

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Design, OutcomeSpace, PopulationDataset, PrivatizedRelease, ValidationError
+from .model import Design, PopulationDataset, PrivatizedRelease, ValidationError
 
 __all__ = [
     "debias_rows",
@@ -49,16 +49,16 @@ def per_cluster_contributions(values_per_unit, cluster, design: Design) -> np.nd
     return (sizes / n) * contrast
 
 
-def tau_q(release: PrivatizedRelease, design: Design, space: OutcomeSpace) -> float:
+def tau_q(release: PrivatizedRelease) -> float:
     """Debiased stratified estimator computed from released data only.
 
-    Uses the privatized outcomes, assignments, cluster ids, and the released
-    debiasing rows; it never sees true outcomes (post-processing purity).
+    Uses the privatized outcomes, the released design, cluster ids, and the
+    released debiasing rows; it never sees true outcomes (post-processing purity).
     """
-    rows = release.debias
+    rows, design = release.debias, release.design
     if not np.all(np.isfinite(rows)):
         raise ValidationError("missing debias row (lambda = 1 release cannot be debiased)")
-    per_unit = rows[release.cluster, release.z, release.y_tilde]
+    per_unit = rows[release.cluster, design.z, release.y_tilde]
     return float(per_cluster_contributions(per_unit, release.cluster, design).sum())
 
 

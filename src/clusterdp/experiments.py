@@ -32,10 +32,10 @@ from scipy import stats as scipy_stats
 from scipy.special import log_ndtr
 
 from . import accounting
-from .estimation import debias_rows, per_cluster_contributions, tau_no_dp
+from .estimation import debias_rows, tau_no_dp, tau_q
 from .mechanisms import (
-    arm_histograms, fit_priors, histogram_noise_term, ht_noise_term, perturb_clip, renormalize,
-    resample_draws, resample_from_uniforms, resample_outcomes,
+    arm_histograms, cluster_dp, histogram_noise_term, ht_noise_term, perturb_clip, renormalize,
+    resample_draws, resample_from_uniforms,
 )
 from .model import (
     Design,
@@ -157,7 +157,7 @@ class ExperimentConfig:
         raw = dict(raw or {})
         _check_keys("config", raw, _DEFAULTS)
         merged = {**_DEFAULTS, **raw}
-        mech = _object("mechanism", merged["mechanism"] or {})
+        mech = _object("mechanism", {} if merged["mechanism"] is None else merged["mechanism"])
         _check_keys("mechanism", mech, _DEFAULTS["mechanism"])
         mech = {**_DEFAULTS["mechanism"], **mech}
         # checked but kept as given: tables and the config hash echo them
@@ -229,6 +229,15 @@ def _generator_config(config_cls, spec: dict):
     return config_cls(**args)
 
 
+def _check_gmm_source(cfg: ExperimentConfig, runner: str) -> None:
+    """The gmm population as given: a runner that overrides its beta per grid
+    point, or builds nothing for an empty grid, still echoes it in the manifest."""
+    spec = dict(cfg.population)
+    if spec.pop("kind", "gmm") != "gmm":
+        raise ValidationError(f"{runner} requires a gmm population source")
+    _generator_config(GmmConfig, spec)
+
+
 def build_population(cfg: ExperimentConfig, streams: RngStreams) -> PopulationDataset:
     spec = dict(cfg.population)
     kind = spec.pop("kind", "gmm")
@@ -240,10 +249,12 @@ def build_population(cfg: ExperimentConfig, streams: RngStreams) -> PopulationDa
         )
     if kind == "csv":
         _check_keys("population", spec, ("path", "values"))
-        values = spec.get("values")
+        path, values = spec.get("path"), spec.get("values")
+        if not isinstance(path, str):  # open() would take a bool or int as a file descriptor
+            raise ValidationError(f"config population.path must be a file name, got {path!r}")
         if values is None:
             raise ValidationError("csv population needs an explicit 'values' list")
-        return ingest_csv(spec["path"], OutcomeSpace(_items("population.values", values, _number)))
+        return ingest_csv(path, OutcomeSpace(_items("population.values", values, _number)))
     raise ValidationError(f"unknown population kind {kind!r}")
 
 
@@ -267,41 +278,33 @@ def cluster_mechanism_taus(
     streams: RngStreams,
     reps: int,
 ) -> np.ndarray:
-    """Debiased estimates over replications of (assignment, prior fit, resampling).
+    """Debiased estimates over replications of (assignment, release, estimate).
 
-    Each replication consumes the named streams ("assignment", "laplace",
-    "resample") of ``streams.child("rep", r)``, exactly as the one-shot
-    mechanism entry point does, so a replication here is bit-identical to
-    running the public mechanism on the same stream node.
+    Replication r is the public release and estimator on the stream node
+    ``streams.child("rep", r)``: a design drawn from its "assignment" stream,
+    then ``tau_q(cluster_dp(...))``, which consumes its "laplace" and
+    "resample" streams.
     """
     n1c = resolve_treated_counts(pop, treated)
-    vals = pop.space.array
 
     def one(r: int) -> float:
         node = streams.child("rep", r)
         design = draw_design(pop, n1c, node.generator("assignment"))
-        prior = fit_priors(pop, design, params, node.generator("laplace"))
-        y_tilde = resample_outcomes(
-            pop.observed(design), pop.cluster, design.z, prior.q, params.lam,
-            node.generator("resample"),
-        )
-        rows = debias_rows(vals, prior.q, params.lam)
-        per_unit = rows[pop.cluster, design.z, y_tilde]
-        # same accumulation path as tau_q, so replications match the public
-        # mechanism + estimator bit for bit
-        return float(per_cluster_contributions(per_unit, pop.cluster, design).sum())
+        return tau_q(cluster_dp(pop, design, params, node))
 
     return np.array([one(r) for r in range(reps)])
 
 
-def _debiased_units(pop, design, params, hist, std, u_keep, u_cat) -> np.ndarray:
+def _debiased_units(pop, design, params, std, u_keep, u_cat) -> np.ndarray:
     """Per-unit debiased values of the cluster mechanism from supplied draws.
 
-    ``hist`` is ``arm_histograms(pop, design)``; ``std`` (standard Laplace),
-    ``u_keep`` and ``u_cat`` carry a leading replication axis.
+    ``std`` (standard Laplace, per (cluster, arm, outcome)), ``u_keep`` and
+    ``u_cat`` carry a leading replication axis.
     """
-    scale = 0.0 if math.isinf(params.sigma) else params.sigma / hist.n_ac[..., None]
-    q = perturb_clip(hist.p_hat, params.gamma, params.sigma, hist.n_ac, noise=std * scale)
+    n_ac = design.arm_counts()
+    p_hat = arm_histograms(pop, design) / n_ac[..., None]
+    scale = 0.0 if math.isinf(params.sigma) else params.sigma / n_ac[..., None]
+    q = perturb_clip(p_hat, params.gamma, params.sigma, n_ac, noise=std * scale)
     qt = renormalize(q, params.gamma)
     cl = pop.cluster
     y_t = resample_from_uniforms(pop.observed(design), cl, design.z, qt, params.lam, u_keep, u_cat)
@@ -494,8 +497,7 @@ def run_variance_sweep(cfg: ExperimentConfig, seed: int):
 
 def run_homogeneity_sweep(cfg: ExperimentConfig, seed: int):
     """Var(clustered)/Var(pooled) across the cluster-dependence grid."""
-    if cfg.population.get("kind", "gmm") != "gmm":
-        raise ValidationError("homogeneity sweep requires a gmm population source")
+    _check_gmm_source(cfg, "homogeneity sweep")
     streams = RngStreams(seed)
     sigma, gamma = cfg.mechanism["sigma"], cfg.mechanism["gamma"]
     base = {"seed": seed, "config_hash": cfg.config_hash}
@@ -537,16 +539,18 @@ def run_homogeneity_sweep(cfg: ExperimentConfig, seed: int):
             )
     for lam in cfg.lambda_grid:
         group = [r for r in rows if r["lambda"] == lam]
-        rho = scipy_stats.spearmanr([r["beta"] for r in group], [r["ratio"] for r in group]).statistic
+        betas, ratios = [r["beta"] for r in group], [r["ratio"] for r in group]
+        # blank where undefined: one beta, or lambda = 0, where both kinds give equal variances
+        defined = len(set(betas)) > 1 and len(set(ratios)) > 1
+        rho = float(scipy_stats.spearmanr(betas, ratios).statistic) if defined else ""
         for r in group:
-            r["spearman_beta_ratio"] = float(rho)
+            r["spearman_beta_ratio"] = rho
     return {"results": rows}, {}
 
 
 def run_bound_validation(cfg: ExperimentConfig, seed: int):
     """Monte Carlo variance gap against the closed-form band, across cluster quality."""
-    if cfg.population.get("kind", "gmm") != "gmm":
-        raise ValidationError("bound validation requires a gmm population source")
+    _check_gmm_source(cfg, "bound validation")
     streams = RngStreams(seed)
     mech = cfg.mechanism
     base = {"seed": seed, "config_hash": cfg.config_hash}
@@ -647,8 +651,8 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
                 truth = sub.ate
                 base_tau = tau_no_dp(sub, design)
                 per_unit = _debiased_units(  # frozen noise and per-unit draws
-                    sub, design, params, arm_histograms(sub, design),
-                    std_prior[None], u_keep[None, sub_idx], u_cat[None, sub_idx],
+                    sub, design, params, std_prior[None], u_keep[None, sub_idx],
+                    u_cat[None, sub_idx],
                 )[0]
                 w = _batched_weights(design.z, sub, design.n1c, design.n0c, True)
                 devs["cluster_dp"][s] = float(per_unit @ w) - truth

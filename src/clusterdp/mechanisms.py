@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -37,7 +36,6 @@ from .rng import RngStreams, laplace_noise, open_uniform
 from .simdata import float_column, format_value, read_columns
 
 __all__ = [
-    "ArmHistogram",
     "arm_histograms",
     "perturb_clip",
     "renormalize",
@@ -51,29 +49,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ArmHistogram:
-    """Per-(cluster, arm) outcome counts and the empirical frequency table."""
-
-    counts: np.ndarray  # (C, 2, K) integer counts
-    n_ac: np.ndarray  # (C, 2) arm sizes, column 0 = control
-
-    @property
-    def p_hat(self) -> np.ndarray:
-        return self.counts / self.n_ac[..., None]
-
-
-def arm_histograms(pop: PopulationDataset, design: Design) -> ArmHistogram:
-    """Exact observed-outcome counts for every (cluster, arm)."""
+def arm_histograms(pop: PopulationDataset, design: Design) -> np.ndarray:
+    """Exact observed-outcome counts (C, 2, K) for every (cluster, arm); arm 0 is control."""
+    if np.any(design.n0c < 1) or np.any(design.n1c < 1):
+        raise ValidationError("empty treatment arm in cluster")
     k = pop.space.k
     c = pop.n_clusters
-    observed = pop.observed(design)
-    cell = (pop.cluster * 2 + design.z) * k + observed
-    counts = np.bincount(cell, minlength=c * 2 * k).reshape(c, 2, k)
-    n_ac = design.arm_counts()
-    if np.any(n_ac < 1):
-        raise ValidationError("empty treatment arm in cluster")
-    return ArmHistogram(counts=counts, n_ac=n_ac)
+    cell = (pop.cluster * 2 + design.z) * k + pop.observed(design)
+    return np.bincount(cell, minlength=c * 2 * k).reshape(c, 2, k)
 
 
 def perturb_clip(
@@ -138,12 +121,10 @@ def fit_priors(
     params.check_gamma(k)
     if params.kind is MechanismKind.UNIFORM_PRIOR_DP:
         return ProjectedPrior(q=np.full((pop.n_clusters, 2, k), 1.0 / k), gamma=params.gamma)
-    hist = arm_histograms(pop, design)
+    counts, n_ac = arm_histograms(pop, design), design.arm_counts()
     if params.kind is MechanismKind.CLUSTER_FREE_DP:
-        counts = hist.counts.sum(axis=0, keepdims=True)
-        n_ac = hist.n_ac.sum(axis=0, keepdims=True)
-    else:
-        counts, n_ac = hist.counts, hist.n_ac
+        counts = counts.sum(axis=0, keepdims=True)
+        n_ac = n_ac.sum(axis=0, keepdims=True)
     p_hat = counts / n_ac[..., None]
     q = perturb_clip(p_hat, params.gamma, params.sigma, n_ac, rng)
     q_tilde = renormalize(q, params.gamma)
@@ -190,7 +171,27 @@ def resample_outcomes(
     return resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat)
 
 
-def _release(pop, design, q_tilde, params, y_tilde) -> PrivatizedRelease:
+def cluster_dp(
+    pop: PopulationDataset,
+    design: Design,
+    params: MechanismParams,
+    streams: RngStreams,
+) -> PrivatizedRelease:
+    """Randomized-response release of any unit-level kind: per-cluster, pooled or uniform prior.
+
+    Consumes two named sub-streams of ``streams``: ``laplace`` for the prior
+    perturbation (untouched by the uniform prior) and ``resample`` for the
+    per-unit randomization. The fitted prior is released as ``q_tilde``.
+    """
+    q_tilde = fit_priors(pop, design, params, streams.generator("laplace")).q
+    y_tilde = resample_outcomes(
+        pop.observed(design),
+        pop.cluster,
+        design.z,
+        q_tilde,
+        params.lam,
+        streams.generator("resample"),
+    )
     if params.lam < 1.0:
         rows = debias_rows(pop.space.array, q_tilde, params.lam)
     else:
@@ -200,7 +201,7 @@ def _release(pop, design, q_tilde, params, y_tilde) -> PrivatizedRelease:
         unit_ids=pop.unit_ids,
         cluster=pop.cluster,
         cluster_labels=pop.cluster_labels,
-        z=design.z,
+        design=design,
         y_tilde=y_tilde,
         debias=rows,
         q_tilde=q_tilde,
@@ -209,30 +210,6 @@ def _release(pop, design, q_tilde, params, y_tilde) -> PrivatizedRelease:
         sigma=params.sigma,
         lam=params.lam,
     )
-
-
-def cluster_dp(
-    pop: PopulationDataset,
-    design: Design,
-    params: MechanismParams,
-    streams: RngStreams,
-) -> tuple[ProjectedPrior, PrivatizedRelease]:
-    """Randomized-response release of any unit-level kind: per-cluster, pooled or uniform prior.
-
-    Consumes two named sub-streams of ``streams``: ``laplace`` for the prior
-    perturbation (untouched by the uniform prior) and ``resample`` for the
-    per-unit randomization.
-    """
-    prior = fit_priors(pop, design, params, streams.generator("laplace"))
-    y_tilde = resample_outcomes(
-        pop.observed(design),
-        pop.cluster,
-        design.z,
-        prior.q,
-        params.lam,
-        streams.generator("resample"),
-    )
-    return prior, _release(pop, design, prior.q, params, y_tilde)
 
 
 class NoisyEstimate(NamedTuple):
@@ -306,7 +283,7 @@ def write_release(release: PrivatizedRelease, csv_path, sidecar_path) -> None:
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RELEASE_HEADER)
-        columns = (labels[release.cluster], release.z, text[release.y_tilde])
+        columns = (labels[release.cluster], release.design.z, text[release.y_tilde])
         writer.writerows(zip(release.unit_ids, *(c.tolist() for c in columns)))
     sidecar = {
         "kind": release.kind.value,
@@ -391,7 +368,7 @@ def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
         unit_ids=tuple(unit_ids),
         cluster=cluster,
         cluster_labels=labels,
-        z=z,
+        design=Design.from_assignment(cluster, z, len(labels)),
         y_tilde=y_tilde,
         debias=debias,
         q_tilde=q_tilde,

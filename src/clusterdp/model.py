@@ -123,6 +123,8 @@ class PopulationDataset:
 
     def __post_init__(self):
         n = len(self.unit_ids)
+        if n == 0:
+            raise ValidationError("population is empty")
         for name in ("cluster", "y0", "y1"):
             arr = getattr(self, name)
             if arr.shape != (n,):
@@ -170,8 +172,6 @@ class PopulationDataset:
             f"cluster {cluster_labels[c]!r} below minimum size {MIN_CLUSTER_SIZE}"
             for c in np.flatnonzero(sizes < MIN_CLUSTER_SIZE)
         ]
-        if n == 0:
-            problems.append("population is empty")
         if problems:
             raise ValidationError("; ".join(problems))
         return cls(
@@ -214,17 +214,19 @@ class Design:
         object.__setattr__(self, "z", _frozen_array(self.z, np.int8))
         object.__setattr__(self, "n1c", _frozen_array(self.n1c, np.int64))
         object.__setattr__(self, "n0c", _frozen_array(self.n0c, np.int64))
-        if np.any(self.n1c < 1) or np.any(self.n0c < 1):
+        # .min() is one pass per array; the size guards keep a zero-cluster design valid
+        if (self.n1c.size and self.n1c.min() < 1) or (self.n0c.size and self.n0c.min() < 1):
             raise ValidationError("every cluster needs at least one unit per arm")
 
     @classmethod
-    def from_assignment(cls, pop: PopulationDataset, z) -> "Design":
-        z = np.asarray(z)
-        if z.shape != (pop.n,) or not np.isin(z, (0, 1)).all():
+    def from_assignment(cls, cluster, z, n_clusters: int) -> "Design":
+        """The design of a realized 0/1 assignment of units with dense cluster ids."""
+        cluster, z = np.asarray(cluster), np.asarray(z)
+        if z.shape != cluster.shape or not np.isin(z, (0, 1)).all():
             raise ValidationError("assignment must be one 0/1 entry per unit")
-        c = pop.n_clusters
-        n1c = np.bincount(pop.cluster[z == 1], minlength=c)
-        return cls(z=z, n1c=n1c, n0c=pop.cluster_sizes - n1c)
+        n1c = np.bincount(cluster[z == 1], minlength=n_clusters)
+        n0c = np.bincount(cluster[z == 0], minlength=n_clusters)
+        return cls(z=z, n1c=n1c, n0c=n0c)
 
     @property
     def n1(self) -> int:
@@ -248,7 +250,7 @@ def resolve_treated_counts(pop: PopulationDataset, treated) -> np.ndarray:
         n1c = np.asarray(treated, dtype=np.int64)
         if n1c.shape != sizes.shape:
             raise ValidationError("need one treated count per cluster")
-    if np.any(n1c < 1) or np.any(n1c > sizes - 1):
+    if n1c.size and (n1c.min() < 1 or (sizes - n1c).min() < 1):
         raise ValidationError(
             "treated counts must leave at least one unit in each arm of every cluster"
         )
@@ -325,8 +327,9 @@ class ProjectedPrior:
 
 @dataclass(frozen=True, eq=False)
 class PrivatizedRelease:
-    """Everything the central unit ships: per-unit privatized outcomes plus
-    the per-(cluster, arm) debiasing rows y^T Q^{-1} and a parameter echo.
+    """Everything the central unit ships: per-unit privatized outcomes and the
+    design they were assigned under, plus the per-(cluster, arm) debiasing rows
+    y^T Q^{-1} and a parameter echo.
 
     Third parties can estimate treatment effects from this object alone; no
     true outcomes are present.
@@ -336,7 +339,7 @@ class PrivatizedRelease:
     unit_ids: tuple[str, ...]
     cluster: np.ndarray
     cluster_labels: tuple
-    z: np.ndarray
+    design: Design
     y_tilde: np.ndarray
     debias: np.ndarray
     q_tilde: np.ndarray
@@ -347,11 +350,11 @@ class PrivatizedRelease:
 
     def __post_init__(self):
         object.__setattr__(self, "cluster", _frozen_array(self.cluster, np.int64))
-        object.__setattr__(self, "z", _frozen_array(self.z, np.int8))
         object.__setattr__(self, "y_tilde", _frozen_array(self.y_tilde, np.int64))
         object.__setattr__(self, "debias", _frozen_array(self.debias, float))
         object.__setattr__(self, "q_tilde", _frozen_array(self.q_tilde, float))
-        if np.any(self.y_tilde < 0) or np.any(self.y_tilde >= self.space.k):
+        y = self.y_tilde
+        if y.size and (y.min() < 0 or y.max() >= self.space.k):
             raise ValidationError("privatized outcome outside space")
 
     @property

@@ -55,6 +55,8 @@ class GmmConfig:
             raise ValidationError("k_prime must be >= 1")
         if self.tau not in (0, 1):
             raise ValidationError("tau must be 0 or 1 to stay inside the outcome grid")
+        if not self.cluster_sizes:
+            raise ValidationError("cluster_sizes must name at least one cluster")
         if any(s < 2 for s in self.cluster_sizes):
             raise ValidationError("cluster sizes must be >= 2")
 

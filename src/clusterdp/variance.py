@@ -18,7 +18,6 @@ from .model import Design, MechanismParams, OutcomeSpace, PopulationDataset, Val
 __all__ = [
     "VarianceReport",
     "ht_variance",
-    "ht_variance_unstratified",
     "homogeneity",
     "a_of_x",
     "cluster_dp_variance_bound",
@@ -98,11 +97,6 @@ def ht_variance(pop: PopulationDataset, design: Design) -> float:
     the last term may be negative, the total never is.
     """
     return _ht(_moments(pop), design.n0c, design.n1c)
-
-
-def ht_variance_unstratified(pop: PopulationDataset, n1: int, n0: int) -> float:
-    """Single-stratum version: variance of the pooled estimator under complete randomization."""
-    return _ht(_moments(pop, pooled=True), n0, n1)
 
 
 def homogeneity(pop: PopulationDataset, design: Design, arm: int) -> float:

@@ -19,8 +19,7 @@ def make_population(space_values, outcomes_by_cluster):
 
 def uniform_release(pop, design, lam, streams):
     """The uniform-prior release: cluster_dp at MechanismParams.uniform_prior(K, lam)."""
-    _, release = cluster_dp(pop, design, MechanismParams.uniform_prior(pop.space.k, lam), streams)
-    return release
+    return cluster_dp(pop, design, MechanismParams.uniform_prior(pop.space.k, lam), streams)
 
 
 def random_population(rng, n_clusters=3, size_range=(4, 8), space_values=(0.0, 1.0, 2.0)):

@@ -8,7 +8,8 @@ the uniform-prior closed form checks the accountant at gamma = 1/K; the
 row-by-row record reader checks the column reader of population files; the
 (n, K) inverse-CDF resampler and the two per-arm bincounts check the
 CDF-table resampler and the one-bincount cluster sums bit for bit; the
-singular-value bound and the scalar outcome lookups serve only tests.
+singular-value bound, the scalar outcome lookups and the pooled
+(unstratified) Horvitz-Thompson variance serve only tests.
 """
 
 import csv
@@ -18,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from clusterdp.experiments import _batched_weights, _debiased_units
-from clusterdp.mechanisms import arm_histograms, resample_draws
+from clusterdp.mechanisms import resample_draws
 from clusterdp.model import (
     MIN_CLUSTER_SIZE,
     MechanismKind,
@@ -27,6 +28,7 @@ from clusterdp.model import (
     ValidationError,
 )
 from clusterdp.rng import laplace_noise
+from clusterdp.variance import _ht, _moments
 
 
 def q_matrix(q_tilde, lam: float) -> np.ndarray:
@@ -90,16 +92,13 @@ def cluster_taus_fixed_design(pop, design, params, streams, reps: int) -> np.nda
     """
     assert params.kind is MechanismKind.CLUSTER_DP
     params.check_gamma(pop.space.k)
-    hist = arm_histograms(pop, design)
     w_unit = _batched_weights(design.z, pop, design.n1c, design.n0c, True)
     out = np.empty(reps)
     for ci, start in enumerate(range(0, reps, 5000)):
         m = min(5000, reps - start)
         g = streams.generator("batch", ci)
-        std = laplace_noise(g, 1.0, (m, *hist.counts.shape))
-        per_unit = _debiased_units(
-            pop, design, params, hist, std, *resample_draws(g, (m, pop.n))
-        )
+        std = laplace_noise(g, 1.0, (m, pop.n_clusters, 2, pop.space.k))
+        per_unit = _debiased_units(pop, design, params, std, *resample_draws(g, (m, pop.n)))
         out[start : start + m] = per_unit @ w_unit
     return out
 
@@ -140,6 +139,11 @@ def ht_variance_loop(pop, design) -> float:
             - sample_variance(y1 - y0) / pop.cluster_sizes[c]
         )
     return total
+
+
+def ht_variance_unstratified(pop, n1: int, n0: int) -> float:
+    """Single-stratum version: variance of the pooled estimator under complete randomization."""
+    return _ht(_moments(pop, pooled=True), n0, n1)
 
 
 def ht_variance_unstratified_loop(pop, n1, n0) -> float:

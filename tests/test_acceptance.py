@@ -42,12 +42,16 @@ from clusterdp.variance import (
     baseline_gaps,
     cluster_dp_variance_bound,
     ht_variance,
-    ht_variance_unstratified,
     uniform_prior_variance,
 )
 
 from conftest import make_population, random_population
-from oracles import cluster_taus_fixed_design, singular_value_bound, uniform_prior_eps
+from oracles import (
+    cluster_taus_fixed_design,
+    ht_variance_unstratified,
+    singular_value_bound,
+    uniform_prior_eps,
+)
 
 from test_mechanisms import fixed_design
 from test_variance import enumeration_ht_variance

@@ -240,6 +240,14 @@ class TestExperimentCommand:
             pytest.param({"replications": 2}, "replications", id="replications_two"),
             pytest.param({"noise_draws": 0}, "noise_draws", id="noise_draws_zero"),
             pytest.param({"subpop_draws": 1}, "subpop_draws", id="subpop_draws_one"),
+            # open() takes a list as an error and a bool as file descriptor 0 or 1
+            pytest.param({"population": {"kind": "csv", "path": ["a"], "values": [0, 1]}},
+                         "population.path", id="csv_path_list"),
+            pytest.param({"population": {"kind": "csv", "path": True, "values": [0, 1]}},
+                         "population.path", id="csv_path_bool"),
+            pytest.param({"population": {"kind": "gmm", "beta": 1.0, "v": 5.0, "k_prime": 2,
+                                         "cluster_sizes": []}}, "cluster_sizes", id="no_clusters"),
+            pytest.param({"mechanism": []}, "mechanism", id="mechanism_empty_list"),
         ],
     )
     def test_bad_config_exit_code(self, tmp_path, capsys, config, key):
@@ -251,6 +259,24 @@ class TestExperimentCommand:
         )
         assert code == 2
         assert key in err and stdout == ""
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            pytest.param('{"replications": 5', "config is not JSON", id="not_json"),
+            pytest.param("[1, 2]", "config must be an object", id="top_level_list"),
+            pytest.param('"x"', "config must be an object", id="top_level_string"),
+        ],
+    )
+    def test_malformed_config_file_exit_code(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, stdout, err = run_cli(
+            capsys, "experiment", "distribution", "--config", str(cfg),
+            "--seed", "1", "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert named in err and stdout == "" and not (tmp_path / "o").exists()
 
 
 def _mutate_release(release_csv, sidecar, case):

@@ -87,7 +87,7 @@ class TestRoundTrip:
         design = draw_design(pop, 0.5, streams.generator("assignment"))
         params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.1 / pop.space.k,
                                  sigma=10.0, lam=0.5)
-        _, release = cluster_dp(pop, design, params, streams)
+        release = cluster_dp(pop, design, params, streams)
         with tempfile.TemporaryDirectory() as tmp:
             csv_path, sidecar = Path(tmp) / "r.csv", Path(tmp) / "r.json"
             write_release(release, csv_path, sidecar)
@@ -95,8 +95,10 @@ class TestRoundTrip:
         assert back.unit_ids == release.unit_ids
         assert back.cluster_labels == release.cluster_labels
         assert back.space.values == release.space.values
-        for name in ("cluster", "z", "y_tilde", "debias", "q_tilde"):
+        for name in ("cluster", "y_tilde", "debias", "q_tilde"):
             assert np.array_equal(getattr(back, name), getattr(release, name)), name
+        for name in ("z", "n1c", "n0c"):
+            assert np.array_equal(getattr(back.design, name), getattr(release.design, name)), name
         assert (back.kind, back.gamma, back.sigma, back.lam) == (
             release.kind, release.gamma, release.sigma, release.lam
         )

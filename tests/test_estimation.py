@@ -113,7 +113,7 @@ class TestTauNoDp:
     def test_constant_arms(self):
         pop = make_population((0.0, 1.0), {"a": [(0, 1), (0, 1)]})
         for z in ([1, 0], [0, 1]):
-            design = Design.from_assignment(pop, np.array(z))
+            design = Design.from_assignment(pop.cluster, np.array(z), pop.n_clusters)
             assert tau_no_dp(pop, design) == 1.0
 
     def test_equal_arms_zero(self):
@@ -128,7 +128,7 @@ class TestTauNoDp:
         for treated in itertools.combinations(range(4), 2):
             z = np.zeros(4, dtype=np.int8)
             z[list(treated)] = 1
-            taus.append(tau_no_dp(pop, Design.from_assignment(pop, z)))
+            taus.append(tau_no_dp(pop, Design.from_assignment(pop.cluster, z, pop.n_clusters)))
         assert np.mean(taus) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_cluster_sign_flips_with_assignment(self):
@@ -136,7 +136,8 @@ class TestTauNoDp:
         pop = make_population((0.0, 1.0), {"a": [(0, 0), (1, 1)]})
         out = set()
         for z in ([1, 0], [0, 1]):
-            out.add(tau_no_dp(pop, Design.from_assignment(pop, np.array(z))))
+            design = Design.from_assignment(pop.cluster, np.array(z), pop.n_clusters)
+            out.add(tau_no_dp(pop, design))
         assert out == {-1.0, 1.0}
 
 
@@ -148,31 +149,31 @@ class TestTauQ:
 
     def test_lambda_zero_equals_no_dp_exactly(self, small_pop, streams):
         design = draw_design(small_pop, 0.5, streams.generator("z"))
-        _, release = cluster_dp(small_pop, design, self.params(lam=0.0), streams.child("m"))
-        assert tau_q(release, design, small_pop.space) == tau_no_dp(small_pop, design)
+        release = cluster_dp(small_pop, design, self.params(lam=0.0), streams.child("m"))
+        assert tau_q(release) == tau_no_dp(small_pop, design)
 
     def test_release_only_interface(self, small_pop, streams):
         design = draw_design(small_pop, 0.5, streams.generator("z"))
-        _, release = cluster_dp(small_pop, design, self.params(), streams.child("m"))
+        release = cluster_dp(small_pop, design, self.params(), streams.child("m"))
         del small_pop  # estimation below uses only released data
-        value = tau_q(release, design, release.space)
+        value = tau_q(release)
         assert math.isfinite(value)
 
     def test_missing_debias_row_rejected(self, small_pop, streams):
         design = draw_design(small_pop, 0.5, streams.generator("z"))
-        _, release = cluster_dp(small_pop, design, self.params(lam=1.0), streams.child("m"))
+        release = cluster_dp(small_pop, design, self.params(lam=1.0), streams.child("m"))
         with pytest.raises(ValidationError, match="debias"):
-            tau_q(release, design, small_pop.space)
+            tau_q(release)
 
     def test_released_rows_equal_in_memory_inverse(self, small_pop, streams):
         design = draw_design(small_pop, 0.5, streams.generator("z"))
-        prior, release = cluster_dp(small_pop, design, self.params(), streams.child("m"))
+        release = cluster_dp(small_pop, design, self.params(), streams.child("m"))
         vals = small_pop.space.array
-        per_unit_released = release.debias[release.cluster, release.z, release.y_tilde]
+        per_unit_released = release.debias[release.cluster, release.design.z, release.y_tilde]
         rebuilt = np.array(
             [
-                float(vals @ q_inverse(prior.q[c, a], release.lam)[:, y])
-                for c, a, y in zip(release.cluster, release.z, release.y_tilde)
+                float(vals @ q_inverse(release.q_tilde[c, a], release.lam)[:, y])
+                for c, a, y in zip(release.cluster, release.design.z, release.y_tilde)
             ]
         )
         assert np.max(np.abs(per_unit_released - rebuilt)) < 1e-10
@@ -204,7 +205,7 @@ class TestTauQ:
         for idx, treated in enumerate(itertools.combinations(range(4), 2)):
             z = np.zeros(4, dtype=np.int8)
             z[list(treated)] = 1
-            design = Design.from_assignment(pop, z)
+            design = Design.from_assignment(pop.cluster, z, pop.n_clusters)
             taus = cluster_taus_fixed_design(
                 pop, design, self.params(lam=0.5, gamma=0.1, sigma=1.0),
                 streams.child("enum", idx), reps,
@@ -214,10 +215,10 @@ class TestTauQ:
 
     def test_per_cluster_contributions_sum(self, small_pop, streams):
         design = draw_design(small_pop, 0.5, streams.generator("z"))
-        _, release = cluster_dp(small_pop, design, self.params(), streams.child("m"))
-        per_unit = release.debias[release.cluster, release.z, release.y_tilde]
+        release = cluster_dp(small_pop, design, self.params(), streams.child("m"))
+        per_unit = release.debias[release.cluster, release.design.z, release.y_tilde]
         contrib = per_cluster_contributions(per_unit, release.cluster, design)
-        assert contrib.sum() == pytest.approx(tau_q(release, design, small_pop.space), abs=1e-12)
+        assert contrib.sum() == pytest.approx(tau_q(release), abs=1e-12)
 
 
 class TestClusterSums:
@@ -249,7 +250,7 @@ class TestTauUniform:
     def test_lambda_zero_matches_no_dp(self, small_pop, streams):
         design = draw_design(small_pop, 0.5, streams.generator("z"))
         release = uniform_release(small_pop, design, 0.0, streams.child("u"))
-        assert tau_q(release, design, small_pop.space) == pytest.approx(
+        assert tau_q(release) == pytest.approx(
             tau_no_dp(small_pop, design), abs=1e-12
         )
 
@@ -263,11 +264,7 @@ class TestTauUniform:
         target = tau_no_dp(pop, design)
         taus = np.array(
             [
-                tau_q(
-                    uniform_release(pop, design, 0.5, streams.child("rep", r)),
-                    design,
-                    pop.space,
-                )
+                tau_q(uniform_release(pop, design, 0.5, streams.child("rep", r)))
                 for r in range(300)
             ]
         )
@@ -279,7 +276,7 @@ class TestTauUniform:
         design = draw_design(small_pop, 0.5, streams.generator("z"))
         release = uniform_release(small_pop, design, 1.0, streams.child("u"))
         with pytest.raises(ValidationError):
-            tau_q(release, design, small_pop.space)
+            tau_q(release)
 
 
 class TestKernelOpConsistency:
@@ -296,5 +293,5 @@ class TestKernelOpConsistency:
         for r in range(5):
             node = streams.child("rep", r)
             design = draw_design(small_pop, n1c, node.generator("assignment"))
-            _, release = cluster_dp(small_pop, design, params, node)
-            assert tau_q(release, design, small_pop.space) == taus[r]
+            release = cluster_dp(small_pop, design, params, node)
+            assert tau_q(release) == taus[r]

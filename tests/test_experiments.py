@@ -181,6 +181,26 @@ class TestHomogeneitySweep:
         with pytest.raises(ValidationError, match="gmm"):
             run_homogeneity_sweep(cfg, 0)
 
+    def test_spearman_blank_where_undefined(self):
+        # lambda = 0: both kinds estimate with the same draws, so every ratio is 1
+        cfg = ExperimentConfig.from_dict({
+            "population": {**TINY_GMM, "cluster_sizes": [6, 8]}, "beta_grid": [0.0, 2.0],
+            "lambda_grid": [0.0], "replications": 3,
+        })
+        rows = run_homogeneity_sweep(cfg, 0)[0]["results"]
+        assert [r["ratio"] for r in rows] == [1.0, 1.0]
+        assert [r["spearman_beta_ratio"] for r in rows] == ["", ""]
+
+    @pytest.mark.parametrize("runner", [run_homogeneity_sweep, run_bound_validation])
+    @pytest.mark.parametrize("beta", [math.nan, {}], ids=["nan", "object"])
+    def test_population_checked_although_beta_is_overridden(self, runner, beta):
+        # the manifest echoes population.beta, which the beta grid overrides
+        cfg = ExperimentConfig.from_dict(
+            {"population": {**TINY_GMM, "beta": beta}, "beta_grid": [], "replications": 3}
+        )
+        with pytest.raises(ValidationError, match="population.beta"):
+            runner(cfg, 0)
+
 
 class TestBoundValidation:
     def test_no_resampling_gap_and_bound_vanish(self):

@@ -48,19 +48,22 @@ class TestEmpiricalHistogram:
         pop = make_population((0.0, 1.0), {"a": [(0, 0), (0, 1), (1, 1), (1, 0)]})
         design = fixed_design(pop, [1])
         # control units are the last three: observed y0 = [0, 1, 1]
-        hist = arm_histograms(pop, design)
-        assert hist.p_hat[0, 0].tolist() == [1 / 3, 2 / 3]
-        assert hist.counts[0, 0].tolist() == [1, 2]
+        counts = arm_histograms(pop, design)
+        p_hat = counts / design.arm_counts()[..., None]
+        assert p_hat[0, 0].tolist() == [1 / 3, 2 / 3]
+        assert counts[0, 0].tolist() == [1, 2]
 
     def test_degenerate_histogram(self):
         pop = make_population((0.0, 1.0), {"a": [(1, 1)] * 4})
-        hist = arm_histograms(pop, fixed_design(pop, [2]))
-        assert hist.p_hat[0, 0].tolist() == [0.0, 1.0]
+        design = fixed_design(pop, [2])
+        p_hat = arm_histograms(pop, design) / design.arm_counts()[..., None]
+        assert p_hat[0, 0].tolist() == [0.0, 1.0]
 
     def test_quarter_three_quarter(self):
         pop = make_population((0.0, 1.0), {"a": [(0, 0), (1, 0), (1, 0), (1, 0), (0, 1)]})
-        hist = arm_histograms(pop, fixed_design(pop, [1]))
-        assert hist.p_hat[0, 0].tolist() == [0.25, 0.75]
+        design = fixed_design(pop, [1])
+        p_hat = arm_histograms(pop, design) / design.arm_counts()[..., None]
+        assert p_hat[0, 0].tolist() == [0.25, 0.75]
 
 
 class TestPerturbClip:
@@ -125,7 +128,7 @@ class TestClusterDp:
 
     def test_lambda_zero_release_is_bitwise_truth(self, small_pop, streams):
         design = draw_design(small_pop, 0.5, streams.generator("z"))
-        _, release = cluster_dp(small_pop, design, self.params(lam=0.0), streams.child("m"))
+        release = cluster_dp(small_pop, design, self.params(lam=0.0), streams.child("m"))
         assert np.array_equal(release.y_tilde, small_pop.observed(design))
 
     def test_full_resample_uniform_frequencies(self, streams):
@@ -134,7 +137,7 @@ class TestClusterDp:
         pop = uniform_pop(k, n)
         design = fixed_design(pop, [n // 2])
         params = self.params(gamma=1.0 / k, sigma=0.0, lam=1.0)
-        _, release = cluster_dp(pop, design, params, streams.child("u"))
+        release = cluster_dp(pop, design, params, streams.child("u"))
         freqs = np.bincount(release.y_tilde, minlength=k) / n
         bound = 3 * math.sqrt((1 / k) * (1 - 1 / k) / n)
         assert np.all(np.abs(freqs - 1.0 / k) < bound)
@@ -157,7 +160,7 @@ class TestClusterDp:
         pop = make_population(values, {"a": pairs})
         design = fixed_design(pop, [n // 2])
         params = self.params(gamma=1.0 / k, sigma=math.inf, lam=lam)
-        _, release = cluster_dp(pop, design, params, streams.child("chi"))
+        release = cluster_dp(pop, design, params, streams.child("chi"))
         observed = np.bincount(release.y_tilde, minlength=k).astype(float)
         y_obs = pop.observed(design)
         expected = lam * n / k + (1 - lam) * np.bincount(y_obs, minlength=k)
@@ -193,9 +196,9 @@ class TestClusterDp:
         pop = random_population(rng, n_clusters=3)
         design = draw_design(pop, 0.5, streams.generator("z"))
         params = self.params(kind=MechanismKind.CLUSTER_FREE_DP)
-        prior, release = cluster_dp(pop, design, params, streams.child("cf"))
+        release = cluster_dp(pop, design, params, streams.child("cf"))
         # pooled fit: identical prior and debias rows for every cluster
-        assert np.all(prior.q == prior.q[0])
+        assert np.all(release.q_tilde == release.q_tilde[0])
         assert np.all(release.debias == release.debias[0])
         assert np.array_equal(release.cluster, pop.cluster)
 
@@ -386,16 +389,16 @@ class TestReleaseSerialization:
     def test_roundtrip_and_byte_stability(self, small_pop, streams, tmp_path):
         design = draw_design(small_pop, 0.5, streams.generator("z"))
         params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.05, sigma=3.0, lam=0.7)
-        _, release = cluster_dp(small_pop, design, params, streams.child("ser"))
+        release = cluster_dp(small_pop, design, params, streams.child("ser"))
         csv1, side1 = tmp_path / "r.csv", tmp_path / "r.json"
         write_release(release, csv1, side1)
         back = read_release(csv1, side1)
         assert np.array_equal(back.y_tilde, release.y_tilde)
-        assert np.array_equal(back.z, release.z)
+        assert np.array_equal(back.design.z, release.design.z)
         assert np.allclose(back.debias, release.debias)
         assert back.lam == release.lam and math.isinf(back.sigma) is math.isinf(release.sigma)
         # identical seed -> identical bytes
-        _, release2 = cluster_dp(small_pop, design, params, streams.child("ser"))
+        release2 = cluster_dp(small_pop, design, params, streams.child("ser"))
         csv2, side2 = tmp_path / "r2.csv", tmp_path / "r2.json"
         write_release(release2, csv2, side2)
         assert csv1.read_bytes() == csv2.read_bytes()
@@ -404,7 +407,7 @@ class TestReleaseSerialization:
     def test_debias_row_reproduces_outcomes_through_q(self, small_pop, streams):
         design = draw_design(small_pop, 0.5, streams.generator("z"))
         params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.05, sigma=3.0, lam=0.7)
-        _, release = cluster_dp(small_pop, design, params, streams.child("dbg"))
+        release = cluster_dp(small_pop, design, params, streams.child("dbg"))
         vals = small_pop.space.array
         for c in range(small_pop.n_clusters):
             for a in (0, 1):

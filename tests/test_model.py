@@ -161,7 +161,7 @@ class TestDrawDesign:
     def test_from_assignment_checks_counts(self, small_pop):
         z = np.zeros(small_pop.n, dtype=np.int8)
         with pytest.raises(ValidationError):
-            Design.from_assignment(small_pop, z)
+            Design.from_assignment(small_pop.cluster, z, small_pop.n_clusters)
 
 
 class TestMechanismParams:

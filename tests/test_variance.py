@@ -19,7 +19,6 @@ from clusterdp.variance import (
     cluster_dp_variance_bound,
     homogeneity,
     ht_variance,
-    ht_variance_unstratified,
     uniform_prior_variance,
 )
 
@@ -27,6 +26,7 @@ from conftest import make_population, random_population
 from oracles import (
     homogeneity_loop,
     ht_variance_loop,
+    ht_variance_unstratified,
     ht_variance_unstratified_loop,
     sample_variance,
     uniform_prior_variance_loop,
