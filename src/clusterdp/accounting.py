@@ -77,6 +77,14 @@ def prior_budget(gamma: float, sigma: float, k: int | None = None) -> float:
     return min(laplace_term, clip_term)
 
 
+def _excess(scale: float, eps: float) -> float:
+    """scale * (e^eps - 1); 0 at scale 0 even for eps = inf, inf past the float range."""
+    try:
+        return scale * math.expm1(eps) if scale else 0.0
+    except OverflowError:
+        return math.inf
+
+
 def cluster_dp_eps_delta(
     params: MechanismParams, eps_tilde: float, k: int | None = None
 ) -> PrivacyReport:
@@ -84,7 +92,7 @@ def cluster_dp_eps_delta(
     if not eps_tilde > 0:
         raise ValidationError("eps_tilde must be > 0")
     prior = prior_budget(params.gamma, params.sigma, k)
-    delta = max(0.0, 1.0 - params.lam - params.lam * params.gamma * math.expm1(eps_tilde))
+    delta = max(0.0, 1.0 - params.lam - _excess(params.lam * params.gamma, eps_tilde))
     return PrivacyReport(
         epsilon=prior + eps_tilde,
         delta=delta,
@@ -125,4 +133,4 @@ def calibrate_lambda(
             f"budget exhausted by prior estimation: target_eps={target_eps} "
             f"<= prior budget {prior}"
         )
-    return (1.0 - target_delta) / (1.0 + gamma * math.expm1(eps_tilde))
+    return (1.0 - target_delta) / (1.0 + _excess(gamma, eps_tilde))

@@ -37,6 +37,13 @@ def _float_arg(text: str) -> float:
     return value
 
 
+def _seed_arg(text: str) -> int:
+    """Decimal digits only: SeedSequence rejects a negative master seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -191,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     gmm.add_argument("--kprime", type=int, default=5)
     gmm.add_argument("--tau", type=int, default=1)
     gmm.add_argument("--sizes", type=int, nargs="+", default=[500, 1000, 2000])
-    gmm.add_argument("--seed", type=int, default=0)
+    gmm.add_argument("--seed", type=_seed_arg, default=0)
     gmm.add_argument("--out", required=True)
     gmm.set_defaults(func=_cmd_generate)
     graph = gen_sub.add_parser("graph")
@@ -202,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph.add_argument("--v", type=_float_arg, default=0.1)
     graph.add_argument("--k", type=int, default=8)
     graph.add_argument("--tau", type=_float_arg, default=1.0)
-    graph.add_argument("--seed", type=int, default=0)
+    graph.add_argument("--seed", type=_seed_arg, default=0)
     graph.add_argument("--out", required=True)
     graph.set_defaults(func=_cmd_generate)
 
@@ -215,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     priv.add_argument("--sigma", type=_float_arg, default=10.0)
     priv.add_argument("--lam", "--lambda", dest="lam", type=_float_arg, default=0.8)
     priv.add_argument("--treated-fraction", type=_float_arg, default=0.5)
-    priv.add_argument("--seed", type=int, default=0)
+    priv.add_argument("--seed", type=_seed_arg, default=0)
     priv.add_argument("--out", required=True)
     priv.add_argument("--sidecar", required=True)
     priv.set_defaults(func=_cmd_privatize)
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a named experiment")
     exp.add_argument("name", choices=sorted(experiments.EXPERIMENTS))
     exp.add_argument("--config", help="JSON config file (defaults used if omitted)")
-    exp.add_argument("--seed", type=int, default=0)
+    exp.add_argument("--seed", type=_seed_arg, default=0)
     exp.add_argument("--out", required=True)
     exp.add_argument(
         "--workers", type=int,

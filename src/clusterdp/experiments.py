@@ -32,10 +32,10 @@ from scipy import stats as scipy_stats
 from scipy.special import log_ndtr
 
 from . import accounting
-from .estimation import debias_rows, tau_no_dp, tau_q
+from .estimation import debias_rows, per_cluster_contributions, tau_no_dp, tau_q
 from .mechanisms import (
-    arm_histograms, cluster_dp, histogram_noise_term, ht_noise_term, perturb_clip, renormalize,
-    resample_draws, resample_from_uniforms,
+    cluster_dp, fit_priors, histogram_noise_term, ht_noise_term, resample_draws,
+    resample_from_uniforms,
 )
 from .model import (
     Design,
@@ -293,23 +293,6 @@ def cluster_mechanism_taus(
         return tau_q(cluster_dp(pop, design, params, node))
 
     return np.array([one(r) for r in range(reps)])
-
-
-def _debiased_units(pop, design, params, std, u_keep, u_cat) -> np.ndarray:
-    """Per-unit debiased values of the cluster mechanism from supplied draws.
-
-    ``std`` (standard Laplace, per (cluster, arm, outcome)), ``u_keep`` and
-    ``u_cat`` carry a leading replication axis.
-    """
-    n_ac = design.arm_counts()
-    p_hat = arm_histograms(pop, design) / n_ac[..., None]
-    scale = 0.0 if math.isinf(params.sigma) else params.sigma / n_ac[..., None]
-    q = perturb_clip(p_hat, params.gamma, params.sigma, n_ac, noise=std * scale)
-    qt = renormalize(q, params.gamma)
-    cl = pop.cluster
-    y_t = resample_from_uniforms(pop.observed(design), cl, design.z, qt, params.lam, u_keep, u_cat)
-    rows = debias_rows(pop.space.array, qt, params.lam)
-    return rows[np.arange(len(qt))[:, None], cl, design.z, y_t]
 
 
 def _batched_assignments(pop, n1c, g, m) -> np.ndarray:
@@ -599,9 +582,10 @@ def run_bound_validation(cfg: ExperimentConfig, seed: int):
 def run_baseline_bias(cfg: ExperimentConfig, seed: int):
     """Conditional bias of unit-level vs aggregate mechanisms under one-shot noise.
 
-    Mechanism noise (and the per-unit resampling draws) is frozen per outer
-    realization; subpopulations and assignments are redrawn, and the bias of
-    each estimator is taken over those redraws.
+    Mechanism noise is frozen per outer realization j: every prior fit draws
+    from a fresh generator on the node ("noise", ei, j, "prior"), and the
+    resampling uniforms are drawn once per superpopulation unit. Subpopulations
+    and assignments are redrawn; each bias is taken over those redraws.
     """
     streams = RngStreams(seed)
     superpop = build_population(cfg, streams)
@@ -617,7 +601,6 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
             "unit-level bias advantage needs n >> K and n >> C",
             stacklevel=2,
         )
-    unit_index = {uid: i for i, uid in enumerate(superpop.unit_ids)}
     mech = cfg.mechanism
     base = {"seed": seed, "config_hash": cfg.config_hash}
     rows = []
@@ -637,7 +620,6 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
         se_within = {name: [] for name in biases}
         for j in range(cfg.noise_draws):
             noise = streams.child("noise", ei, j)
-            std_prior = laplace_noise(noise.generator("prior"), 1.0, (c, 2, k))
             u_keep = noise.generator("resample").random(superpop.n)
             u_cat = open_uniform(noise.generator("resample_cat"), superpop.n)
             std_nht = laplace_noise(noise.generator("nht"), 1.0, c)
@@ -645,17 +627,17 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
             devs = {name: np.empty(cfg.subpop_draws) for name in biases}
             for s in range(cfg.subpop_draws):
                 node = streams.child("subpop", ei, j, s)
-                sub = subsample(superpop, counts, node.generator("sample"))
+                sub, kept = subsample(superpop, counts, node.generator("sample"))
                 design = draw_design(sub, cfg.treated_fraction, node.generator("assignment"))
-                sub_idx = np.array([unit_index[uid] for uid in sub.unit_ids])
                 truth = sub.ate
                 base_tau = tau_no_dp(sub, design)
-                per_unit = _debiased_units(  # frozen noise and per-unit draws
-                    sub, design, params, std_prior[None], u_keep[None, sub_idx],
-                    u_cat[None, sub_idx],
-                )[0]
-                w = _batched_weights(design.z, sub, design.n1c, design.n0c, True)
-                devs["cluster_dp"][s] = float(per_unit @ w) - truth
+                q = fit_priors(sub, design, params, noise.generator("prior")).q
+                y_t = resample_from_uniforms(
+                    sub.observed(design), sub.cluster, design.z, q, lam, u_keep[kept], u_cat[kept]
+                )
+                per_unit = debias_rows(sub.space.array, q, lam)[sub.cluster, design.z, y_t]
+                tau = per_cluster_contributions(per_unit, sub.cluster, design).sum()
+                devs["cluster_dp"][s] = float(tau) - truth
                 nht_term, _ = ht_noise_term(sub, design, eps, std_nht)
                 devs["noisy_ht"][s] = base_tau + nht_term - truth
                 devs["noisy_histogram"][s] = (

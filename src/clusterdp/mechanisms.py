@@ -59,29 +59,8 @@ def arm_histograms(pop: PopulationDataset, design: Design) -> np.ndarray:
     return np.bincount(cell, minlength=c * 2 * k).reshape(c, 2, k)
 
 
-def perturb_clip(
-    p_hat: np.ndarray,
-    gamma: float,
-    sigma: float,
-    n_ac,
-    rng: np.random.Generator | None = None,
-    noise: np.ndarray | None = None,
-) -> np.ndarray:
-    """Entrywise Laplace(sigma / n_ac) perturbation followed by clipping to [gamma, 1].
-
-    ``sigma = inf`` is the sentinel for "skip the noise step" (the empirical
-    frequencies are clipped directly); ``noise`` injects a fixed noise array
-    for tests and for shared-noise stability checks.
-    """
-    p_hat = np.asarray(p_hat, dtype=float)
-    if noise is None:
-        if math.isinf(sigma):
-            noise = 0.0
-        else:
-            scale = sigma / np.asarray(n_ac, dtype=float)
-            if p_hat.ndim > 1:
-                scale = scale[..., None]
-            noise = laplace_noise(rng, 1.0, p_hat.shape) * scale
+def perturb_clip(p_hat: np.ndarray, gamma: float, noise) -> np.ndarray:
+    """Entrywise perturbation by ``noise`` followed by clipping to [gamma, 1]."""
     return np.clip(p_hat + noise, gamma, 1.0)
 
 
@@ -115,7 +94,9 @@ def fit_priors(
 ) -> ProjectedPrior:
     """Noise/clip/renormalize per (cluster, arm); pooled first for the cluster-free kind.
 
-    The uniform-prior kind draws nothing: its prior is exactly 1/K everywhere.
+    The prior noise is drawn here only: one standard Laplace array of the histogram's
+    shape from ``rng``, scaled by sigma / n_ac. Nothing is drawn at sigma = inf or for
+    the uniform-prior kind, whose prior is exactly 1/K everywhere.
     """
     k = pop.space.k
     params.check_gamma(k)
@@ -126,8 +107,10 @@ def fit_priors(
         counts = counts.sum(axis=0, keepdims=True)
         n_ac = n_ac.sum(axis=0, keepdims=True)
     p_hat = counts / n_ac[..., None]
-    q = perturb_clip(p_hat, params.gamma, params.sigma, n_ac, rng)
-    q_tilde = renormalize(q, params.gamma)
+    noise = 0.0
+    if not math.isinf(params.sigma):
+        noise = laplace_noise(rng, 1.0, p_hat.shape) * (params.sigma / n_ac)[..., None]
+    q_tilde = renormalize(perturb_clip(p_hat, params.gamma, noise), params.gamma)
     if params.kind is MechanismKind.CLUSTER_FREE_DP:
         q_tilde = np.broadcast_to(q_tilde, (pop.n_clusters, 2, k)).copy()
     return ProjectedPrior(q=q_tilde, gamma=params.gamma)
@@ -205,10 +188,7 @@ def cluster_dp(
         y_tilde=y_tilde,
         debias=rows,
         q_tilde=q_tilde,
-        kind=params.kind,
-        gamma=params.gamma,
-        sigma=params.sigma,
-        lam=params.lam,
+        params=params,
     )
 
 
@@ -285,12 +265,13 @@ def write_release(release: PrivatizedRelease, csv_path, sidecar_path) -> None:
         writer.writerow(RELEASE_HEADER)
         columns = (labels[release.cluster], release.design.z, text[release.y_tilde])
         writer.writerows(zip(release.unit_ids, *(c.tolist() for c in columns)))
+    params = release.params
     sidecar = {
-        "kind": release.kind.value,
+        "kind": params.kind.value,
         "params": {
-            "gamma": release.gamma,
-            "sigma": "inf" if math.isinf(release.sigma) else release.sigma,
-            "lambda": release.lam,
+            "gamma": params.gamma,
+            "sigma": "inf" if math.isinf(params.sigma) else params.sigma,
+            "lambda": params.lam,
         },
         "space": [float(v) for v in release.space.values],
         "cluster_labels": [str(c) for c in release.cluster_labels],
@@ -339,11 +320,14 @@ def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
         kind = MechanismKind(sidecar["kind"])
     except ValueError:
         raise ValidationError(f"unknown mechanism kind {sidecar['kind']!r}") from None
-    params = sidecar["params"]
-    lam = finite_number("sidecar params.lambda", params["lambda"])
+    raw = sidecar["params"]
+    lam = finite_number("sidecar params.lambda", raw["lambda"])
     if not 0.0 <= lam < 1.0:
         raise ValidationError(f"release lambda {lam!r} outside [0, 1)")
-    gamma = finite_number("sidecar params.gamma", params["gamma"])
+    gamma = finite_number("sidecar params.gamma", raw["gamma"])
+    sigma = raw["sigma"]
+    sigma = math.inf if sigma == "inf" else finite_number("sidecar params.sigma", sigma)
+    params = MechanismParams(kind=kind, gamma=gamma, sigma=sigma, lam=lam)  # its range checks
     q_tilde = _sidecar_table(sidecar, "q_tilde", shape)
     on_simplex = np.all(np.abs(q_tilde.sum(axis=-1) - 1.0) <= 1e-12)
     if not (on_simplex and np.all(q_tilde >= gamma - 1e-12)):
@@ -362,7 +346,6 @@ def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
         fault = ("z must be 0 or 1" if z[i] < 0 else "cluster not in the sidecar"
                  if cluster[i] < 0 else "y_tilde outside the space")
         raise ValidationError(f"release line {i + 2}: {fault}")
-    sigma = params["sigma"]
     return PrivatizedRelease(
         space=space,
         unit_ids=tuple(unit_ids),
@@ -372,8 +355,5 @@ def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
         y_tilde=y_tilde,
         debias=debias,
         q_tilde=q_tilde,
-        kind=kind,
-        gamma=gamma,
-        sigma=math.inf if sigma == "inf" else finite_number("sidecar params.sigma", sigma),
-        lam=lam,
+        params=params,
     )

@@ -245,6 +245,8 @@ def resolve_treated_counts(pop: PopulationDataset, treated) -> np.ndarray:
     """Turn a scalar treated fraction or per-cluster counts into validated counts."""
     sizes = pop.cluster_sizes
     if np.isscalar(treated):
+        if not 0.0 < float(treated) < 1.0:  # also keeps the integer cast in range
+            raise ValidationError(f"treated fraction must lie in (0, 1), got {treated!r}")
         n1c = np.round(sizes * float(treated)).astype(np.int64)
     else:
         n1c = np.asarray(treated, dtype=np.int64)
@@ -329,7 +331,7 @@ class ProjectedPrior:
 class PrivatizedRelease:
     """Everything the central unit ships: per-unit privatized outcomes and the
     design they were assigned under, plus the per-(cluster, arm) debiasing rows
-    y^T Q^{-1} and a parameter echo.
+    y^T Q^{-1} and the mechanism parameters that produced them.
 
     Third parties can estimate treatment effects from this object alone; no
     true outcomes are present.
@@ -343,10 +345,7 @@ class PrivatizedRelease:
     y_tilde: np.ndarray
     debias: np.ndarray
     q_tilde: np.ndarray
-    kind: MechanismKind
-    gamma: float
-    sigma: float
-    lam: float
+    params: MechanismParams
 
     def __post_init__(self):
         object.__setattr__(self, "cluster", _frozen_array(self.cluster, np.int64))

@@ -49,8 +49,8 @@ class GmmConfig:
     cluster_sizes: tuple[int, ...] = (500, 1000, 2000)
 
     def __post_init__(self):
-        if not 0.0 <= self.beta <= self.v:
-            raise ValidationError("need 0 <= beta <= v")
+        if not 0.0 <= self.beta <= self.v < math.inf:
+            raise ValidationError("need 0 <= beta <= v < inf")
         if self.k_prime < 1:
             raise ValidationError("k_prime must be >= 1")
         if self.tau not in (0, 1):
@@ -138,6 +138,8 @@ class GraphPopConfig:
             raise ValidationError("community sizes must be >= 2")
         if len(self.beta) != 4:
             raise ValidationError("beta must have 4 coefficients")
+        if not all(map(math.isfinite, (*self.beta, self.v, self.tau))):
+            raise ValidationError("beta, v and tau must be finite")
         if not (0.0 <= self.p_in <= 1.0 and 0.0 <= self.p_out <= 1.0):
             raise ValidationError("edge probabilities must lie in [0, 1]")
         if self.k < 2:
@@ -295,8 +297,8 @@ def write_population_csv(pop: PopulationDataset, path) -> None:
 
 def subsample(
     pop: PopulationDataset, counts, rng: np.random.Generator
-) -> PopulationDataset:
-    """Uniform without-replacement per-cluster subsample, deterministic per seed."""
+) -> tuple[PopulationDataset, np.ndarray]:
+    """Uniform per-cluster subsample without replacement, and the index in ``pop`` of its units."""
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (pop.n_clusters,):
         raise ValidationError("need one count per cluster")
@@ -316,4 +318,4 @@ def subsample(
         y0=pop.y0[keep],
         y1=pop.y1[keep],
         cluster_labels=pop.cluster_labels,
-    )
+    ), keep

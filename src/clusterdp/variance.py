@@ -224,13 +224,10 @@ def baseline_gaps(
         return 0.0, 0.0
     weights = pop.cluster_sizes / pop.n
     delta_c = pop.space.max_abs / np.minimum(design.n0c, design.n1c)
-    nht = 2.0 * float(np.sum((weights * delta_c / epsilon) ** 2))
-    nh = (
-        2.0
-        / epsilon**2
-        * pop.space.l2_sq
-        * float(
-            np.sum(weights**2 * (1.0 / design.n0c.astype(float) ** 2 + 1.0 / design.n1c.astype(float) ** 2))
-        )
-    )
+    inv_sq = 1.0 / design.n0c.astype(float) ** 2 + 1.0 / design.n1c.astype(float) ** 2
+    # 1/eps^2 as two float divisions: inf, not an exception, past the float range
+    nht = 2.0 * float(np.sum((weights * delta_c) ** 2)) / epsilon / epsilon
+    nh = 2.0 * pop.space.l2_sq * float(np.sum(weights**2 * inv_sq)) / epsilon / epsilon
+    if not (math.isfinite(nht) and math.isfinite(nh)):
+        raise ValidationError(f"epsilon={epsilon!r} is so small that the baseline gaps overflow")
     return nht, nh

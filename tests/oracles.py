@@ -1,7 +1,8 @@
 """Reference implementations that tests compare the library against.
 
 The dense randomization matrix and its inverse check the closed-form
-debiasing rows; the batched fixed-design kernel gives the many Monte Carlo
+debiasing rows; the batched fixed-design kernel (the prior fit, resampling and
+debiasing on arrays with a leading replication axis) gives the many Monte Carlo
 replications that the conditional-unbiasedness tests need; the per-cluster
 loops over ``sample_variance`` check the vectorized closed-form variances;
 the uniform-prior closed form checks the accountant at gamma = 1/K; the
@@ -18,8 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from clusterdp.experiments import _batched_weights, _debiased_units
-from clusterdp.mechanisms import resample_draws
+from clusterdp.estimation import debias_rows
+from clusterdp.experiments import _batched_weights
+from clusterdp.mechanisms import (
+    arm_histograms, perturb_clip, renormalize, resample_draws, resample_from_uniforms,
+)
 from clusterdp.model import (
     MIN_CLUSTER_SIZE,
     MechanismKind,
@@ -84,6 +88,20 @@ def uniform_prior_eps(k: int, lam: float) -> float:
     return math.log1p((1.0 - lam) * k / lam)
 
 
+def _debiased_units(pop, design, params, noise, u_keep, u_cat) -> np.ndarray:
+    """Per-unit debiased values of the cluster mechanism from supplied draws.
+
+    ``noise`` (the prior noise per (cluster, arm, outcome)), ``u_keep`` and
+    ``u_cat`` carry a leading replication axis.
+    """
+    p_hat = arm_histograms(pop, design) / design.arm_counts()[..., None]
+    qt = renormalize(perturb_clip(p_hat, params.gamma, noise), params.gamma)
+    cl = pop.cluster
+    y_t = resample_from_uniforms(pop.observed(design), cl, design.z, qt, params.lam, u_keep, u_cat)
+    rows = debias_rows(pop.space.array, qt, params.lam)
+    return rows[np.arange(len(qt))[:, None], cl, design.z, y_t]
+
+
 def cluster_taus_fixed_design(pop, design, params, streams, reps: int) -> np.ndarray:
     """Batched replications of the cluster mechanism at a fixed assignment.
 
@@ -93,12 +111,14 @@ def cluster_taus_fixed_design(pop, design, params, streams, reps: int) -> np.nda
     assert params.kind is MechanismKind.CLUSTER_DP
     params.check_gamma(pop.space.k)
     w_unit = _batched_weights(design.z, pop, design.n1c, design.n0c, True)
+    scale = 0.0 if math.isinf(params.sigma) else params.sigma / design.arm_counts()[..., None]
     out = np.empty(reps)
     for ci, start in enumerate(range(0, reps, 5000)):
         m = min(5000, reps - start)
         g = streams.generator("batch", ci)
         std = laplace_noise(g, 1.0, (m, pop.n_clusters, 2, pop.space.k))
-        per_unit = _debiased_units(pop, design, params, std, *resample_draws(g, (m, pop.n)))
+        draws = resample_draws(g, (m, pop.n))
+        per_unit = _debiased_units(pop, design, params, std * scale, *draws)
         out[start : start + m] = per_unit @ w_unit
     return out
 

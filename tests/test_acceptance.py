@@ -243,11 +243,11 @@ def test_07_neighboring_prior_stability():
             scale = float(rng.choice([0.0, 0.05, 0.2, 0.5]))
             noise = laplace_noise(streams.generator("w", k, trial), scale, k)
             q1 = renormalize(
-                perturb_clip(np.bincount(labels, minlength=k) / n, gamma, 1.0, n, noise=noise),
+                perturb_clip(np.bincount(labels, minlength=k) / n, gamma, noise),
                 gamma,
             )
             q2 = renormalize(
-                perturb_clip(np.bincount(neighbor, minlength=k) / n, gamma, 1.0, n, noise=noise),
+                perturb_clip(np.bincount(neighbor, minlength=k) / n, gamma, noise),
                 gamma,
             )
             trials += 1

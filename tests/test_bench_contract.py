@@ -5,6 +5,8 @@ some of their arguments by name. A rename or a dropped parameter in ``src/``
 would otherwise only show up as a failed ``perfbench/run.py --trace 1`` run.
 ``perfbench/checks.py`` parses release files on its own; a writer change it
 rejects would otherwise only show up as failed benchmark operations. The
+experiment configs in ``perfbench/run.py``'s ``WORKLOADS`` must stay valid
+configs, or every Monte Carlo operation of the benchmark fails. The
 tracer also rebuilds replication 0 of ``cluster_mechanism_taus`` from the
 public calls; a kernel change that breaks that parity is caught here too.
 Both modules are loaded from their files and never modified.
@@ -20,7 +22,9 @@ import numpy as np
 import pytest
 
 from clusterdp.cli import main
-from clusterdp.experiments import cluster_mechanism_taus
+from clusterdp.experiments import (
+    EXPERIMENTS, ExperimentConfig, build_population, cluster_mechanism_taus,
+)
 from clusterdp.mechanisms import fit_priors
 from clusterdp.model import MechanismKind, MechanismParams, draw_design
 from clusterdp.rng import RngStreams
@@ -80,6 +84,18 @@ def test_fit_priors_result_has_q(small_pop, streams, kind):
     prior = fit_priors(small_pop, design, params, streams.generator("laplace"))
     assert isinstance(prior.q, np.ndarray)
     assert prior.q.shape == (small_pop.n_clusters, 2, k)
+
+
+def test_workload_configs_accepted():
+    run = _load("run")
+    configs = [(name, config) for workload in run.WORKLOADS.values()
+               for name, config in workload.get("experiments", {}).items()]
+    assert configs and all(name in EXPERIMENTS for name, _ in configs)
+    for name, config in configs:
+        assert ExperimentConfig.from_dict(config).workers == config["workers"], name
+    # the scalar batches' population, built as worker.py builds it
+    pop = build_population(ExperimentConfig.from_dict({}), RngStreams(1).child("scalar"))
+    assert pop.n == sum(ExperimentConfig.from_dict({}).population["cluster_sizes"])
 
 
 def test_checks_accept_the_cli_release(tmp_path, capsys):

@@ -37,6 +37,20 @@ class TestGenerate:
         assert code == 0
         assert json.loads(stdout)["clusters"] == 3
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            pytest.param(["gmm", "--v", "inf"], "v < inf", id="gmm_v_inf"),
+            pytest.param(["graph", "--communities", "6", "7", "--tau", "inf"], "finite",
+                         id="graph_tau_inf"),
+        ],
+    )
+    def test_infinite_parameter_exit_code(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "pop.csv"
+        code, stdout, err = run_cli(capsys, "generate", *argv, "--out", str(out))
+        assert code == 2
+        assert stdout == "" and named in err and not out.exists()
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -66,7 +80,7 @@ class TestPrivatizeEstimate:
         assert math.isfinite(payload["tau_hat"])
         assert sum(payload["per_cluster"].values()) == pytest.approx(payload["tau_hat"])
         release = read_release(release_csv, sidecar)
-        assert release.lam == 0.6
+        assert release.params.lam == 0.6
 
     def test_lambda_zero_recovers_no_dp_estimate(self, tmp_path, capsys):
         pop_csv = tmp_path / "pop.csv"
@@ -151,6 +165,21 @@ class TestAccountCalibrate:
         assert code == 2
         assert stdout == "" and err.startswith("error:") and named in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["calibrate", "--target-eps", "1e300"], id="calibrate_eps_past_exp_range"),
+            pytest.param(["calibrate", "--target-eps", "inf", "--gamma", "0"],
+                         id="calibrate_gamma_zero_eps_inf"),
+            pytest.param(["account", "--eps-tilde", "1e300"], id="account_eps_past_exp_range"),
+        ],
+    )
+    def test_extreme_budget_prints_numbers(self, capsys, argv):
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        payload = json.loads(stdout, parse_constant=pytest.fail)  # NaN and Infinity fail
+        assert payload.get("lambda", 0.0) in (0.0, 1.0) and payload.get("delta", 0.0) == 0.0
+
     def test_validation_exit_code(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "privatize", "--pop", str(tmp_path / "missing.csv"),
                                "--out", str(tmp_path / "o.csv"), "--sidecar", str(tmp_path / "o.json"))
@@ -174,11 +203,22 @@ class TestAnalyze:
         )
         assert payload["baseline_gaps"]["noisy_ht"] <= payload["baseline_gaps"]["noisy_histogram"]
 
+    def test_epsilon_past_float_square(self, tmp_path, capsys):
+        pop_csv = tmp_path / "pop.csv"
+        run_cli(capsys, "generate", "gmm", "--kprime", "2", "--sizes", "40", "60",
+                "--seed", "3", "--out", str(pop_csv))
+        code, stdout, _ = run_cli(capsys, "analyze", "--pop", str(pop_csv), "--epsilon", "1e300")
+        assert code == 0
+        assert json.loads(stdout)["baseline_gaps"] == {"noisy_ht": 0.0, "noisy_histogram": 0.0}
+
     @pytest.mark.parametrize(
         "flags, named",
         [
             pytest.param(["--gamma", "0.9"], "gamma", id="gamma_above_one_over_k"),
             pytest.param(["--lam", "1"], "lambda", id="lambda_one"),
+            pytest.param(["--treated-fraction", "1e300"], "treated fraction",
+                         id="treated_fraction_past_int_range"),
+            pytest.param(["--epsilon", "1e-300"], "epsilon", id="epsilon_gaps_overflow"),
         ],
     )
     def test_bound_parameters_exit_code(self, tmp_path, capsys, flags, named):
@@ -224,37 +264,56 @@ class TestExperimentCommand:
         assert stdout == "" and not outdir.exists()
 
     @pytest.mark.parametrize(
-        "config, key",
+        "name, config, key",
         [
-            pytest.param({"bogus": 1}, "bogus", id="unknown_key"),
-            pytest.param({"replications": "5"}, "replications", id="replications_string"),
-            pytest.param({"replications": True}, "replications", id="replications_bool"),
-            pytest.param({"replications": 5.7}, "replications", id="replications_fraction"),
-            pytest.param({"workers": "two"}, "workers", id="workers_string"),
-            pytest.param({"mechanism": {"gamma": "0.1"}}, "gamma", id="gamma_string"),
-            pytest.param({"gamma_grid": 0.1}, "gamma_grid", id="grid_scalar"),
-            pytest.param({"population": {"kind": "gmm", "bogus": 1}}, "bogus",
+            pytest.param("distribution", {"bogus": 1}, "bogus", id="unknown_key"),
+            pytest.param("distribution", {"replications": "5"}, "replications",
+                         id="replications_string"),
+            pytest.param("distribution", {"replications": True}, "replications",
+                         id="replications_bool"),
+            pytest.param("distribution", {"replications": 5.7}, "replications",
+                         id="replications_fraction"),
+            pytest.param("distribution", {"workers": "two"}, "workers", id="workers_string"),
+            pytest.param("distribution", {"mechanism": {"gamma": "0.1"}}, "gamma",
+                         id="gamma_string"),
+            pytest.param("distribution", {"gamma_grid": 0.1}, "gamma_grid", id="grid_scalar"),
+            pytest.param("distribution", {"population": {"kind": "gmm", "bogus": 1}}, "bogus",
                          id="unknown_population_key"),
             # draw counts too small for a variance: the tables would hold nan cells
-            pytest.param({"replications": 1}, "replications", id="replications_one"),
-            pytest.param({"replications": 2}, "replications", id="replications_two"),
-            pytest.param({"noise_draws": 0}, "noise_draws", id="noise_draws_zero"),
-            pytest.param({"subpop_draws": 1}, "subpop_draws", id="subpop_draws_one"),
+            pytest.param("distribution", {"replications": 1}, "replications",
+                         id="replications_one"),
+            pytest.param("distribution", {"replications": 2}, "replications",
+                         id="replications_two"),
+            pytest.param("distribution", {"noise_draws": 0}, "noise_draws",
+                         id="noise_draws_zero"),
+            pytest.param("distribution", {"subpop_draws": 1}, "subpop_draws",
+                         id="subpop_draws_one"),
             # open() takes a list as an error and a bool as file descriptor 0 or 1
-            pytest.param({"population": {"kind": "csv", "path": ["a"], "values": [0, 1]}},
+            pytest.param("distribution",
+                         {"population": {"kind": "csv", "path": ["a"], "values": [0, 1]}},
                          "population.path", id="csv_path_list"),
-            pytest.param({"population": {"kind": "csv", "path": True, "values": [0, 1]}},
+            pytest.param("distribution",
+                         {"population": {"kind": "csv", "path": True, "values": [0, 1]}},
                          "population.path", id="csv_path_bool"),
-            pytest.param({"population": {"kind": "gmm", "beta": 1.0, "v": 5.0, "k_prime": 2,
+            pytest.param("distribution",
+                         {"population": {"kind": "gmm", "beta": 1.0, "v": 5.0, "k_prime": 2,
                                          "cluster_sizes": []}}, "cluster_sizes", id="no_clusters"),
-            pytest.param({"mechanism": []}, "mechanism", id="mechanism_empty_list"),
+            pytest.param("distribution", {"mechanism": []}, "mechanism",
+                         id="mechanism_empty_list"),
+            # K = 6, so gamma = 0.5 exceeds 1/K; the prior fit must reject it
+            pytest.param("baseline_bias",
+                         {"population": {"kind": "gmm", "beta": 1.0, "v": 5.0, "k_prime": 2,
+                                         "cluster_sizes": [40, 60]},
+                          "mechanism": {"gamma": 0.5}, "subpop_sizes": [30, 40],
+                          "epsilon_grid": ["inf"], "noise_draws": 1, "subpop_draws": 2},
+                         "gamma", id="baseline_bias_gamma_above_one_over_k"),
         ],
     )
-    def test_bad_config_exit_code(self, tmp_path, capsys, config, key):
+    def test_bad_config_exit_code(self, tmp_path, capsys, name, config, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code, stdout, err = run_cli(
-            capsys, "experiment", "distribution", "--config", str(cfg),
+            capsys, "experiment", name, "--config", str(cfg),
             "--seed", "1", "--out", str(tmp_path / "o"),
         )
         assert code == 2
@@ -293,6 +352,10 @@ def _mutate_release(release_csv, sidecar, case):
         meta["params"]["gamma"] = "abc"
     elif case == "sigma_list":
         meta["params"]["sigma"] = [1]
+    elif case == "sigma_negative":
+        meta["params"]["sigma"] = -1
+    elif case == "gamma_negative":
+        meta["params"]["gamma"] = -0.5
     elif case == "space_entry_string":
         meta["space"][0] = "x"
     elif case == "q_tilde_off_simplex":
@@ -337,6 +400,7 @@ class TestMalformedInput:
                 ("lambda_above_one", "lambda"), ("unknown_kind", "kind"),
                 ("z_outside_arms", "line 2"), ("y_tilde_not_a_number", "line 2"),
                 ("gamma_string", "gamma"), ("sigma_list", "sigma"),
+                ("sigma_negative", "sigma"), ("gamma_negative", "gamma"),
                 ("space_entry_string", "space"), ("unknown_cluster", "line 2"),
                 ("short_row", "line 2"), ("long_row", "line 2: expected 4 fields"),
                 ("bad_header", "expected header 'unit_id,cluster,z,y_tilde'"),
@@ -420,3 +484,24 @@ class TestMalformedInput:
         out = capsys.readouterr()
         assert exc.value.code == 2
         assert out.out == "" and "'nan'" in out.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["generate", "gmm", "--out", "{d}/g.csv"], id="generate_gmm"),
+            pytest.param(["generate", "graph", "--communities", "4", "4", "--out", "{d}/g.csv"],
+                         id="generate_graph"),
+            pytest.param(["privatize", "--pop", "{d}/pop.csv", "--out", "{d}/r.csv",
+                          "--sidecar", "{d}/r.json"], id="privatize"),
+            pytest.param(["experiment", "distribution", "--out", "{d}/o"], id="experiment"),
+        ],
+    )
+    def test_negative_seed_exit_code(self, tmp_path, capsys, argv):
+        pop_csv = tmp_path / "pop.csv"
+        _write_population(pop_csv, ["a,0,0,1", "b,0,1,0", "c,1,0,1", "d,1,1,0"])
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(d=tmp_path) for a in argv] + ["--seed", "-1"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out.out == "" and "--seed" in out.err
+        assert list(tmp_path.iterdir()) == [pop_csv]

@@ -1,16 +1,18 @@
-"""Fuzzing of the CLI's file inputs against the exit-code contract.
+"""Fuzzing of the CLI's inputs against the exit-code contract.
 
-Each example takes a valid input file (an experiment config, a release
-sidecar or a population CSV), changes the type or structure of one value in
-it, and runs the command in process. Whatever the change, the command must
-return 0, 2 or 3 without raising, and when it returns 0 its stdout must be a
-JSON document with no NaN or infinity in it.
+Each example takes a valid input (an experiment config, a release sidecar,
+a population or release CSV, or a command line), changes the type or
+structure of one value in it, and runs the command in process. Whatever the
+change, the command must return 0, 2 or 3 without raising, and when it
+returns 0 its stdout must be a JSON document with no NaN or infinity in it.
+A flag that argparse rejects exits through ``SystemExit`` with code 2.
 """
 
 import contextlib
 import copy
 import io
 import json
+import os
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -38,6 +40,13 @@ CSV_FIELDS = st.one_of(
     st.text(max_size=4),
 )
 
+# Flag values and flag names; the names include none that would drop a
+# required input (an experiment without --config runs the full-size defaults).
+FLAG_VALUES = st.sampled_from([
+    "-2", "-1", "0", "1", "2", "8", "", "x", "nan", "inf", "-inf", "0.5", "-0.5", "1e300",
+    "1e-300", "0,1", "0,1,2,2", "--seed", "--k", "--lam", "--bogus",
+])
+
 POPULATION = ["unit_id,cluster,y0,y1"] + [
     f"u{c}{i},c{c},{(c + i) % 3},{(c * i + 1) % 3}" for c in range(3) for i in range(4)
 ]
@@ -55,6 +64,26 @@ CONFIGS = {
     "baseline_bias": {"population": GMM, "epsilon_grid": [1.0], "noise_draws": 1,
                       "subpop_draws": 2, "subpop_sizes": [3, 3]},
 }
+# One valid command line per subcommand; "{d}" is the work directory.
+COMMANDS = [
+    ["generate", "gmm", "--beta", "1", "--v", "5", "--kprime", "2", "--tau", "1",
+     "--sizes", "6", "8", "--seed", "1", "--out", "{d}/g.csv"],
+    ["generate", "graph", "--communities", "6", "7", "--pin", "0.5", "--pout", "0.1",
+     "--beta-vec", "1", "1", "1", "1", "--v", "0.1", "--k", "3", "--tau", "1",
+     "--seed", "1", "--out", "{d}/g.csv"],
+    ["privatize", "--pop", "{d}/pop.csv", "--values", "0,1,2", "--kind", "cluster_dp",
+     "--gamma", "0.05", "--sigma", "10", "--lam", "0.5", "--treated-fraction", "0.5",
+     "--seed", "1", "--out", "{d}/r.csv", "--sidecar", "{d}/r.json"],
+    ["estimate", "--release", "{d}/release.csv", "--sidecar", "{d}/sidecar.json"],
+    ["account", "--kind", "cluster_dp", "--gamma", "0.05", "--sigma", "10", "--lam", "0.5",
+     "--eps-tilde", "1", "--k", "3"],
+    ["calibrate", "--kind", "cluster_dp", "--target-eps", "2", "--target-delta", "1e-4",
+     "--gamma", "0.05", "--sigma", "10", "--k", "3"],
+    ["analyze", "--pop", "{d}/pop.csv", "--values", "0,1,2", "--gamma", "0.05", "--sigma", "10",
+     "--lam", "0.5", "--treated-fraction", "0.5", "--epsilon", "1"],
+    ["experiment", "distribution", "--config", "{d}/distribution.json", "--seed", "1",
+     "--out", "{d}/o", "--workers", "1"],
+]
 FUZZ = settings(
     max_examples=150, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
@@ -97,7 +126,10 @@ def _reject_constant(name):
 def _run(*argv) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(a) for a in argv])
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse rejects a flag
+            code = exc.code
     assert code in (0, 2, 3), (code, err.getvalue())
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
@@ -111,7 +143,11 @@ def workdir(tmp_path_factory):
     (d / "pop.csv").write_text("\n".join(POPULATION) + "\n")
     _run("privatize", "--pop", d / "pop.csv", "--values", "0,1,2", "--seed", 1,
          "--out", d / "release.csv", "--sidecar", d / "sidecar.json")
-    return d
+    (d / "distribution.json").write_text(json.dumps(CONFIGS["distribution"]))
+    cwd = os.getcwd()
+    os.chdir(d)  # a mutated flag can make any token a relative output path
+    yield d
+    os.chdir(cwd)
 
 
 @pytest.mark.filterwarnings("ignore:subpopulation size:UserWarning")  # the tiny baseline_bias run
@@ -152,4 +188,35 @@ def test_population_field(workdir, row, field, value, command, values):
     argv = [command, "--pop", pop] + (["--values", values] if values else [])
     if command == "privatize":
         argv += ["--out", workdir / "r.csv", "--sidecar", workdir / "r.json"]
+    _run(*argv)
+
+
+@FUZZ
+@given(data=st.data())
+def test_release_row(workdir, data):
+    lines = (workdir / "release.csv").read_text().splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1), label="row")
+    action = data.draw(st.sampled_from(["field", "drop", "repeat"]), label="action")
+    if action == "field":
+        fields = lines[row].split(",")
+        fields[data.draw(st.integers(0, 3), label="field")] = data.draw(CSV_FIELDS, label="value")
+        lines[row] = ",".join(fields)
+    elif action == "drop":
+        del lines[row]
+    else:
+        lines.insert(row, lines[row])
+    release = workdir / "release_mutated.csv"
+    release.write_text("\n".join(lines) + "\n")
+    _run("estimate", "--release", release, "--sidecar", workdir / "sidecar.json")
+
+
+@settings(FUZZ, max_examples=500)  # eight base command lines share the examples
+@given(data=st.data(), command=st.sampled_from(COMMANDS))
+def test_command_line(workdir, data, command):
+    argv = [arg.format(d=workdir) for arg in command]
+    i = data.draw(st.integers(1, len(argv) - 1), label="position")
+    if data.draw(st.booleans(), label="drop"):
+        del argv[i]
+    else:
+        argv[i] = data.draw(FLAG_VALUES, label="value")
     _run(*argv)

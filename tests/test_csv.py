@@ -99,8 +99,8 @@ class TestRoundTrip:
             assert np.array_equal(getattr(back, name), getattr(release, name)), name
         for name in ("z", "n1c", "n0c"):
             assert np.array_equal(getattr(back.design, name), getattr(release.design, name)), name
-        assert (back.kind, back.gamma, back.sigma, back.lam) == (
-            release.kind, release.gamma, release.sigma, release.lam
+        assert (back.params.kind, back.params.gamma, back.params.sigma, back.params.lam) == (
+            release.params.kind, release.params.gamma, release.params.sigma, release.params.lam
         )
 
 

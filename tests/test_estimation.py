@@ -172,7 +172,7 @@ class TestTauQ:
         per_unit_released = release.debias[release.cluster, release.design.z, release.y_tilde]
         rebuilt = np.array(
             [
-                float(vals @ q_inverse(release.q_tilde[c, a], release.lam)[:, y])
+                float(vals @ q_inverse(release.q_tilde[c, a], release.params.lam)[:, y])
                 for c, a, y in zip(release.cluster, release.design.z, release.y_tilde)
             ]
         )

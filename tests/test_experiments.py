@@ -275,6 +275,14 @@ class TestBaselineBias:
             if row["status"] == "ok" and math.isinf(row["epsilon"]):
                 assert abs(row["bias_mean"]) < 4 * row["mc_se_within"]
 
+    def test_no_noise_rows_bit_identical(self, bias_rows):
+        # at epsilon = inf every estimator is the stratified difference in means
+        # summed per cluster, so the three rows agree bit for bit
+        rows = [r for r in bias_rows if math.isinf(r["epsilon"])]
+        assert [r["mechanism"] for r in rows] == ["cluster_dp", "noisy_ht", "noisy_histogram"]
+        for key in ("bias_mean", "bias_abs_mean", "bias_spread", "mc_se_within"):
+            assert len({r[key] for r in rows}) == 1, key
+
     def test_unit_level_bias_consistent_with_zero_aggregates_not(self, bias_rows):
         # the one-shot aggregate noise persists as real conditional bias; the
         # unit-level release's conditional bias is zero up to its MC error

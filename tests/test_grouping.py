@@ -125,8 +125,9 @@ class TestMembers:
         pop = interleaved_pop
         counts = np.maximum(pop.cluster_sizes - 2, 2)
         got_rng, ref_rng = (RngStreams(9).generator("subpop") for _ in range(2))
-        sub = subsample(pop, counts, got_rng)
+        sub, kept = subsample(pop, counts, got_rng)
         keep = mask_scan_subsample_keep(pop, counts, ref_rng)
+        assert np.array_equal(kept, keep)
         assert sub.unit_ids == tuple(pop.unit_ids[i] for i in keep)
         for name in ("cluster", "y0", "y1"):
             assert np.array_equal(getattr(sub, name), getattr(pop, name)[keep])

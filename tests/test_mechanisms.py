@@ -67,23 +67,35 @@ class TestEmpiricalHistogram:
 
 
 class TestPerturbClip:
-    def test_sigma_zero_is_plain_clip(self):
-        rng = RngStreams(1).generator("noise")
-        p_hat = np.array([0.9, 0.1])
-        q = perturb_clip(p_hat, gamma=0.2, sigma=0.0, n_ac=5, rng=rng)
-        assert q.tolist() == [0.9, 0.2]
-
     def test_injected_noise_clips_both_sides(self):
-        q = perturb_clip(np.array([0.9, 0.1]), 0.2, 1.0, 5, noise=np.array([0.3, -0.3]))
+        q = perturb_clip(np.array([0.9, 0.1]), 0.2, np.array([0.3, -0.3]))
         assert q.tolist() == [1.0, 0.2]
 
     def test_lower_clip_binds_at_gamma_half(self):
-        q = perturb_clip(np.array([0.5, 0.5]), 0.5, 1.0, 5, noise=np.array([-0.4, 0.6]))
+        q = perturb_clip(np.array([0.5, 0.5]), 0.5, np.array([-0.4, 0.6]))
         assert q.tolist() == [0.5, 1.0]
 
+
+class TestFitPriors:
+    @staticmethod
+    def control_prior(control_ones, gamma, sigma, rng):
+        """The fitted control-arm prior of one K = 2 cluster: one treated unit, then
+        ten control units of which ``control_ones`` observe outcome 1."""
+        pairs = [(1, 1)] + [(0, 0)] * (10 - control_ones) + [(1, 1)] * control_ones
+        pop = make_population((0.0, 1.0), {"a": pairs})
+        params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=gamma, sigma=sigma, lam=0.5)
+        return fit_priors(pop, fixed_design(pop, [1]), params, rng).q[0, 0]
+
+    def test_sigma_zero_is_plain_clip(self):
+        # p_hat = (0.9, 0.1): zero-scale noise, so the clip gives (0.9, 0.2)
+        q = self.control_prior(1, 0.2, 0.0, RngStreams(1).generator("noise"))
+        assert q.tolist() == renormalize(np.array([0.9, 0.2]), 0.2).tolist()
+
     def test_sigma_inf_skips_noise(self):
-        q = perturb_clip(np.array([0.7, 0.3]), 0.1, math.inf, 5)
+        rng = RngStreams(1).generator("noise")
+        q = self.control_prior(3, 0.1, math.inf, rng)
         assert q.tolist() == [0.7, 0.3]
+        assert rng.random() == RngStreams(1).generator("noise").random()  # no draw made
 
 
 class TestRenormalize:
@@ -244,8 +256,8 @@ class TestNeighboringStability:
             neighbor = labels.copy()
             neighbor[rng.integers(0, n)] = rng.integers(0, k)
             noise = laplace_noise(streams.generator("w", trial), float(rng.uniform(0.01, 0.5)), k)
-            q1 = renormalize(perturb_clip(np.bincount(labels, minlength=k) / n, gamma, 1.0, n, noise=noise), gamma)
-            q2 = renormalize(perturb_clip(np.bincount(neighbor, minlength=k) / n, gamma, 1.0, n, noise=noise), gamma)
+            q1 = renormalize(perturb_clip(np.bincount(labels, minlength=k) / n, gamma, noise), gamma)
+            q2 = renormalize(perturb_clip(np.bincount(neighbor, minlength=k) / n, gamma, noise), gamma)
             assert np.max(np.abs(q1 - q2)) <= 2.0 / n + 1e-12
 
 
@@ -254,7 +266,7 @@ class TestUniformPriorDp:
         design = draw_design(small_pop, 0.5, streams.generator("z"))
         node = streams.child("u")
         release = uniform_release(small_pop, design, 0.6, node)
-        assert release.kind is MechanismKind.UNIFORM_PRIOR_DP
+        assert release.params.kind is MechanismKind.UNIFORM_PRIOR_DP
         assert np.all(release.q_tilde == 1.0 / 3.0) and release.q_tilde.shape == (2, 2, 3)
         y_tilde = resample_outcomes(
             small_pop.observed(design), small_pop.cluster, design.z, release.q_tilde, 0.6,
@@ -294,7 +306,7 @@ class TestResampleKernel:
         # the prior fit at gamma = 0, which clips many entries to exactly 0
         counts = rng.multinomial(6, np.full(k, 1.0 / k), size=shape)
         noise = laplace_noise(rng, 0.3, counts.shape)
-        return renormalize(perturb_clip(counts / 6.0, 0.0, 1.0, 6, noise=noise), 0.0)
+        return renormalize(perturb_clip(counts / 6.0, 0.0, noise), 0.0)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -396,7 +408,8 @@ class TestReleaseSerialization:
         assert np.array_equal(back.y_tilde, release.y_tilde)
         assert np.array_equal(back.design.z, release.design.z)
         assert np.allclose(back.debias, release.debias)
-        assert back.lam == release.lam and math.isinf(back.sigma) is math.isinf(release.sigma)
+        assert back.params.lam == release.params.lam
+        assert math.isinf(back.params.sigma) is math.isinf(release.params.sigma)
         # identical seed -> identical bytes
         release2 = cluster_dp(small_pop, design, params, streams.child("ser"))
         csv2, side2 = tmp_path / "r2.csv", tmp_path / "r2.json"
@@ -411,5 +424,5 @@ class TestReleaseSerialization:
         vals = small_pop.space.array
         for c in range(small_pop.n_clusters):
             for a in (0, 1):
-                q = q_matrix(release.q_tilde[c, a], release.lam)
+                q = q_matrix(release.q_tilde[c, a], release.params.lam)
                 assert np.max(np.abs(release.debias[c, a] @ q - vals)) < 1e-10

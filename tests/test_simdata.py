@@ -201,7 +201,7 @@ class TestCsvRoundTrip:
 
 class TestSubsample:
     def test_full_counts_identity(self, small_pop, streams):
-        sub = subsample(small_pop, small_pop.cluster_sizes, streams.generator("s"))
+        sub, _ = subsample(small_pop, small_pop.cluster_sizes, streams.generator("s"))
         assert sub.unit_ids == small_pop.unit_ids
         assert np.array_equal(sub.y0, small_pop.y0)
 
@@ -217,7 +217,7 @@ class TestSubsample:
         counts = dict.fromkeys(subsets, 0)
         draws = 60_000
         for s in range(draws):
-            sub = subsample(pop, [2], streams.generator("pick", s))
+            sub, _ = subsample(pop, [2], streams.generator("pick", s))
             idx = tuple(sorted(int(u.split("_")[1]) for u in sub.unit_ids))
             counts[idx] += 1
         p = 1.0 / 6.0
@@ -226,6 +226,6 @@ class TestSubsample:
             assert abs(counts[subset] / draws - p) < bound
 
     def test_deterministic(self, small_pop, streams):
-        a = subsample(small_pop, [2, 3], streams.generator("fix"))
-        b = subsample(small_pop, [2, 3], streams.generator("fix"))
+        a, _ = subsample(small_pop, [2, 3], streams.generator("fix"))
+        b, _ = subsample(small_pop, [2, 3], streams.generator("fix"))
         assert a.unit_ids == b.unit_ids
