@@ -58,7 +58,8 @@ def tau_q(release: PrivatizedRelease) -> float:
     rows, design = release.debias, release.design
     if not np.all(np.isfinite(rows)):
         raise ValidationError("missing debias row (lambda = 1 release cannot be debiased)")
-    per_unit = rows[release.cluster, design.z, release.y_tilde]
+    cell = (release.cluster * 2 + design.z) * release.space.k + release.y_tilde
+    per_unit = rows.take(cell)  # one flat gather of rows[cluster, z, y_tilde]
     return float(per_cluster_contributions(per_unit, release.cluster, design).sum())
 
 

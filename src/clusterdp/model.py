@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,6 +19,7 @@ import numpy as np
 __all__ = [
     "ValidationError",
     "OutcomeSpace",
+    "SerialIds",
     "PopulationDataset",
     "Design",
     "MechanismKind",
@@ -104,6 +106,42 @@ class OutcomeSpace:
         return idx, self._array[idx] == values
 
 
+class SerialIds(Sequence):
+    """Unit ids ``u%06d`` of generated units, kept as a read-only int64 array.
+
+    An int index gives the id's text; a slice or an index array gives the
+    ``SerialIds`` of the selected units, so subsetting formats nothing.
+    Iteration formats one id at a time. Equal to any sequence of the same
+    strings, on either side of ``==``.
+    """
+
+    __slots__ = ("serials",)
+
+    def __init__(self, serials):
+        self.serials = _frozen_array(serials, np.int64)
+
+    def __len__(self) -> int:
+        return len(self.serials)
+
+    def __getitem__(self, index):
+        if isinstance(index, numbers.Integral):
+            return f"u{self.serials[index]:06d}"
+        return SerialIds(self.serials[index])
+
+    def __iter__(self):
+        return map("u{:06d}".format, self.serials.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, SerialIds):
+            return np.array_equal(self.serials, other.serials)
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SerialIds({self.serials!r})"
+
+
 @dataclass(frozen=True, eq=False)
 class PopulationDataset:
     """Units with both potential outcomes and a dense cluster id per unit.
@@ -115,7 +153,7 @@ class PopulationDataset:
     """
 
     space: OutcomeSpace
-    unit_ids: tuple[str, ...]
+    unit_ids: Sequence[str]
     cluster: np.ndarray
     y0: np.ndarray
     y1: np.ndarray
@@ -338,7 +376,7 @@ class PrivatizedRelease:
     """
 
     space: OutcomeSpace
-    unit_ids: tuple[str, ...]
+    unit_ids: Sequence[str]
     cluster: np.ndarray
     cluster_labels: tuple
     design: Design

@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .model import OutcomeSpace, PopulationDataset, ValidationError
+from .model import OutcomeSpace, PopulationDataset, SerialIds, ValidationError
 from .rng import RngStreams, standard_normal
 
 __all__ = [
@@ -102,7 +102,7 @@ def gen_gmm(config: GmmConfig, streams: RngStreams) -> PopulationDataset:
     y0 = y0_level + config.k_prime
     return PopulationDataset(
         space=space,
-        unit_ids=tuple(f"u{i:06d}" for i in range(n)),
+        unit_ids=SerialIds(np.arange(n)),
         cluster=cluster,
         y0=y0,
         y1=y0 + config.tau,
@@ -196,7 +196,7 @@ def gen_graph_population(config: GraphPopConfig, streams: RngStreams) -> Populat
 
     return PopulationDataset(
         space=OutcomeSpace(tuple(float(m) for m in mids)),
-        unit_ids=tuple(f"u{i:06d}" for i in range(n)),
+        unit_ids=SerialIds(np.arange(n)),
         cluster=cluster,
         y0=bin_idx(y0_cont),
         y1=bin_idx(y1_cont),
@@ -311,9 +311,10 @@ def subsample(
         picked = rng.permutation(len(members))[: counts[c]]
         keep.append(members[np.sort(picked)])
     keep = np.concatenate(keep)
+    ids = pop.unit_ids
     return PopulationDataset(
         space=pop.space,
-        unit_ids=tuple(pop.unit_ids[i] for i in keep),
+        unit_ids=ids[keep] if isinstance(ids, SerialIds) else tuple(ids[i] for i in keep),
         cluster=pop.cluster[keep],
         y0=pop.y0[keep],
         y1=pop.y1[keep],

@@ -8,6 +8,7 @@ experiments harness and the test suite.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -144,6 +145,30 @@ def a_of_x(x, space: OutcomeSpace, params: MechanismParams):
     return a if np.ndim(x) else float(a)
 
 
+@contextmanager
+def _squares_in_float_range(space: OutcomeSpace):
+    """Run a formula that squares outcome values; yield a check that its numbers are finite.
+
+    Values well inside the float range (|y| past about 1.3e154) can overflow
+    a squared term, and an infinity or NaN would then be reported as a
+    variance. Inside the block NumPy's overflow warnings are silenced; a
+    non-finite number passed to the check, or a Python float squared past
+    the range, raises a ValidationError that names the values.
+    """
+
+    def check(*numbers: float) -> None:
+        if not all(math.isfinite(x) for x in numbers):
+            raise ValidationError(
+                f"outcome values {space.values} are too large: the variance formulas overflow"
+            )
+
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield check
+    except OverflowError:
+        check(math.inf)
+
+
 def cluster_dp_variance_bound(
     pop: PopulationDataset,
     design: Design,
@@ -159,26 +184,29 @@ def cluster_dp_variance_bound(
     if lam >= 1.0:
         raise ValidationError("variance bound undefined at lambda = 1")
     params.check_gamma(pop.space.k)
-    no_dp = ht_variance(pop, design)
-    phi0 = homogeneity(pop, design, 0)
-    phi1 = homogeneity(pop, design, 1)
-    homo_term = (1.0 / (1.0 - lam) ** 2 - 1.0) * (phi0 + phi1)
-    counts = design.arm_counts()
-    weight = (pop.cluster_sizes / pop.n) ** 2
-    a_term = float(np.sum(weight[:, None] * a_of_x(counts, pop.space, params) / counts))
-    return VarianceReport(
-        no_dp_variance=no_dp,
-        value=no_dp + homo_term + a_term,
-        kind="upper_bound",
-        components={
-            "homogeneity_term": homo_term,
-            "a_term": a_term,
-            "gap_lower": homo_term,
-            "gap_upper": homo_term + a_term,
-            "phi0": phi0,
-            "phi1": phi1,
-        },
-    )
+    with _squares_in_float_range(pop.space) as check:
+        no_dp = ht_variance(pop, design)
+        phi0 = homogeneity(pop, design, 0)
+        phi1 = homogeneity(pop, design, 1)
+        homo_term = (1.0 / (1.0 - lam) ** 2 - 1.0) * (phi0 + phi1)
+        counts = design.arm_counts()
+        weight = (pop.cluster_sizes / pop.n) ** 2
+        a_term = float(np.sum(weight[:, None] * a_of_x(counts, pop.space, params) / counts))
+        report = VarianceReport(
+            no_dp_variance=no_dp,
+            value=no_dp + homo_term + a_term,
+            kind="upper_bound",
+            components={
+                "homogeneity_term": homo_term,
+                "a_term": a_term,
+                "gap_lower": homo_term,
+                "gap_upper": homo_term + a_term,
+                "phi0": phi0,
+                "phi1": phi1,
+            },
+        )
+        check(no_dp, report.value, *report.components.values())
+    return report
 
 
 def uniform_prior_variance(
@@ -196,17 +224,20 @@ def uniform_prior_variance(
     """
     if lam >= 1.0:
         raise ValidationError("estimator undefined at lambda = 1")
-    ym, ym2 = pop.space.mean, pop.space.mean_sq
-    space_term_unit = (lam * ym2 - lam**2 * ym**2) / (1.0 - lam) ** 2
-    m = _moments(pop, pooled=not stratified)
-    n0c, n1c = (design.n0c, design.n1c) if stratified else (design.n0, design.n1)
-    inv0, inv1 = 1.0 / n0c, 1.0 / n1c
-    per_stratum = (
-        (inv0 + inv1) * space_term_unit
-        + lam / (1.0 - lam) * (m.mean_sq[0] * inv0 + m.mean_sq[1] * inv1)
-        - 2.0 * lam * ym / (1.0 - lam) * (m.mean[0] * inv0 + m.mean[1] * inv1)
-    )
-    return _ht(m, n0c, n1c) + float(np.sum(m.weight * per_stratum))
+    with _squares_in_float_range(pop.space) as check:
+        ym, ym2 = pop.space.mean, pop.space.mean_sq
+        space_term_unit = (lam * ym2 - lam**2 * ym**2) / (1.0 - lam) ** 2
+        m = _moments(pop, pooled=not stratified)
+        n0c, n1c = (design.n0c, design.n1c) if stratified else (design.n0, design.n1)
+        inv0, inv1 = 1.0 / n0c, 1.0 / n1c
+        per_stratum = (
+            (inv0 + inv1) * space_term_unit
+            + lam / (1.0 - lam) * (m.mean_sq[0] * inv0 + m.mean_sq[1] * inv1)
+            - 2.0 * lam * ym / (1.0 - lam) * (m.mean[0] * inv0 + m.mean[1] * inv1)
+        )
+        variance = _ht(m, n0c, n1c) + float(np.sum(m.weight * per_stratum))
+        check(variance)
+    return variance
 
 
 def baseline_gaps(

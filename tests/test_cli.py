@@ -229,6 +229,32 @@ class TestAnalyze:
         assert code == 2
         assert stdout == "" and err.startswith("error:") and named in err
 
+    @pytest.mark.parametrize(
+        "big, flags",
+        [
+            pytest.param("1e+200", ["--values=-1,0,1,2,1e200"], id="max_abs_squared_past_range"),
+            pytest.param("1.3e+154", ["--values=0,1,1.3e154"], id="sum_of_squares_past_range"),
+            pytest.param("1e+200", [], id="inferred_from_file"),
+        ],
+    )
+    def test_values_past_float_square(self, tmp_path, capsys, big, flags):
+        """Outcome values whose squares overflow: analyze exits 2, privatize and estimate run."""
+        pop_csv, release_csv, sidecar = tmp_path / "pop.csv", tmp_path / "r.csv", tmp_path / "r.json"
+        rows = [f"u{i},{i // 6},{i % 2},{i % 3 % 2}" for i in range(12)]
+        if not flags:
+            rows[2] = "u2,0,0,1e200"
+        _write_population(pop_csv, rows)
+        code, stdout, err = run_cli(capsys, "analyze", "--pop", str(pop_csv), *flags)
+        assert code == 2
+        assert stdout == "" and err.startswith("error: outcome values") and big in err
+        code, _, _ = run_cli(capsys, "privatize", "--pop", str(pop_csv), *flags, "--seed", "1",
+                             "--out", str(release_csv), "--sidecar", str(sidecar))
+        assert code == 0
+        code, stdout, _ = run_cli(capsys, "estimate", "--release", str(release_csv),
+                                  "--sidecar", str(sidecar))
+        assert code == 0
+        assert math.isfinite(json.loads(stdout)["tau_hat"])
+
 
 class TestExperimentCommand:
     def test_runs_and_writes(self, tmp_path, capsys):

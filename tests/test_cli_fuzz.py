@@ -44,7 +44,7 @@ CSV_FIELDS = st.one_of(
 # required input (an experiment without --config runs the full-size defaults).
 FLAG_VALUES = st.sampled_from([
     "-2", "-1", "0", "1", "2", "8", "", "x", "nan", "inf", "-inf", "0.5", "-0.5", "1e300",
-    "1e-300", "0,1", "0,1,2,2", "--seed", "--k", "--lam", "--bogus",
+    "1e-300", "0,1", "0,1,2,2", "0,1,1.3e154", "--seed", "--k", "--lam", "--bogus",
 ])
 
 POPULATION = ["unit_id,cluster,y0,y1"] + [

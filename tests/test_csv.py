@@ -8,6 +8,7 @@ the same populations.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from clusterdp.model import (
     draw_design,
 )
 from clusterdp.rng import RngStreams
-from clusterdp.simdata import infer_space, ingest_csv, write_population_csv
+from clusterdp.simdata import GmmConfig, gen_gmm, infer_space, ingest_csv, write_population_csv
 
 from oracles import read_records, records_population, records_space
 
@@ -102,6 +103,47 @@ class TestRoundTrip:
         assert (back.params.kind, back.params.gamma, back.params.sigma, back.params.lam) == (
             release.params.kind, release.params.gamma, release.params.sigma, release.params.lam
         )
+
+
+class TestGeneratedIds:
+    """Generated ids are integers; the writers print them as the ``u%06d`` text ids were printed."""
+
+    @pytest.fixture
+    def pop(self):
+        return gen_gmm(GmmConfig(beta=1.0, v=5.0, k_prime=2, cluster_sizes=(6, 9)), RngStreams(5))
+
+    @staticmethod
+    def with_text_ids(data):
+        return replace(data, unit_ids=tuple(f"u{i:06d}" for i in range(data.n)))
+
+    def test_population_file(self, pop, tmp_path):
+        serial, text = tmp_path / "serial.csv", tmp_path / "text.csv"
+        write_population_csv(pop, serial)
+        write_population_csv(self.with_text_ids(pop), text)
+        assert serial.read_bytes() == text.read_bytes()
+        assert serial.read_text().splitlines()[1].startswith("u000000,")
+        back = ingest_csv(serial, pop.space)
+        assert type(back.unit_ids) is tuple
+        assert back.unit_ids == pop.unit_ids and pop.unit_ids == back.unit_ids
+        for name in ("cluster", "y0", "y1"):
+            assert np.array_equal(getattr(back, name), getattr(pop, name)), name
+
+    def test_release_files(self, pop, tmp_path):
+        streams = RngStreams(6)
+        design = draw_design(pop, 0.5, streams.generator("assignment"))
+        params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.05, sigma=10.0, lam=0.5)
+        release = cluster_dp(pop, design, params, streams)
+        assert release.unit_ids is pop.unit_ids
+        paths = {}
+        for name, data in (("serial", release), ("text", self.with_text_ids(release))):
+            paths[name] = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            write_release(data, *paths[name])
+        for serial, text in zip(paths["serial"], paths["text"]):
+            assert serial.read_bytes() == text.read_bytes()
+        back = read_release(*paths["serial"])
+        assert type(back.unit_ids) is tuple
+        assert back.unit_ids == release.unit_ids and release.unit_ids == back.unit_ids
+        assert np.array_equal(back.y_tilde, release.y_tilde)
 
 
 HEADER = "unit_id,cluster,y0,y1\n"

@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterdp.model import OutcomeSpace, ValidationError
+from clusterdp.model import OutcomeSpace, SerialIds, ValidationError
 from clusterdp.rng import RngStreams
 from clusterdp.simdata import (
     GmmConfig,
@@ -229,3 +230,85 @@ class TestSubsample:
         a, _ = subsample(small_pop, [2, 3], streams.generator("fix"))
         b, _ = subsample(small_pop, [2, 3], streams.generator("fix"))
         assert a.unit_ids == b.unit_ids
+
+
+def _text_ids(serials):
+    """Ids as the generators once built them: one ``u%06d`` string per unit."""
+    return tuple(f"u{i:06d}" for i in serials)
+
+
+class TestSerialIds:
+    """Generated ids are integers that read as ``u%06d`` text wherever they are used."""
+
+    def test_generators_emit_serial_ids(self):
+        pops = [
+            gen_gmm(GmmConfig(beta=1.0, v=5.0, k_prime=2, cluster_sizes=(3, 4)), RngStreams(1)),
+            gen_graph_population(
+                GraphPopConfig(community_sizes=(4, 5, 6), p_in=0.5, p_out=0.1), RngStreams(1)
+            ),
+        ]
+        for pop in pops:
+            assert isinstance(pop.unit_ids, SerialIds)
+            assert list(pop.unit_ids) == list(_text_ids(range(pop.n)))
+
+    @pytest.mark.parametrize(
+        "other, equal",
+        [
+            (_text_ids(range(5)), True),
+            (list(_text_ids(range(5))), True),
+            (SerialIds(np.arange(5)), True),
+            (_text_ids(range(4)), False),
+            (_text_ids((0, 1, 2, 3, 5)), False),
+            (SerialIds(np.arange(1, 6)), False),
+            ((0, 1, 2, 3, 4), False),
+            ("u0000", False),
+        ],
+    )
+    def test_equality_either_side(self, other, equal):
+        ids = SerialIds(np.arange(5))
+        assert (ids == other) is equal and (other == ids) is equal
+        assert (ids != other) is not equal and (other != ids) is not equal
+
+    def test_indexing(self):
+        ids = SerialIds(np.arange(10, 20))
+        assert (ids[0], ids[-1], ids[np.int64(-2)]) == ("u000010", "u000019", "u000018")
+        with pytest.raises(IndexError):
+            ids[10]
+        for index, serials in [
+            (slice(2, 5), range(12, 15)),
+            (slice(None, None, -3), (19, 16, 13, 10)),
+            (np.array([7, 0, 7]), (17, 10, 17)),
+            (np.arange(10) % 2 == 0, range(10, 20, 2)),
+        ]:
+            picked = ids[index]
+            assert isinstance(picked, SerialIds) and picked == _text_ids(serials)
+        assert SerialIds([1234567])[0] == "u1234567"
+
+    def test_read_only(self):
+        ids = SerialIds(np.arange(3))
+        with pytest.raises(ValueError):
+            ids.serials[0] = 7
+
+    def test_subsample_gathers_integers(self):
+        config = GmmConfig(beta=1.0, v=5.0, k_prime=2, cluster_sizes=(30, 40, 50))
+        pop = gen_gmm(config, RngStreams(2))
+        sub, keep = subsample(pop, [5, 7, 9], RngStreams(3).generator("sample"))
+        assert isinstance(sub.unit_ids, SerialIds)
+        assert sub.unit_ids == tuple(pop.unit_ids[i] for i in keep)
+        assert sub.unit_ids == _text_ids(keep)
+
+    def test_population_bytes_per_unit(self):
+        """Three int64 columns, the cluster grouping and the ids: 40 bytes a unit.
+
+        One ``u%06d`` string per unit added 56 more.
+        """
+        config = GmmConfig(beta=1.0, v=5.0, k_prime=2, cluster_sizes=(50_000,) * 4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pop = gen_gmm(config, RngStreams(4))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert pop.n == 200_000
+        assert retained / pop.n < 48
