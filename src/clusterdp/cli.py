@@ -153,11 +153,13 @@ def _cmd_analyze(args) -> None:
         kind=MechanismKind.CLUSTER_DP, gamma=args.gamma, sigma=args.sigma, lam=args.lam
     )
     report = variance.cluster_dp_variance_bound(pop, design, params)
+    pooled = pop.pooled()
+    pooled_design = experiments.counts_design(pooled, [design.n1])
     payload = {
         "cluster_dp_bound": report.as_dict(),
         "uniform_prior_exact": {
-            "stratified": variance.uniform_prior_variance(pop, design, args.lam, True),
-            "unstratified": variance.uniform_prior_variance(pop, design, args.lam, False),
+            "stratified": variance.uniform_prior_variance(pop, design, args.lam),
+            "unstratified": variance.uniform_prior_variance(pooled, pooled_design, args.lam),
         },
     }
     if args.epsilon is not None:

@@ -305,13 +305,11 @@ def _batched_assignments(pop, n1c, g, m) -> np.ndarray:
     return z
 
 
-def _batched_weights(z, pop, n1c, n0c, stratified: bool) -> np.ndarray:
-    if stratified:
-        sizes = n1c + n0c
-        w_t = (sizes / pop.n) / n1c
-        w_c = (sizes / pop.n) / n0c
-        return np.where(z == 1, w_t[pop.cluster], -w_c[pop.cluster])
-    return np.where(z == 1, 1.0 / n1c.sum(), -1.0 / n0c.sum())
+def _batched_weights(z, pop, n1c, n0c) -> np.ndarray:
+    sizes = n1c + n0c
+    w_t = (sizes / pop.n) / n1c
+    w_c = (sizes / pop.n) / n0c
+    return np.where(z == 1, w_t[pop.cluster], -w_c[pop.cluster])
 
 
 # Replications per ("batch", ci) stream of uniform_prior_taus. The chunk size
@@ -325,9 +323,12 @@ def uniform_prior_taus(
     treated,
     streams: RngStreams,
     reps: int,
-    stratified: bool = True,
 ) -> np.ndarray:
-    """Uniform-prior estimator over joint (assignment, resampling) replications."""
+    """Uniform-prior estimator over joint (assignment, resampling) replications.
+
+    Assignments are stratified by cluster; on ``pop.pooled()`` they are
+    completely randomized over all units.
+    """
     if lam >= 1.0:
         raise ValidationError("estimator undefined at lambda = 1")
     n1c = resolve_treated_counts(pop, treated)
@@ -346,7 +347,7 @@ def uniform_prior_taus(
             # inverse CDF of q = 1/K in one multiply, with no CDF table to compare against
             drawn = np.minimum((u_cat * k).astype(np.int64), k - 1)
             y_t = np.where(u_keep < lam, vals[drawn], y_t)
-        w = _batched_weights(z, pop, n1c, n0c, stratified)
+        w = _batched_weights(z, pop, n1c, n0c)
         out[start : start + m] = (y_t * w).sum(axis=1) / (1.0 - lam)
     return out
 
@@ -446,7 +447,7 @@ def run_variance_sweep(cfg: ExperimentConfig, seed: int):
                 pop, params, cfg.treated_fraction,
                 streams.child("sweep", kind.value, gi), reps,
             )
-            bound = cluster_dp_variance_bound(pop, design, params).value if lam < 1 else ""
+            bound = cluster_dp_variance_bound(pop, design, params).value
             rows.append(
                 {**row, "lambda": lam, "epsilon": eps, "delta": delta, "status": "ok",
                  "theory_variance_or_bound": bound, **_mc_row(taus, truth)}
@@ -454,12 +455,13 @@ def run_variance_sweep(cfg: ExperimentConfig, seed: int):
 
     uniform = MechanismParams.uniform_prior(pop.space.k)
     lam, eps, delta = _calibrated(cfg, uniform.gamma, uniform.sigma)
-    for stratified in (True, False):
-        name = "uniform_prior" + ("_stratified" if stratified else "_unstratified")
-        taus = uniform_prior_taus(
-            pop, lam, cfg.treated_fraction, streams.child("sweep", name), reps,
-            stratified=stratified,
-        )
+    pooled = pop.pooled()
+    # unstratified: complete randomization of all units with the stratified arm totals
+    for name, units, units_design in (
+        ("uniform_prior_stratified", pop, design),
+        ("uniform_prior_unstratified", pooled, counts_design(pooled, [design.n1])),
+    ):
+        taus = uniform_prior_taus(units, lam, units_design.n1c, streams.child("sweep", name), reps)
         rows.append(
             {
                 "mechanism": name,
@@ -469,7 +471,7 @@ def run_variance_sweep(cfg: ExperimentConfig, seed: int):
                 "epsilon": eps,
                 "delta": delta,
                 "status": "ok",
-                "theory_variance_or_bound": uniform_prior_variance(pop, design, lam, stratified),
+                "theory_variance_or_bound": uniform_prior_variance(units, units_design, lam),
                 **_mc_row(taus, truth),
                 **phi,
                 **base,
@@ -484,15 +486,17 @@ def run_homogeneity_sweep(cfg: ExperimentConfig, seed: int):
     streams = RngStreams(seed)
     sigma, gamma = cfg.mechanism["sigma"], cfg.mechanism["gamma"]
     base = {"seed": seed, "config_hash": cfg.config_hash}
+    # One underlying draw for the whole grid: beta only rescales the
+    # shared cluster-center and unit-noise variables.
+    pops = [
+        build_population(
+            ExperimentConfig.from_dict({"population": {**cfg.population, "beta": beta}}), streams
+        )
+        for beta in cfg.beta_grid
+    ]
     rows = []
     for li, lam in enumerate(cfg.lambda_grid):
-        for bi, beta in enumerate(cfg.beta_grid):
-            pop_cfg = ExperimentConfig.from_dict(
-                {"population": {**cfg.population, "beta": beta}}
-            )
-            # One underlying draw for the whole grid: beta only rescales the
-            # shared cluster-center and unit-noise variables.
-            pop = build_population(pop_cfg, streams)
+        for bi, (beta, pop) in enumerate(zip(cfg.beta_grid, pops)):
             variances = {}
             for kind in (MechanismKind.CLUSTER_DP, MechanismKind.CLUSTER_FREE_DP):
                 params = MechanismParams(kind=kind, gamma=gamma, sigma=sigma, lam=lam)
@@ -552,12 +556,9 @@ def run_bound_validation(cfg: ExperimentConfig, seed: int):
         exact_no_dp = ht_variance(pop, design)
         mc_var = float(np.var(taus, ddof=1))
         se = jackknife_variance_se(taus)
-        if params.lam < 1.0:
-            report = cluster_dp_variance_bound(pop, design, params)
-            gap_lower = report.components["gap_lower"]
-            gap_upper = report.components["gap_upper"]
-        else:
-            gap_lower = gap_upper = math.inf
+        report = cluster_dp_variance_bound(pop, design, params)
+        gap_lower = report.components["gap_lower"]
+        gap_upper = report.components["gap_upper"]
         gap = mc_var - exact_no_dp
         rows.append(
             {

@@ -88,10 +88,6 @@ class OutcomeSpace:
         return float(np.dot(self._array, self._array))
 
     @property
-    def l2(self) -> float:
-        return math.sqrt(self.l2_sq)
-
-    @property
     def mean(self) -> float:
         return float(self._array.mean())
 
@@ -228,6 +224,11 @@ class PopulationDataset:
     @property
     def n_clusters(self) -> int:
         return len(self.cluster_labels)
+
+    def pooled(self) -> "PopulationDataset":
+        """The same units as one stratum, in their original order (complete randomization)."""
+        one = np.zeros(self.n, dtype=np.int64)
+        return PopulationDataset(self.space, self.unit_ids, one, self.y0, self.y1, ("pooled",))
 
     @property
     def ate(self) -> float:

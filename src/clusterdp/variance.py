@@ -60,18 +60,15 @@ class _Moments(NamedTuple):
     s2: np.ndarray
 
 
-def _moments(pop: PopulationDataset, pooled: bool = False) -> _Moments:
-    """Size, mean, mean square and sample variance S^2 of y0, y1 and y1 - y0 per stratum.
+def _moments(pop: PopulationDataset) -> _Moments:
+    """Size, mean, mean square and sample variance S^2 of y0, y1 and y1 - y0 per cluster.
 
-    The strata are the clusters, or all units as one stratum when ``pooled``
+    The clusters are the strata; ``pop.pooled()`` makes all units one stratum
     (complete randomization). Two passes over the units in stratum order (sums
     and sums of squares, then squared deviations), each summed pairwise per
     stratum by ``np.add.reduceat``; a sequential sum lost 1e-11 at 10^6 units.
     """
-    if pooled:
-        order, size = slice(None), np.array([pop.n])
-    else:
-        order, size = np.concatenate(pop.members), pop.cluster_sizes
+    order, size = np.concatenate(pop.members), pop.cluster_sizes
     starts = np.cumsum(size) - size
     vals = pop.space.array
     y0, y1 = vals[pop.y0[order]], vals[pop.y1[order]]
@@ -209,33 +206,26 @@ def cluster_dp_variance_bound(
     return report
 
 
-def uniform_prior_variance(
-    pop: PopulationDataset,
-    design: Design,
-    lam: float,
-    stratified: bool = True,
-) -> float:
+def uniform_prior_variance(pop: PopulationDataset, design: Design, lam: float) -> float:
     """Exact variance of the uniform-prior estimator over assignment and resampling.
 
     Adds to the no-DP variance a space-level term driven by the uniform draw's
     moments and a population-level term driven by per-cluster outcome moments.
-    The unstratified form treats all units as one cluster (complete
-    randomization) and uses population-level moments throughout.
+    The unstratified form (complete randomization) is this on ``pop.pooled()``.
     """
     if lam >= 1.0:
         raise ValidationError("estimator undefined at lambda = 1")
     with _squares_in_float_range(pop.space) as check:
         ym, ym2 = pop.space.mean, pop.space.mean_sq
         space_term_unit = (lam * ym2 - lam**2 * ym**2) / (1.0 - lam) ** 2
-        m = _moments(pop, pooled=not stratified)
-        n0c, n1c = (design.n0c, design.n1c) if stratified else (design.n0, design.n1)
-        inv0, inv1 = 1.0 / n0c, 1.0 / n1c
+        m = _moments(pop)
+        inv0, inv1 = 1.0 / design.n0c, 1.0 / design.n1c
         per_stratum = (
             (inv0 + inv1) * space_term_unit
             + lam / (1.0 - lam) * (m.mean_sq[0] * inv0 + m.mean_sq[1] * inv1)
             - 2.0 * lam * ym / (1.0 - lam) * (m.mean[0] * inv0 + m.mean[1] * inv1)
         )
-        variance = _ht(m, n0c, n1c) + float(np.sum(m.weight * per_stratum))
+        variance = _ht(m, design.n0c, design.n1c) + float(np.sum(m.weight * per_stratum))
         check(variance)
     return variance
 

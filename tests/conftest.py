@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clusterdp.experiments import counts_design
 from clusterdp.mechanisms import cluster_dp
 from clusterdp.model import MechanismParams, OutcomeSpace, PopulationDataset
 from clusterdp.rng import RngStreams
@@ -15,6 +16,12 @@ def make_population(space_values, outcomes_by_cluster):
         for i, (y0, y1) in enumerate(pairs)
     ]
     return PopulationDataset.from_columns(*zip(*rows), space)
+
+
+def pooled_with_design(pop, design):
+    """All units as one stratum, with a design of the same arm totals: the unstratified form."""
+    pooled = pop.pooled()
+    return pooled, counts_design(pooled, [design.n1])
 
 
 def uniform_release(pop, design, lam, streams):

@@ -110,7 +110,7 @@ def cluster_taus_fixed_design(pop, design, params, streams, reps: int) -> np.nda
     """
     assert params.kind is MechanismKind.CLUSTER_DP
     params.check_gamma(pop.space.k)
-    w_unit = _batched_weights(design.z, pop, design.n1c, design.n0c, True)
+    w_unit = _batched_weights(design.z, pop, design.n1c, design.n0c)
     scale = 0.0 if math.isinf(params.sigma) else params.sigma / design.arm_counts()[..., None]
     out = np.empty(reps)
     for ci, start in enumerate(range(0, reps, 5000)):
@@ -163,7 +163,7 @@ def ht_variance_loop(pop, design) -> float:
 
 def ht_variance_unstratified(pop, n1: int, n0: int) -> float:
     """Single-stratum version: variance of the pooled estimator under complete randomization."""
-    return _ht(_moments(pop, pooled=True), n0, n1)
+    return _ht(_moments(pop.pooled()), n0, n1)
 
 
 def ht_variance_unstratified_loop(pop, n1, n0) -> float:

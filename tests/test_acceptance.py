@@ -45,7 +45,7 @@ from clusterdp.variance import (
     uniform_prior_variance,
 )
 
-from conftest import make_population, random_population
+from conftest import make_population, pooled_with_design, random_population
 from oracles import (
     cluster_taus_fixed_design,
     ht_variance_unstratified,
@@ -177,18 +177,19 @@ def test_05_uniform_prior_exact_variance():
     worst_rel = 0.0
     for i, (pop, lam, stratified) in enumerate(fixtures):
         design = counts_design(pop, 0.5)
-        formula = uniform_prior_variance(pop, design, lam, stratified)
-        taus = uniform_prior_taus(
-            pop, lam, 0.5, RngStreams(55).child("fix", i), reps, stratified
-        )
+        if not stratified:
+            pop, design = pooled_with_design(pop, design)
+        formula = uniform_prior_variance(pop, design, lam)
+        taus = uniform_prior_taus(pop, lam, design.n1c, RngStreams(55).child("fix", i), reps)
         worst_rel = max(worst_rel, abs(float(np.var(taus, ddof=1)) - formula) / formula)
     # binary simplification holds algebraically on random binary populations
     worst_binary = 0.0
     for _ in range(30):
         pop = rand_pop((0.0, 1.0), tuple(int(rng.integers(3, 9)) for _ in range(int(rng.integers(1, 4)))))
         design = counts_design(pop, 0.5)
+        pooled = pooled_with_design(pop, design)
         for lam in (0.1, 0.5, 0.9):
-            gap = uniform_prior_variance(pop, design, lam, False) - ht_variance_unstratified(
+            gap = uniform_prior_variance(*pooled, lam) - ht_variance_unstratified(
                 pop, design.n1, design.n0
             )
             simplified = (
@@ -351,7 +352,7 @@ def test_10_privacy_matched_mechanism_ordering():
     lam_uniform = calibrate_lambda(eps, delta, uniform.gamma, uniform.sigma)
     design = counts_design(pop, 0.5)
     floor, lam_min = resampling_variance_floor(pop, design, eps, delta, gamma)
-    exact_u = uniform_prior_variance(pop, design, lam_uniform, stratified=True)
+    exact_u = uniform_prior_variance(pop, design, lam_uniform)
 
     got_c = cluster_dp_eps_delta(
         cluster_params(gamma, sigma, lam_cluster), eps - prior_budget(gamma, sigma)

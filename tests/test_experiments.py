@@ -80,6 +80,15 @@ class TestVarianceSweep:
             )
             assert abs(row["mc_bias"]) < 0.1
 
+    def test_unstratified_row_matches_its_closed_form(self):
+        # at lambda = 0.05 the design term dominates: the unstratified closed form
+        # (complete randomization) is far above the variance of stratified draws
+        cfg = ExperimentConfig.from_dict({"mechanism": {"lambda": 0.05}, "replications": 300})
+        tables, _ = run_variance_sweep(cfg, 3)
+        row = next(r for r in tables["results"] if r["mechanism"] == "uniform_prior_unstratified")
+        gap = abs(row["mc_variance"] - row["theory_variance_or_bound"])
+        assert gap <= 4.0 * row["mc_variance_se"]
+
     def test_infeasible_point_flagged_and_run_continues(self):
         cfg = ExperimentConfig.from_dict(
             {

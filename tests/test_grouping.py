@@ -150,7 +150,7 @@ class TestMembers:
                 ht_variance(p, d),
                 homogeneity(p, d, 0),
                 homogeneity(p, d, 1),
-                uniform_prior_variance(p, d, 0.6, True),
+                uniform_prior_variance(p, d, 0.6),
             ]
 
         assert forms(pop, design) == forms(copy, copy_design)

@@ -22,7 +22,7 @@ from clusterdp.variance import (
     uniform_prior_variance,
 )
 
-from conftest import make_population, random_population
+from conftest import make_population, pooled_with_design, random_population
 from oracles import (
     homogeneity_loop,
     ht_variance_loop,
@@ -157,9 +157,14 @@ class TestMomentsMatchLoops:
             ]
             pairs += [(homogeneity(pop, design, a), homogeneity_loop(pop, design, a))
                       for a in (0, 1)]
-            pairs += [(uniform_prior_variance(pop, design, lam, strat),
-                       uniform_prior_variance_loop(pop, design, lam, strat))
-                      for lam in (0.3, 0.9) for strat in (True, False)]
+            pooled = pooled_with_design(pop, design)
+            for lam in (0.3, 0.9):
+                pairs += [
+                    (uniform_prior_variance(pop, design, lam),
+                     uniform_prior_variance_loop(pop, design, lam, True)),
+                    (uniform_prior_variance(*pooled, lam),
+                     uniform_prior_variance_loop(pop, design, lam, False)),
+                ]
             for got, ref in pairs:
                 assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -173,6 +178,34 @@ class TestMomentsMatchLoops:
         expected = [[a_of_x(int(x), pop.space, p) for x in row] for row in counts]
         assert np.array_equal(got, expected)
         assert all(isinstance(v, float) for row in expected for v in row)
+
+
+class TestPooled:
+    """``pop.pooled()`` is the unstratified form: the same units as one stratum.
+
+    ``TestMomentsMatchLoops`` checks its closed form against the unstratified loop.
+    """
+
+    def test_one_cluster_population_is_its_own_pooled_form(self, streams):
+        pop = random_population(np.random.default_rng(4), n_clusters=1, size_range=(9, 9))
+        pooled = pop.pooled()
+        design = counts_design(pop, 0.5)
+        pooled_design = counts_design(pooled, 0.5)
+        assert ht_variance(pooled, pooled_design) == ht_variance(pop, design)
+        assert uniform_prior_variance(pooled, pooled_design, 0.4) == uniform_prior_variance(
+            pop, design, 0.4
+        )
+        taus = [uniform_prior_taus(p, 0.4, 0.5, streams.child("mc"), 50) for p in (pop, pooled)]
+        assert np.array_equal(*taus)
+
+    def test_many_clusters_become_one_stratum(self):
+        pop = interleaved_population()
+        pooled = pop.pooled()
+        assert pooled.n_clusters == 1
+        assert np.array_equal(pooled.cluster_sizes, [pop.n])
+        assert np.array_equal(pooled.members[0], np.arange(pop.n))
+        assert pooled.space is pop.space and pooled.unit_ids is pop.unit_ids
+        assert np.array_equal(pooled.y0, pop.y0) and np.array_equal(pooled.y1, pop.y1)
 
 
 class TestAOfX:
@@ -231,10 +264,11 @@ class TestClusterBound:
 class TestUniformPriorVariance:
     def test_lambda_zero_reduces_to_ht(self, small_pop):
         design = fixed_design(small_pop, [2, 3])
-        assert uniform_prior_variance(small_pop, design, 0.0, True) == pytest.approx(
+        assert uniform_prior_variance(small_pop, design, 0.0) == pytest.approx(
             ht_variance(small_pop, design), abs=1e-14
         )
-        assert uniform_prior_variance(small_pop, design, 0.0, False) == pytest.approx(
+        pooled = pooled_with_design(small_pop, design)
+        assert uniform_prior_variance(*pooled, 0.0) == pytest.approx(
             ht_variance_unstratified(small_pop, design.n1, design.n0), abs=1e-14
         )
 
@@ -246,8 +280,9 @@ class TestUniformPriorVariance:
                 rng, n_clusters=int(rng.integers(1, 4)), space_values=(0.0, 1.0)
             )
             design = fixed_design(pop, [max(1, s // 2) for s in pop.cluster_sizes])
+            pooled = pooled_with_design(pop, design)
             for lam in (0.1, 0.5, 0.9):
-                got = uniform_prior_variance(pop, design, lam, stratified=False)
+                got = uniform_prior_variance(*pooled, lam)
                 base = ht_variance_unstratified(pop, design.n1, design.n0)
                 gap = (
                     pop.n
@@ -268,8 +303,8 @@ class TestUniformPriorVariance:
         )
         design = fixed_design(pop, [3, 3])
         lam = 0.5
-        formula = uniform_prior_variance(pop, design, lam, True)
-        taus = uniform_prior_taus(pop, lam, 0.5, streams.child("mc"), 60_000, True)
+        formula = uniform_prior_variance(pop, design, lam)
+        taus = uniform_prior_taus(pop, lam, 0.5, streams.child("mc"), 60_000)
         assert np.var(taus, ddof=1) == pytest.approx(formula, rel=0.05)
 
     def test_lambda_one_rejected(self, small_pop):
