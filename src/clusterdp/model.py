@@ -13,6 +13,7 @@ import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -146,6 +147,8 @@ class PopulationDataset:
     original label of dense cluster ``c``. ``members[c]`` holds the indices
     of cluster ``c``'s units in ascending order; it is the one grouping of
     units by cluster, so per-cluster work never rescans all units.
+    ``types[c, i, j]`` counts cluster ``c``'s units with y0 index ``i`` and
+    y1 index ``j``: the (C, K, K) table that every closed-form variance reads.
     """
 
     space: OutcomeSpace
@@ -156,19 +159,19 @@ class PopulationDataset:
     cluster_labels: tuple
 
     def __post_init__(self):
-        n = len(self.unit_ids)
+        n, k, c = len(self.unit_ids), self.space.k, len(self.cluster_labels)
         if n == 0:
             raise ValidationError("population is empty")
-        for name in ("cluster", "y0", "y1"):
+        for name, what, high in (("cluster", "cluster ids", c), ("y0", "y0 indices", k),
+                                 ("y1", "y1 indices", k)):
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValidationError(f"{name} must have one entry per unit")
-        object.__setattr__(self, "cluster", _frozen_array(self.cluster, np.int64))
-        object.__setattr__(self, "y0", _frozen_array(self.y0, np.int64))
-        object.__setattr__(self, "y1", _frozen_array(self.y1, np.int64))
-        sizes = np.bincount(self.cluster, minlength=len(self.cluster_labels))
-        if len(sizes) != len(self.cluster_labels):
-            raise ValidationError("cluster ids must lie in 0..C-1")
+            arr = _frozen_array(arr, np.int64)
+            if arr.min() < 0 or arr.max() >= high:
+                raise ValidationError(f"{what} must lie in 0..{high - 1}")
+            object.__setattr__(self, name, arr)
+        sizes = np.bincount(self.cluster, minlength=c)
         object.__setattr__(self, "cluster_sizes", _frozen_array(sizes, np.int64))
         order = _frozen_array(np.argsort(self.cluster, kind="stable"), np.int64)
         object.__setattr__(self, "members", tuple(np.split(order, np.cumsum(sizes)[:-1])))
@@ -229,6 +232,14 @@ class PopulationDataset:
         """The same units as one stratum, in their original order (complete randomization)."""
         one = np.zeros(self.n, dtype=np.int64)
         return PopulationDataset(self.space, self.unit_ids, one, self.y0, self.y1, ("pooled",))
+
+    @cached_property
+    def types(self) -> np.ndarray:
+        """Read-only (C, K, K) unit counts per (cluster, y0, y1): one bincount, kept once read."""
+        k = self.space.k
+        cells = (self.cluster * k + self.y0) * k + self.y1
+        counts = np.bincount(cells, minlength=self.n_clusters * k * k)
+        return _frozen_array(counts.reshape(self.n_clusters, k, k), np.int64)
 
     @property
     def ate(self) -> float:

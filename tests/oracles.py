@@ -9,8 +9,7 @@ the uniform-prior closed form checks the accountant at gamma = 1/K; the
 row-by-row record reader checks the column reader of population files; the
 (n, K) inverse-CDF resampler and the two per-arm bincounts check the
 CDF-table resampler and the one-bincount cluster sums bit for bit; the
-singular-value bound, the scalar outcome lookups and the pooled
-(unstratified) Horvitz-Thompson variance serve only tests.
+singular-value bound and the scalar outcome lookups serve only tests.
 """
 
 import csv
@@ -32,7 +31,6 @@ from clusterdp.model import (
     ValidationError,
 )
 from clusterdp.rng import laplace_noise
-from clusterdp.variance import _ht, _moments
 
 
 def q_matrix(q_tilde, lam: float) -> np.ndarray:
@@ -159,11 +157,6 @@ def ht_variance_loop(pop, design) -> float:
             - sample_variance(y1 - y0) / pop.cluster_sizes[c]
         )
     return total
-
-
-def ht_variance_unstratified(pop, n1: int, n0: int) -> float:
-    """Single-stratum version: variance of the pooled estimator under complete randomization."""
-    return _ht(_moments(pop.pooled()), n0, n1)
 
 
 def ht_variance_unstratified_loop(pop, n1, n0) -> float:

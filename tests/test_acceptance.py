@@ -48,7 +48,6 @@ from clusterdp.variance import (
 from conftest import make_population, pooled_with_design, random_population
 from oracles import (
     cluster_taus_fixed_design,
-    ht_variance_unstratified,
     singular_value_bound,
     uniform_prior_eps,
 )
@@ -189,9 +188,7 @@ def test_05_uniform_prior_exact_variance():
         design = counts_design(pop, 0.5)
         pooled = pooled_with_design(pop, design)
         for lam in (0.1, 0.5, 0.9):
-            gap = uniform_prior_variance(*pooled, lam) - ht_variance_unstratified(
-                pop, design.n1, design.n0
-            )
+            gap = uniform_prior_variance(*pooled, lam) - ht_variance(*pooled)
             simplified = (
                 pop.n / (design.n0 * design.n1) * (lam / 2) * (1 - lam / 2) / (1 - lam) ** 2
             )

@@ -17,7 +17,7 @@ from clusterdp.model import (
     draw_design,
 )
 from clusterdp.rng import RngStreams
-from clusterdp.simdata import subsample
+from clusterdp.simdata import GraphPopConfig, gen_graph_population, subsample
 from clusterdp.variance import homogeneity, ht_variance, uniform_prior_variance
 
 from test_mechanisms import fixed_design
@@ -45,6 +45,12 @@ def interleaved_population():
 @pytest.fixture
 def interleaved_pop():
     return interleaved_population()
+
+
+def graph_population():
+    graph = GraphPopConfig(community_sizes=(20, 30, 40, 55), p_in=0.3, p_out=0.02,
+                           beta=(1.0, 1.0, 1.0, 1.0), v=0.1, k=8, tau=1.0)
+    return gen_graph_population(graph, RngStreams(2))
 
 
 def contiguous_copy(pop):
@@ -154,3 +160,32 @@ class TestMembers:
             ]
 
         assert forms(pop, design) == forms(copy, copy_design)
+
+
+@pytest.mark.parametrize("make_pop", [interleaved_population, graph_population])
+class TestTypes:
+    """``PopulationDataset.types``, the (C, K, K) count of units per (cluster, y0, y1)."""
+
+    def test_matches_mask_scan(self, make_pop):
+        pop = make_pop()
+        k = pop.space.k
+        expected = np.zeros((pop.n_clusters, k, k), dtype=np.int64)
+        for c, i, j in np.ndindex(expected.shape):
+            expected[c, i, j] = np.sum((pop.cluster == c) & (pop.y0 == i) & (pop.y1 == j))
+        assert pop.types.dtype == np.int64
+        assert np.array_equal(pop.types, expected)
+
+    def test_read_only_and_kept(self, make_pop):
+        pop = make_pop()
+        assert pop.types is pop.types
+        assert not pop.types.flags.writeable
+        with pytest.raises(ValueError):
+            pop.types[0, 0, 0] = 1
+
+    def test_sums_to_cluster_sizes(self, make_pop):
+        pop = make_pop()
+        assert np.array_equal(pop.types.sum((1, 2)), pop.cluster_sizes)
+
+    def test_pooled_table_is_the_sum_over_clusters(self, make_pop):
+        pop = make_pop()
+        assert np.array_equal(pop.pooled().types, pop.types.sum(0, keepdims=True))

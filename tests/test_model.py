@@ -112,6 +112,22 @@ class TestPopulationDataset:
         with pytest.raises(ValueError):
             small_pop.y0[0] = 1
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [("y0", 3, "y0 indices"), ("y1", 3, "y1 indices"), ("y1", -1, "y1 indices"),
+         ("cluster", -1, "cluster ids"), ("cluster", 3, "cluster ids")],
+    )
+    def test_rejects_out_of_range_indices(self, name, value, message):
+        # a y0 index of K in a middle cluster would land in the next cluster's block
+        # of the (C, K, K) type table
+        pop = make_population(
+            (0.0, 1.0, 2.0), {"a": [(0, 1), (1, 2)], "b": [(2, 2), (0, 1)], "c": [(1, 0), (2, 1)]}
+        )
+        columns = {n: getattr(pop, n).copy() for n in ("cluster", "y0", "y1")}
+        columns[name][2] = value
+        with pytest.raises(ValidationError, match=message):
+            PopulationDataset(pop.space, pop.unit_ids, cluster_labels=pop.cluster_labels, **columns)
+
 
 class TestDrawDesign:
     def test_exact_counts_every_cluster(self, streams):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from clusterdp.model import (
     ValidationError,
 )
 from clusterdp.rng import RngStreams
-from clusterdp.simdata import GmmConfig, GraphPopConfig, gen_gmm, gen_graph_population
+from clusterdp.simdata import GmmConfig, gen_gmm
 from clusterdp.variance import (
     a_of_x,
     baseline_gaps,
@@ -26,13 +27,12 @@ from conftest import make_population, pooled_with_design, random_population
 from oracles import (
     homogeneity_loop,
     ht_variance_loop,
-    ht_variance_unstratified,
     ht_variance_unstratified_loop,
     sample_variance,
     uniform_prior_variance_loop,
 )
 
-from test_grouping import interleaved_population
+from test_grouping import graph_population, interleaved_population
 from test_mechanisms import fixed_design
 
 
@@ -133,31 +133,35 @@ def random_populations(seed=2024, count=60):
         yield pop, fixed_design(pop, [int(rng.integers(1, s)) for s in pop.cluster_sizes])
 
 
-def reference_cases():
+@pytest.fixture(scope="module")
+def few_large_clusters():
+    """50 clusters of 20 000 units: the shape where a pass over the units costs most."""
+    cfg = GmmConfig(beta=2.0, v=5.0, k_prime=5, cluster_sizes=(20_000,) * 50)
+    pop = gen_gmm(cfg, RngStreams(1))
+    return pop, counts_design(pop, 0.5)
+
+
+def reference_cases(few_large_clusters):
     yield from random_populations()
-    pop = interleaved_population()
-    yield pop, counts_design(pop, 0.5)
-    graph = GraphPopConfig(community_sizes=(20, 30, 40, 55), p_in=0.3, p_out=0.02,
-                           beta=(1.0, 1.0, 1.0, 1.0), v=0.1, k=8, tau=1.0)
-    pop = gen_graph_population(graph, RngStreams(2))
-    yield pop, counts_design(pop, 0.5)
+    for pop in (interleaved_population(), graph_population()):
+        yield pop, counts_design(pop, 0.5)
     pop = gen_gmm(GmmConfig(beta=2.0, v=5.0, k_prime=5, cluster_sizes=(20,) * 5000), RngStreams(1))
     yield pop, counts_design(pop, 0.5)
+    yield few_large_clusters
 
 
 class TestMomentsMatchLoops:
-    """The one-pass moments give the closed forms of the per-cluster loops they replaced."""
+    """The type-table moments give the closed forms of the per-cluster loops they replaced."""
 
-    def test_closed_forms_match_loops(self):
-        for pop, design in reference_cases():
+    def test_closed_forms_match_loops(self, few_large_clusters):
+        for pop, design in reference_cases(few_large_clusters):
+            pooled = pooled_with_design(pop, design)
             pairs = [
                 (ht_variance(pop, design), ht_variance_loop(pop, design)),
-                (ht_variance_unstratified(pop, design.n1, design.n0),
-                 ht_variance_unstratified_loop(pop, design.n1, design.n0)),
+                (ht_variance(*pooled), ht_variance_unstratified_loop(pop, design.n1, design.n0)),
             ]
             pairs += [(homogeneity(pop, design, a), homogeneity_loop(pop, design, a))
                       for a in (0, 1)]
-            pooled = pooled_with_design(pop, design)
             for lam in (0.3, 0.9):
                 pairs += [
                     (uniform_prior_variance(pop, design, lam),
@@ -167,6 +171,18 @@ class TestMomentsMatchLoops:
                 ]
             for got, ref in pairs:
                 assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_closed_forms_read_only_the_type_table(self, few_large_clusters):
+        pop, design = few_large_clusters
+        pop.types  # built once, on first read
+        tracemalloc.start()
+        try:
+            cluster_dp_variance_bound(pop, design, params())
+            uniform_prior_variance(pop, design, 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # one 10^6-unit float column alone is 8 MB
 
     @pytest.mark.parametrize("sigma", [0.0, 2.0, math.inf])
     def test_a_of_x_array_equals_scalar_calls(self, sigma):
@@ -269,7 +285,7 @@ class TestUniformPriorVariance:
         )
         pooled = pooled_with_design(small_pop, design)
         assert uniform_prior_variance(*pooled, 0.0) == pytest.approx(
-            ht_variance_unstratified(small_pop, design.n1, design.n0), abs=1e-14
+            ht_variance(*pooled), abs=1e-14
         )
 
     def test_binary_case_reduces_algebraically(self):
@@ -283,7 +299,7 @@ class TestUniformPriorVariance:
             pooled = pooled_with_design(pop, design)
             for lam in (0.1, 0.5, 0.9):
                 got = uniform_prior_variance(*pooled, lam)
-                base = ht_variance_unstratified(pop, design.n1, design.n0)
+                base = ht_variance(*pooled)
                 gap = (
                     pop.n
                     / (design.n0 * design.n1)
