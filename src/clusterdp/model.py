@@ -147,8 +147,8 @@ class PopulationDataset:
     original label of dense cluster ``c``. ``members[c]`` holds the indices
     of cluster ``c``'s units in ascending order; it is the one grouping of
     units by cluster, so per-cluster work never rescans all units.
-    ``types[c, i, j]`` counts cluster ``c``'s units with y0 index ``i`` and
-    y1 index ``j``: the (C, K, K) table that every closed-form variance reads.
+    ``types`` lists the nonzero cells of the (C, K, K) table of unit counts per
+    (cluster, y0 index, y1 index), the table that every closed-form variance reads.
     """
 
     space: OutcomeSpace
@@ -234,12 +234,13 @@ class PopulationDataset:
         return PopulationDataset(self.space, self.unit_ids, one, self.y0, self.y1, ("pooled",))
 
     @cached_property
-    def types(self) -> np.ndarray:
-        """Read-only (C, K, K) unit counts per (cluster, y0, y1): one bincount, kept once read."""
+    def types(self) -> tuple[np.ndarray, ...]:
+        """Read-only int64 ``(cluster, y0, y1, count)``: the nonzero cells, at most n,
+        in ascending (cluster, y0, y1) order. One sort of the units, kept once read."""
         k = self.space.k
-        cells = (self.cluster * k + self.y0) * k + self.y1
-        counts = np.bincount(cells, minlength=self.n_clusters * k * k)
-        return _frozen_array(counts.reshape(self.n_clusters, k, k), np.int64)
+        cell, count = np.unique((self.cluster * k + self.y0) * k + self.y1, return_counts=True)
+        coords = np.unravel_index(cell, (self.n_clusters, k, k))
+        return tuple(_frozen_array(a, np.int64) for a in (*coords, count))
 
     @property
     def ate(self) -> float:

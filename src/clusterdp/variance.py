@@ -1,9 +1,9 @@
 """Exact randomization variances, the cluster-quality gap bound, and baseline gaps.
 
 Everything here is a pure formula of the design counts and the population's
-(C, K, K) type table ``PopulationDataset.types``, the count of units per
-(cluster, y0, y1); no formula reads the units. Monte Carlo validation of these
-formulas lives in the experiments harness and the test suite.
+type counts ``PopulationDataset.types``: the nonzero cells of its (C, K, K)
+table of units per (cluster, y0, y1). No formula reads the units. Monte Carlo
+validation of these formulas lives in the experiments harness and the test suite.
 """
 
 from __future__ import annotations
@@ -69,11 +69,7 @@ def _moments(pop: PopulationDataset) -> _Moments:
     count-weighted sums and sums of squares per cluster, then count-weighted
     squared deviations from the cluster means.
     """
-    types, size = pop.types, pop.cluster_sizes
-    flat = types.reshape(-1)
-    cell = np.flatnonzero(flat != 0)  # a bool mask scans faster than the int64 table
-    count = flat[cell]
-    c, i, j = np.unravel_index(cell, types.shape)
+    (c, i, j, count), size = pop.types, pop.cluster_sizes
     vals = pop.space.array
     y0, y1 = vals[i], vals[j]
     ys = (y0, y1, y1 - y0)

@@ -162,9 +162,18 @@ class TestMembers:
         assert forms(pop, design) == forms(copy, copy_design)
 
 
+def dense_types(pop):
+    """The (C, K, K) table that ``pop.types`` lists the nonzero cells of."""
+    c, i, j, count = pop.types
+    k = pop.space.k
+    table = np.zeros((pop.n_clusters, k, k), dtype=np.int64)
+    np.add.at(table, (c, i, j), count)
+    return table
+
+
 @pytest.mark.parametrize("make_pop", [interleaved_population, graph_population])
 class TestTypes:
-    """``PopulationDataset.types``, the (C, K, K) count of units per (cluster, y0, y1)."""
+    """``PopulationDataset.types``, the nonzero counts of units per (cluster, y0, y1)."""
 
     def test_matches_mask_scan(self, make_pop):
         pop = make_pop()
@@ -172,20 +181,27 @@ class TestTypes:
         expected = np.zeros((pop.n_clusters, k, k), dtype=np.int64)
         for c, i, j in np.ndindex(expected.shape):
             expected[c, i, j] = np.sum((pop.cluster == c) & (pop.y0 == i) & (pop.y1 == j))
-        assert pop.types.dtype == np.int64
-        assert np.array_equal(pop.types, expected)
+        assert all(a.dtype == np.int64 for a in pop.types)
+        assert np.all(pop.types[3] > 0)
+        assert np.array_equal(dense_types(pop), expected)
+
+    def test_cells_are_distinct_and_ascending(self, make_pop):
+        pop = make_pop()
+        k = pop.space.k
+        cell = np.ravel_multi_index(pop.types[:3], (pop.n_clusters, k, k))
+        assert np.all(np.diff(cell) > 0)
 
     def test_read_only_and_kept(self, make_pop):
         pop = make_pop()
         assert pop.types is pop.types
-        assert not pop.types.flags.writeable
+        assert not any(a.flags.writeable for a in pop.types)
         with pytest.raises(ValueError):
-            pop.types[0, 0, 0] = 1
+            pop.types[3][0] = 1
 
     def test_sums_to_cluster_sizes(self, make_pop):
         pop = make_pop()
-        assert np.array_equal(pop.types.sum((1, 2)), pop.cluster_sizes)
+        assert np.array_equal(dense_types(pop).sum((1, 2)), pop.cluster_sizes)
 
     def test_pooled_table_is_the_sum_over_clusters(self, make_pop):
         pop = make_pop()
-        assert np.array_equal(pop.pooled().types, pop.types.sum(0, keepdims=True))
+        assert np.array_equal(dense_types(pop.pooled()), dense_types(pop).sum(0, keepdims=True))

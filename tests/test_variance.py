@@ -10,6 +10,7 @@ from clusterdp.model import (
     MechanismKind,
     MechanismParams,
     OutcomeSpace,
+    PopulationDataset,
     ValidationError,
 )
 from clusterdp.rng import RngStreams
@@ -183,6 +184,25 @@ class TestMomentsMatchLoops:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000  # one 10^6-unit float column alone is 8 MB
+
+    def test_memory_follows_the_units_not_the_table(self):
+        """1000 clusters of 20 units over K = 200 fractional values: a dense (C, K, K)
+        table would be 320 MB; the nonzero cells are at most the 20 000 units."""
+        rng = np.random.default_rng(8)
+        n, c, k = 20_000, 1000, 200
+        pop = PopulationDataset(OutcomeSpace(tuple(np.arange(k) / 7.0)), tuple(map(str, range(n))),
+                                np.repeat(np.arange(c), n // c), rng.integers(0, k, n),
+                                rng.integers(0, k, n), tuple(range(c)))
+        design = counts_design(pop, 0.5)
+        tracemalloc.start()
+        try:
+            assert len(pop.types[3]) <= n
+            cluster_dp_variance_bound(pop, design, params(gamma=0.001))
+            uniform_prior_variance(pop, design, 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     @pytest.mark.parametrize("sigma", [0.0, 2.0, math.inf])
     def test_a_of_x_array_equals_scalar_calls(self, sigma):
