@@ -266,7 +266,7 @@ def write_release(release: PrivatizedRelease, csv_path, sidecar_path) -> None:
         columns = (labels[release.cluster], release.design.z, text[release.y_tilde])
         writer.writerows(zip(release.unit_ids, *(c.tolist() for c in columns)))
     params = release.params
-    sidecar = {
+    values = {
         "kind": params.kind.value,
         "params": {
             "gamma": params.gamma,
@@ -275,12 +275,39 @@ def write_release(release: PrivatizedRelease, csv_path, sidecar_path) -> None:
         },
         "space": [float(v) for v in release.space.values],
         "cluster_labels": [str(c) for c in release.cluster_labels],
-        "debias_rows": release.debias.tolist(),
-        "q_tilde": release.q_tilde.tolist(),
     }
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    tables = {"debias_rows": release.debias, "q_tilde": release.q_tilde}
+    with open(sidecar_path, "w") as fh:  # the bytes of json.dump(..., sort_keys=True, indent=2)
+        fh.write("{")
+        for i, key in enumerate(sorted([*values, *tables])):
+            fh.write(f'{"," if i else ""}\n  "{key}": ')
+            if key in tables:
+                _write_table(fh, tables[key])
+            else:
+                fh.write(json.dumps(values[key], sort_keys=True, indent=2).replace("\n", "\n  "))
+        fh.write("\n}\n")
+
+
+# A (C, 2, K) table as indent=2 writes it under a top-level key.
+_CLUSTER_OPEN, _CLUSTER_CLOSE = "\n    [\n      [\n        ", "\n      ]\n    ]"
+_ARM_GAP = "\n      ],\n      [\n        "
+_TABLE_BLOCK = 1024  # clusters formatted per json.dumps call
+
+
+def _write_table(fh, table: np.ndarray) -> None:
+    """Write a (C, 2, K) table a block of clusters at a time; the C encoder formats the numbers.
+
+    Between numbers the encoder writes ``, ``, between arms ``], [`` and between
+    clusters ``]], [[``; a number never holds a bracket or a comma, so each
+    gap is widened to the indent=2 layout by one replace.
+    """
+    fh.write("[")
+    for start in range(0, len(table), _TABLE_BLOCK):
+        text = json.dumps(table[start:start + _TABLE_BLOCK].tolist())[3:-3]
+        text = (text.replace("]], [[", _CLUSTER_CLOSE + "," + _CLUSTER_OPEN)
+                .replace("], [", _ARM_GAP).replace(", ", ",\n        "))
+        fh.write(f'{"," if start else ""}{_CLUSTER_OPEN}{text}{_CLUSTER_CLOSE}')
+    fh.write("\n  ]" if len(table) else "]")
 
 
 def _sidecar_table(sidecar, key: str, shape) -> np.ndarray:
@@ -293,8 +320,11 @@ def _sidecar_table(sidecar, key: str, shape) -> np.ndarray:
     return table
 
 
-def _read_sidecar(path) -> dict:
-    """The sidecar's JSON with its containers type-checked; values are checked by the caller."""
+def _read_sidecar(path):
+    """The sidecar's space, cluster labels, params, q_tilde and debias rows, each checked.
+
+    Only these leave the function, so the parsed JSON is freed before the CSV is read.
+    """
     with open(path) as fh:
         try:
             sidecar = json.load(fh)
@@ -307,14 +337,8 @@ def _read_sidecar(path) -> dict:
             raise ValidationError(f"sidecar {key} must be a list")
     if not all(isinstance(lab, str) for lab in sidecar["cluster_labels"]):
         raise ValidationError("sidecar cluster_labels must be strings")
-    return sidecar
-
-
-def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
-    sidecar = _read_sidecar(sidecar_path)
     space = OutcomeSpace(tuple(finite_number("sidecar space entry", v) for v in sidecar["space"]))
     labels = tuple(sidecar["cluster_labels"])
-    dense = {lab: i for i, lab in enumerate(labels)}
     shape = (len(labels), 2, space.k)
     try:
         kind = MechanismKind(sidecar["kind"])
@@ -335,6 +359,12 @@ def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
     debias = _sidecar_table(sidecar, "debias_rows", shape)
     if not np.all(np.abs(debias - debias_rows(space.array, q_tilde, lam)) <= 1e-12):
         raise ValidationError("sidecar debias_rows differ from debias_rows(space, q_tilde, lambda)")
+    return space, labels, params, q_tilde, debias
+
+
+def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
+    space, labels, params, q_tilde, debias = _read_sidecar(sidecar_path)
+    dense = {lab: i for i, lab in enumerate(labels)}
     unit_ids, label_col, z_col, y_col = read_columns(csv_path, RELEASE_HEADER)
     n = len(unit_ids)
     z = np.fromiter(map(_ARMS.get, z_col, repeat(-1)), np.int8, n)

@@ -9,6 +9,7 @@ mechanisms.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from dataclasses import dataclass
@@ -210,10 +211,73 @@ def gen_graph_population(config: GraphPopConfig, streams: RngStreams) -> Populat
 # ---------------------------------------------------------------------------
 
 POPULATION_HEADER = ["unit_id", "cluster", "y0", "y1"]
+_BLOCK_CHARS = 1 << 16
 
 
 def read_columns(path, header: list[str]) -> list[list[str]]:
     """The columns of a CSV file under ``header``; rows of the wrong length are named by line.
+
+    A file with no ``"`` and no ``\\r`` is split a block of text at a time
+    (``_plain_columns``). Any other file, an empty one or one with another
+    header goes through ``csv.reader`` from its start (``_csv_columns``). Both
+    give the same columns, or the same message, on every file both can read.
+    Text that does not decode, and a field longer than ``csv.field_size_limit()``,
+    are named by file and line.
+    """
+    try:
+        columns = _plain_columns(path, header)
+        return _csv_columns(path, header) if columns is None else columns
+    except UnicodeDecodeError as exc:
+        line = _undecodable_line(path, exc.encoding)
+        raise ValidationError(
+            f"{path}, line {line}: not {exc.encoding} text ({exc.reason})") from None
+
+
+def _plain_columns(path, header: list[str]) -> list[list[str]] | None:
+    """Columns of a file split at commas and line breaks, or None if it needs ``csv.reader``.
+
+    Each block is about 64 KB of text cut at a line break. Each line break
+    becomes a field of its own, so a block whose rows all hold ``width``
+    fields splits into rows of ``width`` fields and a ``"\\n"``, and no list
+    or string per row is built. A row's fields are its commas plus one; a
+    blank row, which ``csv.reader`` reads as no fields, has no comma, so it
+    misfits any header of two or more fields.
+    """
+    width, limit = len(header), csv.field_size_limit()
+    columns: list[list[str]] = [[] for _ in header]
+    misfits = []
+    with open(path, newline="") as fh:
+        if (fh.readline().removesuffix("\n") != ",".join(header)
+                or max(map(len, header)) > limit):  # csv.reader names such a header field
+            return None
+        line = 2  # of the block's first row
+        while block := fh.read(_BLOCK_CHARS):
+            block = (block + fh.readline()).removesuffix("\n")
+            if '"' in block or "\r" in block:
+                return None
+            if len(block) > limit:  # no shorter block holds a field over the limit
+                for i, row in enumerate(block.split("\n"), start=line):
+                    if len(row) > limit and max(map(len, row.split(","))) > limit:
+                        raise ValidationError(
+                            f"{path}, line {i}: field larger than field limit ({limit})")
+            rows = block.count("\n") + 1
+            fields = block.replace("\n", ",\n,").split(",")
+            if (len(fields) != rows * (width + 1) - 1
+                    or fields[width::width + 1].count("\n") != rows - 1):
+                misfits += [f"line {i}: expected {width} fields"
+                            for i, row in enumerate(block.split("\n"), start=line)
+                            if row.count(",") != width - 1]
+            elif not misfits:
+                for j, column in enumerate(columns):
+                    column.extend(fields[j::width + 1])
+            line += rows
+    if misfits:
+        raise ValidationError("; ".join(misfits))
+    return columns
+
+
+def _csv_columns(path, header: list[str]) -> list[list[str]]:
+    """Columns through ``csv.reader``, which reads quoted fields and CR line ends.
 
     Rows are moved into the columns a block at a time, so only one block of
     row lists is alive at once.
@@ -223,20 +287,39 @@ def read_columns(path, header: list[str]) -> list[list[str]]:
     misfits = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
-        if first != header:
-            raise ValidationError(f"expected header {','.join(header)!r}, got {first!r}")
-        line = 2  # of the block's first row
-        while block := list(islice(reader, 4096)):
-            misfits += [f"line {i}: expected {width} fields"
-                        for i, row in enumerate(block, start=line) if len(row) != width]
-            line += len(block)
-            if not misfits:
-                for column, values in zip(columns, zip(*block)):
-                    column.extend(values)
+        try:
+            first = next(reader, None)
+            if first != header:
+                raise ValidationError(f"expected header {','.join(header)!r}, got {first!r}")
+            line = 2  # of the block's first row
+            while block := list(islice(reader, 4096)):
+                misfits += [f"line {i}: expected {width} fields"
+                            for i, row in enumerate(block, start=line) if len(row) != width]
+                line += len(block)
+                if not misfits:
+                    for column, values in zip(columns, zip(*block)):
+                        column.extend(values)
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from None
     if misfits:
         raise ValidationError("; ".join(misfits))
     return columns
+
+
+def _undecodable_line(path, encoding: str) -> int:
+    """The line of the first byte of ``path`` that ``encoding`` cannot decode."""
+    decoder = codecs.getincrementaldecoder(encoding)()
+    line = 1
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(_BLOCK_CHARS)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:  # exc.object is the decoder's held bytes + chunk
+                return line + exc.object.count(b"\n", 0, exc.start)
+            if not chunk:
+                return line
+            line += chunk.count(b"\n")
 
 
 def _is_number(text: str) -> bool:

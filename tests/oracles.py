@@ -9,10 +9,12 @@ the uniform-prior closed form checks the accountant at gamma = 1/K; the
 row-by-row record reader checks the column reader of population files; the
 (n, K) inverse-CDF resampler and the two per-arm bincounts check the
 CDF-table resampler and the one-bincount cluster sums bit for bit; the
-singular-value bound and the scalar outcome lookups serve only tests.
+sidecar as one ``json.dumps`` checks the block-wise sidecar writer byte for
+byte; the singular-value bound and the scalar outcome lookups serve only tests.
 """
 
 import csv
+import json
 import math
 from typing import NamedTuple
 
@@ -269,3 +271,21 @@ def records_population(records, space: OutcomeSpace) -> PopulationDataset:
         y1=np.array([index[r.y1] for r in records]),
         cluster_labels=tuple(labels),
     )
+
+
+def sidecar_text(release) -> str:
+    """A release's sidecar as one ``json.dumps(..., sort_keys=True, indent=2)`` plus a newline."""
+    params = release.params
+    sidecar = {
+        "kind": params.kind.value,
+        "params": {
+            "gamma": params.gamma,
+            "sigma": "inf" if math.isinf(params.sigma) else params.sigma,
+            "lambda": params.lam,
+        },
+        "space": [float(v) for v in release.space.values],
+        "cluster_labels": [str(c) for c in release.cluster_labels],
+        "debias_rows": release.debias.tolist(),
+        "q_tilde": release.q_tilde.tolist(),
+    }
+    return json.dumps(sidecar, sort_keys=True, indent=2) + "\n"

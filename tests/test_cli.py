@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -489,6 +490,38 @@ class TestMalformedInput:
         assert code == 2
         assert stdout == "" and named in err
         assert not sidecar.exists()
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    @pytest.mark.parametrize("fault", ["non_utf8", "oversized"])
+    @pytest.mark.parametrize("command", ["analyze", "estimate", "experiment"])
+    def test_undecodable_or_oversized_field_exit_code(self, tmp_path, capsys, command, fault,
+                                                      quoted):
+        """A non-UTF-8 byte or a field over csv.field_size_limit() on line 3 is named by file
+        and line, whether the file is split as plain text or read by csv.reader (a quote)."""
+        pop_csv = tmp_path / "pop.csv"
+        _write_population(pop_csv, [f"{c}{i},c{c},{i % 2},{(i + c) % 2}"
+                                    for c in range(2) for i in range(3)])
+        target, argv = pop_csv, ["analyze", "--pop", str(pop_csv), "--values", "0,1"]
+        if command == "estimate":
+            target, sidecar = tmp_path / "r.csv", tmp_path / "r.json"
+            run_cli(capsys, "privatize", "--pop", str(pop_csv), "--values", "0,1",
+                    "--out", str(target), "--sidecar", str(sidecar))
+            argv = ["estimate", "--release", str(target), "--sidecar", str(sidecar)]
+        elif command == "experiment":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"population": {"kind": "csv", "path": str(pop_csv),
+                                                      "values": [0, 1]}, "replications": 3}))
+            argv = ["experiment", "distribution", "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]
+        lines = target.read_bytes().split(b"\n")
+        bad = b"\xff" if fault == "non_utf8" else b"x" * csv.field_size_limit()
+        lines[2] = bad + lines[2]  # the unit id of line 3
+        if quoted:
+            lines[1] = b'"' + lines[1].replace(b",", b'",', 1)
+        target.write_bytes(b"\n".join(lines))
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert stdout == "" and f"{target}, line 3: " in err
 
     def test_population_without_y1_column_names_header(self, tmp_path, capsys):
         pop_csv = tmp_path / "pop.csv"

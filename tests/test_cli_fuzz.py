@@ -2,7 +2,9 @@
 
 Each example takes a valid input (an experiment config, a release sidecar,
 a population or release CSV, or a command line), changes the type or
-structure of one value in it, and runs the command in process. Whatever the
+structure of one value in it, or puts bytes the CSV reader treats apart
+(a quote, a CR, a NUL, a byte that is not UTF-8, a field over the csv field
+size limit) into the raw file, and runs the command in process. Whatever the
 change, the command must return 0, 2 or 3 without raising, and when it
 returns 0 its stdout must be a JSON document with no NaN or infinity in it.
 A flag that argparse rejects exits through ``SystemExit`` with code 2.
@@ -10,6 +12,7 @@ A flag that argparse rejects exits through ``SystemExit`` with code 2.
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
@@ -42,6 +45,10 @@ CSV_FIELDS = st.one_of(
 
 # Flag values and flag names; the names include none that would drop a
 # required input (an experiment without --config runs the full-size defaults).
+# A quote or CR sends a file through csv.reader; the others keep it on the plain split.
+RAW_BYTES = st.sampled_from([b'"', b"\r", b"\r\n", b"\0", b"\xff", b"\xc3",
+                             b"x" * (csv.field_size_limit() + 1)])
+
 FLAG_VALUES = st.sampled_from([
     "-2", "-1", "0", "1", "2", "8", "", "x", "nan", "inf", "-inf", "0.5", "-0.5", "1e300",
     "1e-300", "0,1", "0,1,2,2", "0,1,1.3e154", "--seed", "--k", "--lam", "--bogus",
@@ -123,7 +130,7 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in JSON output")
 
 
-def _run(*argv) -> None:
+def _run(*argv) -> int:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -135,6 +142,7 @@ def _run(*argv) -> None:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert out.getvalue() == "" and err.getvalue(), err.getvalue()
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +216,27 @@ def test_release_row(workdir, data):
     release = workdir / "release_mutated.csv"
     release.write_text("\n".join(lines) + "\n")
     _run("estimate", "--release", release, "--sidecar", workdir / "sidecar.json")
+
+
+@FUZZ
+@given(data=st.data(), target=st.sampled_from(["pop.csv", "release.csv"]))
+def test_raw_bytes(workdir, data, target):
+    raw = (workdir / target).read_bytes()
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        overwrite = data.draw(st.booleans(), label="overwrite")
+        raw = raw[:at] + data.draw(RAW_BYTES, label="bytes") + raw[at + overwrite:]
+    path = workdir / f"bytes_{target}"
+    path.write_bytes(raw)
+    if target == "release.csv":
+        argv = ["estimate", "--release", path, "--sidecar", workdir / "sidecar.json"]
+    else:
+        argv = [data.draw(st.sampled_from(["privatize", "analyze"]), label="command"),
+                "--pop", path]
+        argv += data.draw(st.sampled_from([[], ["--values", "0,1,2"]]), label="values")
+        if argv[0] == "privatize":
+            argv += ["--out", workdir / "r.csv", "--sidecar", workdir / "r.json"]
+    assert _run(*argv) in (0, 2)
 
 
 @settings(FUZZ, max_examples=500)  # eight base command lines share the examples

@@ -4,19 +4,31 @@ The round trips check that every id, label and array survives the writers
 and the one column reader. The parity corpus checks the column reader of
 population files against the row-by-row record reader it replaced
 (``oracles.read_records``): both accept and reject the same files and build
-the same populations.
+the same populations. Every corpus file has twins with a quoted field and
+with CRLF line ends, which the reader sends through ``csv.reader``; on the
+files without, its plain text split must give what ``csv.reader`` gives.
+The sidecar writer must match one ``json.dumps`` byte for byte, and neither
+writer nor reader may use more memory than the implementations they replaced.
 """
 
+import csv
+import gc
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterdp.mechanisms import cluster_dp, read_release, write_release
+from clusterdp import simdata
+from clusterdp.estimation import debias_rows
+from clusterdp.mechanisms import (
+    _TABLE_BLOCK, RELEASE_HEADER, cluster_dp, read_release, write_release,
+)
 from clusterdp.model import (
     MechanismKind,
     MechanismParams,
@@ -26,9 +38,12 @@ from clusterdp.model import (
     draw_design,
 )
 from clusterdp.rng import RngStreams
-from clusterdp.simdata import GmmConfig, gen_gmm, infer_space, ingest_csv, write_population_csv
+from clusterdp.simdata import (
+    _BLOCK_CHARS, POPULATION_HEADER, GmmConfig, _csv_columns, _plain_columns, gen_gmm,
+    infer_space, ingest_csv, read_columns, write_population_csv,
+)
 
-from oracles import read_records, records_population, records_space
+from oracles import read_records, records_population, records_space, sidecar_text
 
 # Labels that sort differently as strings and as numbers, and labels that need quoting.
 LABELS = st.one_of(
@@ -148,7 +163,15 @@ class TestGeneratedIds:
 
 HEADER = "unit_id,cluster,y0,y1\n"
 GOOD = ["a,c2,0,1", "b,c10,1,2", "c,c2,2,2", "d,c10,0,0"]
-CORPUS = {
+# Rows of 14 characters and a newline. The first block is one read of _BLOCK_CHARS
+# characters after the header, completed to the end of its line by readline.
+ROW_CHARS = 15
+BLOCK_ROWS = _BLOCK_CHARS // ROW_CHARS + 1
+WIDE = [f"u{i:06d},c{i % 7},0,1" for i in range(3 * BLOCK_ROWS)]
+MISFIT_WIDE = list(WIDE)
+MISFIT_WIDE[BLOCK_ROWS - 1] = f"u{BLOCK_ROWS - 1:06d},c0,001"  # 3 fields, last of block 1
+MISFIT_WIDE[BLOCK_ROWS] = f"u{BLOCK_ROWS % 10**4:04d},c0,0,1,1"  # 5 fields, first of block 2
+PLAIN_CORPUS = {
     "well_formed": HEADER + "\n".join(GOOD) + "\n",
     "short_row": HEADER + "\n".join(GOOD + ["e,c2,1"]) + "\n",
     "long_row": HEADER + "\n".join(GOOD + ["e,c2,1,1,1"]) + "\n",
@@ -162,6 +185,20 @@ CORPUS = {
     "several_faults": HEADER + "\n".join(GOOD + ["a,c3,1,9", "e,c2,7,1"]) + "\n",
     "header_only": HEADER,
     "empty": "",
+    "no_trailing_newline": HEADER + "\n".join(GOOD),
+    "blank_middle_line": HEADER + "\n".join(GOOD[:2] + [""] + GOOD[2:]) + "\n",
+    "trailing_blank_line": HEADER + "\n".join(GOOD) + "\n\n",
+    "nul_in_id": HEADER + "\n".join(GOOD + ["e\0,c2,1,1"]) + "\n",
+    "three_blocks": HEADER + "\n".join(WIDE) + "\n",
+    "misfits_at_block_edge": HEADER + "\n".join(MISFIT_WIDE) + "\n",
+}
+# Twins that read the same through csv.reader but cannot be split as plain text.
+TWINS = {"quoted": lambda text: text.replace("unit_id", '"unit_id"', 1),
+         "crlf": lambda text: text.replace("\n", "\r\n")}
+CORPUS = {
+    **PLAIN_CORPUS,
+    **{f"{case}~{twin}": make(text) for case, text in PLAIN_CORPUS.items()
+       for twin, make in TWINS.items()},
 }
 SPACES = {"given": OutcomeSpace((0.0, 1.0, 2.0, 1000.0)), "inferred": None}
 
@@ -177,7 +214,7 @@ def _outcome(read):
 @pytest.mark.parametrize("case", sorted(CORPUS))
 def test_column_reader_matches_record_reader(tmp_path, case, space_from):
     path = tmp_path / "pop.csv"
-    path.write_text(CORPUS[case])
+    path.write_bytes(CORPUS[case].encode())
     space = SPACES[space_from]
 
     def columns():
@@ -200,7 +237,7 @@ def test_corpus_holds_both_verdicts(tmp_path):
     verdicts = {}
     for case, text in CORPUS.items():
         path = tmp_path / f"{case}.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         verdicts[case] = not isinstance(
             _outcome(lambda: records_population(read_records(path), SPACES["given"])),
             ValidationError,
@@ -253,3 +290,205 @@ def test_misfit_lines_numbered_across_blocks(tmp_path):
     assert str(new.value) == str(ref.value) == (
         "line 3: expected 4 fields; line 8502: expected 4 fields"
     )
+
+
+def _columns_or_message(read):
+    try:
+        return read()
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_CORPUS))
+def test_plain_split_matches_csv_reader(tmp_path, case):
+    """On a file with no quote and no CR both readers give the same columns or message."""
+    path = tmp_path / "pop.csv"
+    path.write_bytes(PLAIN_CORPUS[case].encode())
+    plain = _columns_or_message(lambda: _plain_columns(path, POPULATION_HEADER))
+    reference = _columns_or_message(lambda: _csv_columns(path, POPULATION_HEADER))
+    if case == "empty":  # no header line: csv.reader names what it found
+        assert plain is None and reference.startswith("ValidationError: expected header")
+    else:
+        assert plain == reference
+    assert _columns_or_message(lambda: read_columns(path, POPULATION_HEADER)) == reference
+
+
+@given(st.text(alphabet="ab1,\n\0\x85 ", max_size=40), st.sampled_from([4, _BLOCK_CHARS]),
+       st.sampled_from([3, 7, csv.field_size_limit()]))
+@settings(max_examples=300, deadline=None)
+def test_plain_split_matches_csv_reader_on_any_plain_text(body, block_chars, field_limit):
+    """Also with blocks of a few characters, and with a field limit that short fields
+    pass (7, the longest header field) or that a header field breaks (3)."""
+    default_limit = csv.field_size_limit(field_limit)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(simdata, "_BLOCK_CHARS", block_chars):
+            path = Path(tmp) / "pop.csv"
+            path.write_bytes((HEADER + body).encode())
+            plain = _columns_or_message(lambda: _plain_columns(path, POPULATION_HEADER))
+            reference = _columns_or_message(lambda: _csv_columns(path, POPULATION_HEADER))
+            assert plain == (None if field_limit == 3 else reference)
+            assert _columns_or_message(lambda: read_columns(path, POPULATION_HEADER)) == reference
+    finally:
+        csv.field_size_limit(default_limit)
+
+
+@pytest.mark.parametrize("twin", sorted(TWINS))
+@pytest.mark.parametrize("case", sorted(PLAIN_CORPUS))
+def test_twins_read_through_csv_reader(tmp_path, case, twin):
+    plain, other = tmp_path / "plain.csv", tmp_path / "twin.csv"
+    plain.write_bytes(PLAIN_CORPUS[case].encode())
+    other.write_bytes(CORPUS[f"{case}~{twin}"].encode())
+    assert _plain_columns(other, POPULATION_HEADER) is None
+    assert (_columns_or_message(lambda: read_columns(other, POPULATION_HEADER))
+            == _columns_or_message(lambda: read_columns(plain, POPULATION_HEADER)))
+
+
+def test_misfits_named_on_both_sides_of_a_block_edge(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_bytes(PLAIN_CORPUS["misfits_at_block_edge"].encode())
+    assert len(path.read_bytes()) > 2 * _BLOCK_CHARS
+    expected = (f"line {BLOCK_ROWS + 1}: expected 4 fields; "
+                f"line {BLOCK_ROWS + 2}: expected 4 fields")
+    for read in (_plain_columns, _csv_columns):
+        with pytest.raises(ValidationError) as exc:
+            read(path, POPULATION_HEADER)
+        assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("extra, fault", [(0, None), (1, "field larger than field limit"),
+                                           (None, "not utf-8 text")])
+def test_long_field_and_undecodable_byte_named_alike(tmp_path, extra, fault):
+    """A field may be csv.field_size_limit() characters long; one more, or a byte that
+    is not UTF-8, is named by file and line on the plain split and through csv.reader."""
+    bad = b"\xff" if extra is None else b"x" * (csv.field_size_limit() - 1 + extra)
+    lines = [line.encode() for line in [HEADER.strip(), *GOOD]]
+    lines[3] = bad + lines[3]  # the unit id "c" on line 4
+    path = tmp_path / "pop.csv"
+    outcomes = []
+    for header in (lines[0], lines[0].replace(b"unit_id", b'"unit_id"')):
+        path.write_bytes(b"\n".join([header, *lines[1:]]))
+        outcomes.append(_columns_or_message(lambda: read_columns(path, POPULATION_HEADER)))
+    assert outcomes[0] == outcomes[1]
+    if fault is None:
+        assert outcomes[0][0][2] == bad.decode() + "c"
+    else:
+        assert outcomes[0].startswith(f"ValidationError: {path}, line 4: {fault}")
+
+
+@pytest.fixture
+def small_release():
+    pop = gen_gmm(GmmConfig(beta=1.0, v=5.0, k_prime=2, cluster_sizes=(6, 9, 7)), RngStreams(3))
+    streams = RngStreams(4)
+    design = draw_design(pop, 0.5, streams.generator("assignment"))
+    params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.05, sigma=10.0, lam=0.5)
+    return cluster_dp(pop, design, params, streams)
+
+
+def test_release_file_on_both_readers(tmp_path, small_release):
+    """Release rows read the same from the plain file and from its csv.reader twins."""
+    csv_path, sidecar = tmp_path / "r.csv", tmp_path / "r.json"
+    write_release(small_release, csv_path, sidecar)
+    text = csv_path.read_text()
+    short = text.split("\n")
+    short[2] = short[2].rsplit(",", 1)[0]  # line 3 loses its y_tilde
+    for lines, expected in ((text, None), ("\n".join(short), "line 3: expected 4 fields")):
+        csv_path.write_bytes(lines.encode())
+        plain = _columns_or_message(lambda: _plain_columns(csv_path, RELEASE_HEADER))
+        assert plain == _columns_or_message(lambda: _csv_columns(csv_path, RELEASE_HEADER))
+        assert expected is None or plain == f"ValidationError: {expected}"
+        for make in TWINS.values():
+            twin = tmp_path / "twin.csv"
+            twin.write_bytes(make(lines).encode())
+            assert _plain_columns(twin, RELEASE_HEADER) is None
+            if expected:
+                with pytest.raises(ValidationError, match=expected):
+                    read_release(twin, sidecar)
+                continue
+            back = read_release(twin, sidecar)
+            assert back.unit_ids == small_release.unit_ids
+            assert np.array_equal(back.y_tilde, small_release.y_tilde)
+            assert np.array_equal(back.design.z, small_release.design.z)
+
+
+class TestSidecarBytes:
+    """write_release's sidecar equals json.dumps(sidecar, sort_keys=True, indent=2) + newline."""
+
+    @staticmethod
+    def assert_same_bytes(release, tmp_path):
+        csv_path, sidecar = tmp_path / "r.csv", tmp_path / "r.json"
+        write_release(release, csv_path, sidecar)
+        text = sidecar.read_bytes().decode()
+        assert text == sidecar_text(release)
+        return text
+
+    @staticmethod
+    def release(sizes, k_prime=5, seed=0):
+        pop = gen_gmm(GmmConfig(beta=4.5, v=5.0, k_prime=k_prime, cluster_sizes=sizes),
+                      RngStreams(seed))
+        streams = RngStreams(seed)
+        design = draw_design(pop, 0.5, streams.generator("assignment"))
+        params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.02, sigma=10.0, lam=0.8)
+        return cluster_dp(pop, design, params, streams)
+
+    def test_default_release(self, tmp_path):
+        self.assert_same_bytes(self.release((500, 1000, 2000)), tmp_path)
+
+    def test_more_clusters_than_one_block(self, tmp_path):
+        release = self.release((4,) * (2 * _TABLE_BLOCK + 1), k_prime=1)
+        self.assert_same_bytes(release, tmp_path)
+
+    def test_debias_rows_overflow_to_infinity(self, tmp_path):
+        release = self.release((6, 8), k_prime=1)
+        space = OutcomeSpace((-1.7e308, -1e308, 1e308, 1.7e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            debias = debias_rows(space.array, release.q_tilde, release.params.lam)
+        assert np.isinf(debias).any()
+        text = self.assert_same_bytes(replace(release, space=space, debias=debias), tmp_path)
+        assert "Infinity" in text
+
+    def test_negative_zero(self, tmp_path):
+        release = self.release((6, 8), k_prime=1)
+        debias, q_tilde = release.debias.copy(), release.q_tilde.copy()
+        debias[0, 1] = -0.0
+        q_tilde[1, 0, 0] = -0.0
+        text = self.assert_same_bytes(replace(release, debias=debias, q_tilde=q_tilde), tmp_path)
+        assert "-0.0" in text
+
+
+class TestPeakMemory:
+    """tracemalloc peaks at 5000 clusters of 20 units (K = 12), no higher than before.
+
+    Before the plain split and the block-wise sidecar writer (csv.reader row
+    lists, and one json.dump of the whole sidecar) these tests measured
+    18.24 MB for read_columns and 12.02 MB for write_release, with Python
+    3.11.7 and NumPy 2.4.6; they measure 18.11 MB and 8.48 MB now.
+    """
+
+    @pytest.fixture(scope="class")
+    def pop(self):
+        config = GmmConfig(beta=4.5, v=5.0, k_prime=5, cluster_sizes=(20,) * 5000)
+        return gen_gmm(config, RngStreams(4))
+
+    @staticmethod
+    def peak_mb(call) -> float:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_read_columns(self, tmp_path, pop):
+        path = tmp_path / "pop.csv"
+        write_population_csv(pop, path)
+        assert self.peak_mb(lambda: read_columns(path, POPULATION_HEADER)) <= 18.24
+
+    def test_write_release(self, tmp_path, pop):
+        streams = RngStreams(4)
+        design = draw_design(pop, 0.5, streams.generator("assignment"))
+        params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.02, sigma=10.0, lam=0.8)
+        release = cluster_dp(pop, design, params, streams)
+        csv_path, sidecar = tmp_path / "r.csv", tmp_path / "r.json"
+        assert self.peak_mb(lambda: write_release(release, csv_path, sidecar)) <= 12.02
