@@ -23,6 +23,7 @@ __all__ = [
     "CalibrationError",
     "PrivacyReport",
     "prior_budget",
+    "resample_budget",
     "cluster_dp_eps_delta",
     "cluster_dp_pure_eps",
     "calibrate_lambda",
@@ -101,12 +102,14 @@ def cluster_dp_eps_delta(
     )
 
 
+def resample_budget(lam: float, gamma: float) -> float:
+    """Budget spent resampling: log(1 + (1-lam)/(lam*gamma)); inf when lam or gamma is 0."""
+    return math.inf if lam == 0.0 or gamma == 0.0 else math.log1p((1.0 - lam) / (lam * gamma))
+
+
 def cluster_dp_pure_eps(params: MechanismParams, k: int | None = None) -> float:
-    """Pure epsilon: prior budget + log(1 + (1-lam)/(lam*gamma)); inf when lam or gamma is 0."""
-    prior = prior_budget(params.gamma, params.sigma, k)
-    if params.lam == 0.0 or params.gamma == 0.0:
-        return math.inf
-    return prior + math.log1p((1.0 - params.lam) / (params.lam * params.gamma))
+    """Pure epsilon: the prior budget plus the resampling budget."""
+    return prior_budget(params.gamma, params.sigma, k) + resample_budget(params.lam, params.gamma)
 
 
 def calibrate_lambda(

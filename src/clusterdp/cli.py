@@ -49,7 +49,7 @@ def _emit(payload) -> None:
 
 
 def _space_from_pop_file(path, values_arg):
-    if values_arg:
+    if values_arg is not None:  # an empty list is a bad list, not an absent one
         return OutcomeSpace(tuple(_float_arg(v) for v in values_arg.split(",")))
     return simdata.infer_space(path)
 
@@ -97,8 +97,6 @@ def _mechanism_params(args, k: int | None, lam: float = 0.0) -> MechanismParams:
 
 
 def _cmd_privatize(args) -> None:
-    if args.lam >= 1.0:  # checked first, so nothing is read or written
-        raise ValidationError("privatize needs lambda < 1: a lambda = 1 release cannot be debiased")
     space = _space_from_pop_file(args.pop, args.values)
     pop = simdata.ingest_csv(args.pop, space)
     streams = RngStreams(args.seed)
@@ -131,9 +129,9 @@ def _cmd_account(args) -> None:
     if args.eps_tilde is not None:
         report = accounting.cluster_dp_eps_delta(params, args.eps_tilde, args.k)
     else:
-        eps = accounting.cluster_dp_pure_eps(params, args.k)
-        prior = accounting.prior_budget(params.gamma, params.sigma)
-        report = accounting.PrivacyReport(eps, 0.0, prior, eps - prior)
+        prior = accounting.prior_budget(params.gamma, params.sigma, args.k)
+        resample = accounting.resample_budget(params.lam, params.gamma)
+        report = accounting.PrivacyReport(prior + resample, 0.0, prior, resample)
     _emit(report.as_dict())
 
 
@@ -149,9 +147,7 @@ def _cmd_analyze(args) -> None:
     space = _space_from_pop_file(args.pop, args.values)
     pop = simdata.ingest_csv(args.pop, space)
     design = experiments.counts_design(pop, args.treated_fraction)
-    params = MechanismParams(
-        kind=MechanismKind.CLUSTER_DP, gamma=args.gamma, sigma=args.sigma, lam=args.lam
-    )
+    params = _mechanism_params(args, pop.space.k, args.lam)
     report = variance.cluster_dp_variance_bound(pop, design, params)
     pooled = pop.pooled()
     pooled_design = experiments.counts_design(pooled, [design.n1])
@@ -183,6 +179,18 @@ def _cmd_experiment(args) -> None:
         config["workers"] = args.workers
     _, manifest = experiments.run_experiment(args.name, config, args.seed, args.out)
     _emit(manifest)
+
+
+def _mechanism_flags(parser, kinds=(), lam=True) -> None:
+    """--gamma, --sigma and (with ``lam``) --lam; --kind over ``kinds``, else cluster_dp."""
+    if kinds:
+        parser.add_argument("--kind", default="cluster_dp", choices=kinds)
+    else:
+        parser.set_defaults(kind="cluster_dp")
+    parser.add_argument("--gamma", type=_float_arg, default=0.02)
+    parser.add_argument("--sigma", type=_float_arg, default=10.0)
+    if lam:
+        parser.add_argument("--lam", "--lambda", dest="lam", type=_float_arg, default=0.8)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,11 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     priv = sub.add_parser("privatize", help="privatize a population file")
     priv.add_argument("--pop", required=True)
     priv.add_argument("--values", help="comma-separated outcome space (default: inferred)")
-    priv.add_argument("--kind", default="cluster_dp",
-                      choices=["cluster_dp", "cluster_free_dp", "uniform_prior_dp"])
-    priv.add_argument("--gamma", type=_float_arg, default=0.02)
-    priv.add_argument("--sigma", type=_float_arg, default=10.0)
-    priv.add_argument("--lam", "--lambda", dest="lam", type=_float_arg, default=0.8)
+    _mechanism_flags(priv, kinds=[kind.value for kind in MechanismKind])
     priv.add_argument("--treated-fraction", type=_float_arg, default=0.5)
     priv.add_argument("--seed", type=_seed_arg, default=0)
     priv.add_argument("--out", required=True)
@@ -235,31 +239,22 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(func=_cmd_estimate)
 
     acct = sub.add_parser("account", help="print a privacy report as JSON")
-    acct.add_argument("--kind", default="cluster_dp",
-                      choices=["cluster_dp", "uniform_prior_dp"])
-    acct.add_argument("--gamma", type=_float_arg, default=0.02)
-    acct.add_argument("--sigma", type=_float_arg, default=10.0)
-    acct.add_argument("--lam", "--lambda", dest="lam", type=_float_arg, default=0.8)
+    _mechanism_flags(acct, kinds=["cluster_dp", "uniform_prior_dp"])
     acct.add_argument("--eps-tilde", type=_float_arg)
     acct.add_argument("--k", type=int)
     acct.set_defaults(func=_cmd_account)
 
     cal = sub.add_parser("calibrate", help="solve for the resampling probability")
-    cal.add_argument("--kind", default="cluster_dp",
-                     choices=["cluster_dp", "uniform_prior_dp"])
+    _mechanism_flags(cal, kinds=["cluster_dp", "uniform_prior_dp"], lam=False)
     cal.add_argument("--target-eps", type=_float_arg, required=True)
     cal.add_argument("--target-delta", type=_float_arg, default=0.0)
-    cal.add_argument("--gamma", type=_float_arg, default=0.02)
-    cal.add_argument("--sigma", type=_float_arg, default=10.0)
     cal.add_argument("--k", type=int)
     cal.set_defaults(func=_cmd_calibrate)
 
     ana = sub.add_parser("analyze", help="variance report for a population")
     ana.add_argument("--pop", required=True)
     ana.add_argument("--values")
-    ana.add_argument("--gamma", type=_float_arg, default=0.02)
-    ana.add_argument("--sigma", type=_float_arg, default=10.0)
-    ana.add_argument("--lam", "--lambda", dest="lam", type=_float_arg, default=0.8)
+    _mechanism_flags(ana)
     ana.add_argument("--treated-fraction", type=_float_arg, default=0.5)
     ana.add_argument("--epsilon", type=_float_arg)
     ana.set_defaults(func=_cmd_analyze)

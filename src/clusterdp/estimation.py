@@ -28,7 +28,7 @@ def debias_rows(values: np.ndarray, q_tilde: np.ndarray, lam: float) -> np.ndarr
     Entry j equals (values[j] - lam * <values, q>) / (1 - lam).
     """
     if lam >= 1.0:
-        raise ValidationError("randomization matrix singular at lambda = 1")
+        raise ValidationError("no debias rows: randomization matrix singular at lambda = 1")
     q_tilde = np.asarray(q_tilde, dtype=float)
     prior_mean = q_tilde @ values
     return (values - lam * prior_mean[..., None]) / (1.0 - lam)
@@ -53,11 +53,11 @@ def tau_q(release: PrivatizedRelease) -> float:
     """Debiased stratified estimator computed from released data only.
 
     Uses the privatized outcomes, the released design, cluster ids, and the
-    released debiasing rows; it never sees true outcomes (post-processing purity).
+    debiasing rows of the released priors; it never sees true outcomes.
     """
     rows, design = release.debias, release.design
     if not np.all(np.isfinite(rows)):
-        raise ValidationError("missing debias row (lambda = 1 release cannot be debiased)")
+        raise ValidationError("debias rows overflow the float range")
     cell = (release.cluster * 2 + design.z) * release.space.k + release.y_tilde
     per_unit = rows.take(cell)  # one flat gather of rows[cluster, z, y_tilde]
     return float(per_cluster_contributions(per_unit, release.cluster, design).sum())

@@ -229,13 +229,14 @@ def _generator_config(config_cls, spec: dict):
     return config_cls(**args)
 
 
-def _check_gmm_source(cfg: ExperimentConfig, runner: str) -> None:
-    """The gmm population as given: a runner that overrides its beta per grid
-    point, or builds nothing for an empty grid, still echoes it in the manifest."""
+def _beta_populations(cfg: ExperimentConfig, streams: RngStreams, runner: str) -> list:
+    """(beta, population) per beta grid point: one gmm draw that each beta rescales. The gmm
+    population as given is checked even for an empty grid, since the manifest echoes it."""
     spec = dict(cfg.population)
     if spec.pop("kind", "gmm") != "gmm":
         raise ValidationError(f"{runner} requires a gmm population source")
-    _generator_config(GmmConfig, spec)
+    config, node = _generator_config(GmmConfig, spec), streams.child("population")
+    return [(beta, gen_gmm(dataclasses.replace(config, beta=beta), node)) for beta in cfg.beta_grid]
 
 
 def build_population(cfg: ExperimentConfig, streams: RngStreams) -> PopulationDataset:
@@ -373,24 +374,32 @@ def jackknife_variance_se(x) -> float:
 # Experiment runners
 # ---------------------------------------------------------------------------
 
+def _cluster_params(cfg: ExperimentConfig, **changes) -> MechanismParams:
+    """The config's mechanism as Cluster-DP parameters, with ``changes`` to its fields."""
+    mech = cfg.mechanism
+    fields = {"gamma": mech["gamma"], "sigma": mech["sigma"], "lam": mech["lambda"], **changes}
+    return MechanismParams(**{"kind": MechanismKind.CLUSTER_DP, **fields})
+
+
+def _mc_summary(taus: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo variance of the estimates and its jackknife standard error."""
+    return float(np.var(taus, ddof=1)), jackknife_variance_se(taus)
+
+
 def _mc_row(taus: np.ndarray, truth: float) -> dict:
-    return {
-        "replications": len(taus),
-        "mc_variance": float(np.var(taus, ddof=1)),
-        "mc_variance_se": jackknife_variance_se(taus),
-        "mc_bias": float(np.mean(taus) - truth),
-    }
+    variance, se = _mc_summary(taus)
+    return {"replications": len(taus), "mc_variance": variance, "mc_variance_se": se,
+            "mc_bias": float(np.mean(taus) - truth)}
 
 
 def _calibrated(cfg, gamma, sigma) -> tuple[float, float, float]:
     """(lam, eps, delta) at one grid point: pure epsilon without targets, else calibrated."""
     if cfg.targets is None:
-        lam = cfg.mechanism["lambda"]
-        params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=gamma, sigma=sigma, lam=lam)
-        return lam, accounting.cluster_dp_pure_eps(params), 0.0
+        params = _cluster_params(cfg, gamma=gamma, sigma=sigma)
+        return params.lam, accounting.cluster_dp_pure_eps(params), 0.0
     eps_t, delta_t = cfg.targets["epsilon"], cfg.targets["delta"]
     lam = accounting.calibrate_lambda(eps_t, delta_t, gamma, sigma)
-    params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=gamma, sigma=sigma, lam=lam)
+    params = _cluster_params(cfg, gamma=gamma, sigma=sigma, lam=lam)
     report = accounting.cluster_dp_eps_delta(params, eps_t - accounting.prior_budget(gamma, sigma))
     return lam, report.epsilon, report.delta
 
@@ -442,7 +451,7 @@ def run_variance_sweep(cfg: ExperimentConfig, seed: int):
                      "status": f"infeasible: {exc}"}
                 )
                 continue
-            params = MechanismParams(kind=kind, gamma=gamma, sigma=sigma, lam=lam)
+            params = _cluster_params(cfg, kind=kind, gamma=gamma, lam=lam)
             taus = cluster_mechanism_taus(
                 pop, params, cfg.treated_fraction,
                 streams.child("sweep", kind.value, gi), reps,
@@ -482,24 +491,16 @@ def run_variance_sweep(cfg: ExperimentConfig, seed: int):
 
 def run_homogeneity_sweep(cfg: ExperimentConfig, seed: int):
     """Var(clustered)/Var(pooled) across the cluster-dependence grid."""
-    _check_gmm_source(cfg, "homogeneity sweep")
     streams = RngStreams(seed)
+    pops = _beta_populations(cfg, streams, "homogeneity sweep")
     sigma, gamma = cfg.mechanism["sigma"], cfg.mechanism["gamma"]
     base = {"seed": seed, "config_hash": cfg.config_hash}
-    # One underlying draw for the whole grid: beta only rescales the
-    # shared cluster-center and unit-noise variables.
-    pops = [
-        build_population(
-            ExperimentConfig.from_dict({"population": {**cfg.population, "beta": beta}}), streams
-        )
-        for beta in cfg.beta_grid
-    ]
     rows = []
     for li, lam in enumerate(cfg.lambda_grid):
-        for bi, (beta, pop) in enumerate(zip(cfg.beta_grid, pops)):
+        for bi, (beta, pop) in enumerate(pops):
             variances = {}
             for kind in (MechanismKind.CLUSTER_DP, MechanismKind.CLUSTER_FREE_DP):
-                params = MechanismParams(kind=kind, gamma=gamma, sigma=sigma, lam=lam)
+                params = _cluster_params(cfg, kind=kind, lam=lam)
                 # Both mechanisms share each replication's assignment and
                 # resampling streams (common random numbers), which sharpens
                 # the variance ratio considerably.
@@ -507,7 +508,7 @@ def run_homogeneity_sweep(cfg: ExperimentConfig, seed: int):
                     pop, params, cfg.treated_fraction,
                     streams.child("mc", li, bi), cfg.replications,
                 )
-                variances[kind] = (float(np.var(taus, ddof=1)), jackknife_variance_se(taus))
+                variances[kind] = _mc_summary(taus)
             vc, se_c = variances[MechanismKind.CLUSTER_DP]
             vf, se_f = variances[MechanismKind.CLUSTER_FREE_DP]
             ratio = vc / vf
@@ -537,25 +538,19 @@ def run_homogeneity_sweep(cfg: ExperimentConfig, seed: int):
 
 def run_bound_validation(cfg: ExperimentConfig, seed: int):
     """Monte Carlo variance gap against the closed-form band, across cluster quality."""
-    _check_gmm_source(cfg, "bound validation")
     streams = RngStreams(seed)
+    pops = _beta_populations(cfg, streams, "bound validation")
     mech = cfg.mechanism
+    params = _cluster_params(cfg)
     base = {"seed": seed, "config_hash": cfg.config_hash}
     rows = []
-    for bi, beta in enumerate(cfg.beta_grid):
-        pop_cfg = ExperimentConfig.from_dict({"population": {**cfg.population, "beta": beta}})
-        pop = build_population(pop_cfg, streams)  # shared draw, beta rescales it
+    for bi, (beta, pop) in enumerate(pops):
         design = counts_design(pop, cfg.treated_fraction)
-        params = MechanismParams(
-            kind=MechanismKind.CLUSTER_DP, gamma=mech["gamma"], sigma=mech["sigma"],
-            lam=mech["lambda"],
-        )
         taus = cluster_mechanism_taus(
             pop, params, cfg.treated_fraction, streams.child("mc", bi), cfg.replications,
         )
         exact_no_dp = ht_variance(pop, design)
-        mc_var = float(np.var(taus, ddof=1))
-        se = jackknife_variance_se(taus)
+        mc_var, se = _mc_summary(taus)
         report = cluster_dp_variance_bound(pop, design, params)
         gap_lower = report.components["gap_lower"]
         gap_upper = report.components["gap_upper"]
@@ -614,9 +609,7 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
             rows.append({"mechanism": "cluster_dp", "epsilon": eps,
                          "status": "infeasible: budget exhausted by prior estimation", **base})
             continue
-        params = MechanismParams(
-            kind=MechanismKind.CLUSTER_DP, gamma=mech["gamma"], sigma=mech["sigma"], lam=lam
-        )
+        params = _cluster_params(cfg, lam=lam)
         biases = {name: [] for name in ("cluster_dp", "noisy_ht", "noisy_histogram")}
         se_within = {name: [] for name in biases}
         for j in range(cfg.noise_draws):
@@ -685,10 +678,7 @@ def run_distribution_check(cfg: ExperimentConfig, seed: int):
     streams = RngStreams(seed)
     pop = build_population(cfg, streams)
     mech = cfg.mechanism
-    params = MechanismParams(
-        kind=MechanismKind.CLUSTER_DP, gamma=mech["gamma"], sigma=mech["sigma"],
-        lam=mech["lambda"],
-    )
+    params = _cluster_params(cfg)
     taus = cluster_mechanism_taus(
         pop, params, cfg.treated_fraction, streams.child("mc"), cfg.replications,
     )

@@ -164,7 +164,8 @@ def cluster_dp(
 
     Consumes two named sub-streams of ``streams``: ``laplace`` for the prior
     perturbation (untouched by the uniform prior) and ``resample`` for the
-    per-unit randomization. The fitted prior is released as ``q_tilde``.
+    per-unit randomization. The fitted prior is released as ``q_tilde``; a
+    lambda = 1 release can be drawn, but it has no debiasing rows.
     """
     q_tilde = fit_priors(pop, design, params, streams.generator("laplace")).q
     y_tilde = resample_outcomes(
@@ -175,10 +176,6 @@ def cluster_dp(
         params.lam,
         streams.generator("resample"),
     )
-    if params.lam < 1.0:
-        rows = debias_rows(pop.space.array, q_tilde, params.lam)
-    else:
-        rows = np.full_like(q_tilde, np.nan)  # lam=1 release is not debiasable
     return PrivatizedRelease(
         space=pop.space,
         unit_ids=pop.unit_ids,
@@ -186,7 +183,6 @@ def cluster_dp(
         cluster_labels=pop.cluster_labels,
         design=design,
         y_tilde=y_tilde,
-        debias=rows,
         q_tilde=q_tilde,
         params=params,
     )
@@ -258,6 +254,8 @@ _ARMS = {"0": 0, "1": 1}
 
 
 def write_release(release: PrivatizedRelease, csv_path, sidecar_path) -> None:
+    """Write the unit rows and the sidecar; a release without debias rows writes neither."""
+    tables = {"debias_rows": release.debias, "q_tilde": release.q_tilde}
     text = np.array([format_value(v) for v in release.space.values], dtype=object)
     labels = np.array([str(lab) for lab in release.cluster_labels], dtype=object)
     with open(csv_path, "w", newline="") as fh:
@@ -276,7 +274,6 @@ def write_release(release: PrivatizedRelease, csv_path, sidecar_path) -> None:
         "space": [float(v) for v in release.space.values],
         "cluster_labels": [str(c) for c in release.cluster_labels],
     }
-    tables = {"debias_rows": release.debias, "q_tilde": release.q_tilde}
     with open(sidecar_path, "w") as fh:  # the bytes of json.dump(..., sort_keys=True, indent=2)
         fh.write("{")
         for i, key in enumerate(sorted([*values, *tables])):
@@ -321,8 +318,9 @@ def _sidecar_table(sidecar, key: str, shape) -> np.ndarray:
 
 
 def _read_sidecar(path):
-    """The sidecar's space, cluster labels, params, q_tilde and debias rows, each checked.
+    """The sidecar's space, cluster labels, params and q_tilde, each checked.
 
+    The debias rows must be those of q_tilde; the release derives them again.
     Only these leave the function, so the parsed JSON is freed before the CSV is read.
     """
     with open(path) as fh:
@@ -346,8 +344,6 @@ def _read_sidecar(path):
         raise ValidationError(f"unknown mechanism kind {sidecar['kind']!r}") from None
     raw = sidecar["params"]
     lam = finite_number("sidecar params.lambda", raw["lambda"])
-    if not 0.0 <= lam < 1.0:
-        raise ValidationError(f"release lambda {lam!r} outside [0, 1)")
     gamma = finite_number("sidecar params.gamma", raw["gamma"])
     sigma = raw["sigma"]
     sigma = math.inf if sigma == "inf" else finite_number("sidecar params.sigma", sigma)
@@ -359,11 +355,11 @@ def _read_sidecar(path):
     debias = _sidecar_table(sidecar, "debias_rows", shape)
     if not np.all(np.abs(debias - debias_rows(space.array, q_tilde, lam)) <= 1e-12):
         raise ValidationError("sidecar debias_rows differ from debias_rows(space, q_tilde, lambda)")
-    return space, labels, params, q_tilde, debias
+    return space, labels, params, q_tilde
 
 
 def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
-    space, labels, params, q_tilde, debias = _read_sidecar(sidecar_path)
+    space, labels, params, q_tilde = _read_sidecar(sidecar_path)
     dense = {lab: i for i, lab in enumerate(labels)}
     unit_ids, label_col, z_col, y_col = read_columns(csv_path, RELEASE_HEADER)
     n = len(unit_ids)
@@ -383,7 +379,6 @@ def read_release(csv_path, sidecar_path) -> PrivatizedRelease:
         cluster_labels=labels,
         design=Design.from_assignment(cluster, z, len(labels)),
         y_tilde=y_tilde,
-        debias=debias,
         q_tilde=q_tilde,
         params=params,
     )

@@ -381,11 +381,11 @@ class ProjectedPrior:
 @dataclass(frozen=True, eq=False)
 class PrivatizedRelease:
     """Everything the central unit ships: per-unit privatized outcomes and the
-    design they were assigned under, plus the per-(cluster, arm) debiasing rows
-    y^T Q^{-1} and the mechanism parameters that produced them.
+    design they were assigned under, plus the per-(cluster, arm) priors q_tilde
+    and the mechanism parameters that produced them.
 
     Third parties can estimate treatment effects from this object alone; no
-    true outcomes are present.
+    true outcomes are present. The debiasing rows are derived: see ``debias``.
     """
 
     space: OutcomeSpace
@@ -394,14 +394,12 @@ class PrivatizedRelease:
     cluster_labels: tuple
     design: Design
     y_tilde: np.ndarray
-    debias: np.ndarray
     q_tilde: np.ndarray
     params: MechanismParams
 
     def __post_init__(self):
         object.__setattr__(self, "cluster", _frozen_array(self.cluster, np.int64))
         object.__setattr__(self, "y_tilde", _frozen_array(self.y_tilde, np.int64))
-        object.__setattr__(self, "debias", _frozen_array(self.debias, float))
         object.__setattr__(self, "q_tilde", _frozen_array(self.q_tilde, float))
         y = self.y_tilde
         if y.size and (y.min() < 0 or y.max() >= self.space.k):
@@ -410,3 +408,10 @@ class PrivatizedRelease:
     @property
     def n(self) -> int:
         return len(self.unit_ids)
+
+    @cached_property
+    def debias(self) -> np.ndarray:
+        """Read-only (C, 2, K) rows y^T Q^{-1} of q_tilde and lambda; raises at lambda = 1."""
+        from .estimation import debias_rows  # estimation imports this module
+
+        return _frozen_array(debias_rows(self.space.array, self.q_tilde, self.params.lam), float)

@@ -111,13 +111,15 @@ def _bracket(x, gamma: float, sigma: float):
     """Expected clip-or-noise mass gamma + (sigma/x)(e^{-gamma x/sigma} - e^{-x/sigma}).
 
     Elementwise in ``x``. sigma limits are taken analytically: the noise term
-    tends to (1 - gamma) as sigma -> inf and to 0 as sigma -> 0.
+    tends to (1 - gamma) as sigma -> inf and to 0 as sigma -> 0. The difference
+    is taken of expm1, not exp: at large sigma both exponentials round to
+    nearly 1, and their difference, scaled by sigma/x, would be mostly rounding.
     """
     if sigma == 0.0:
         return np.full(np.shape(x), gamma)
     if math.isinf(sigma):
         return np.ones(np.shape(x))
-    return gamma + (sigma / x) * (np.exp(-gamma * x / sigma) - np.exp(-x / sigma))
+    return gamma + (sigma / x) * (np.expm1(-gamma * x / sigma) - np.expm1(-x / sigma))
 
 
 def a_of_x(x, space: OutcomeSpace, params: MechanismParams):

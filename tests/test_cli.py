@@ -114,6 +114,7 @@ class TestAccountCalibrate:
         payload = json.loads(stdout)
         assert payload["epsilon"] == pytest.approx(0.1 + math.log(13.5), abs=1e-12)
         assert payload["delta"] == 0.0
+        assert payload["resample_budget"] == math.log1p(0.2 / (0.8 * 0.02))
 
     def test_account_eps_delta_uniform(self, capsys):
         code, stdout, _ = run_cli(
@@ -173,6 +174,8 @@ class TestAccountCalibrate:
             pytest.param(["calibrate", "--target-eps", "inf", "--gamma", "0"],
                          id="calibrate_gamma_zero_eps_inf"),
             pytest.param(["account", "--eps-tilde", "1e300"], id="account_eps_past_exp_range"),
+            pytest.param(["account", "--gamma", "0", "--sigma", "0", "--lam", "0.5"],
+                         id="account_gamma_zero_sigma_zero"),
         ],
     )
     def test_extreme_budget_prints_numbers(self, capsys, argv):
@@ -229,6 +232,20 @@ class TestAnalyze:
         code, stdout, err = run_cli(capsys, "analyze", "--pop", str(pop_csv), *flags)
         assert code == 2
         assert stdout == "" and err.startswith("error:") and named in err
+
+    def test_bound_continuous_in_sigma(self, tmp_path, capsys):
+        """At sigma = 1e20 the bound used to lose the noise bracket to cancellation (16.6 against
+        815 at sigma = inf on one population); it now reaches the sigma = inf limit."""
+        pop_csv = tmp_path / "pop.csv"
+        run_cli(capsys, "generate", "gmm", "--kprime", "2", "--sizes", "40", "60",
+                "--seed", "3", "--out", str(pop_csv))
+        bounds = {}
+        for sigma in ("1e12", "1e16", "1e20", "inf"):
+            code, stdout, _ = run_cli(capsys, "analyze", "--pop", str(pop_csv), "--sigma", sigma)
+            assert code == 0
+            bounds[sigma] = json.loads(stdout)["cluster_dp_bound"]["value"]
+        for sigma in ("1e12", "1e16", "1e20"):
+            assert bounds[sigma] == pytest.approx(bounds["inf"], rel=1e-9), sigma
 
     @pytest.mark.parametrize(
         "big, flags",
@@ -477,13 +494,15 @@ class TestMalformedInput:
                          "line 3: malformed outcome value", id="malformed_outcome_inferred"),
             pytest.param(["a,0,0", "b,0,1", "c,1,0", "d,1,1"], None, "line 2: expected 4 fields",
                          id="missing_field_inferred"),
+            pytest.param(["a,0,0,1", "b,0,1,0", "c,1,0,1", "d,1,1,0"], "", "not a number: ''",
+                         id="empty_values"),
         ],
     )
     @pytest.mark.parametrize("command", ["analyze", "privatize"])
     def test_malformed_population_exit_code(self, tmp_path, capsys, command, rows, values, named):
         pop_csv, sidecar = tmp_path / "pop.csv", tmp_path / "r.json"
         _write_population(pop_csv, rows)
-        argv = [command, "--pop", str(pop_csv)] + (["--values", values] if values else [])
+        argv = [command, "--pop", str(pop_csv)] + ([] if values is None else ["--values", values])
         if command == "privatize":
             argv += ["--out", str(tmp_path / "r.csv"), "--sidecar", str(sidecar)]
         code, stdout, err = run_cli(capsys, *argv)

@@ -84,6 +84,8 @@ COMMANDS = [
     ["estimate", "--release", "{d}/release.csv", "--sidecar", "{d}/sidecar.json"],
     ["account", "--kind", "cluster_dp", "--gamma", "0.05", "--sigma", "10", "--lam", "0.5",
      "--eps-tilde", "1", "--k", "3"],
+    ["account", "--kind", "cluster_dp", "--gamma", "0.05", "--sigma", "10", "--lam", "0.5",
+     "--k", "3"],
     ["calibrate", "--kind", "cluster_dp", "--target-eps", "2", "--target-delta", "1e-4",
      "--gamma", "0.05", "--sigma", "10", "--k", "3"],
     ["analyze", "--pop", "{d}/pop.csv", "--values", "0,1,2", "--gamma", "0.05", "--sigma", "10",
@@ -239,7 +241,7 @@ def test_raw_bytes(workdir, data, target):
     assert _run(*argv) in (0, 2)
 
 
-@settings(FUZZ, max_examples=500)  # eight base command lines share the examples
+@settings(FUZZ, max_examples=500)  # nine base command lines share the examples
 @given(data=st.data(), command=st.sampled_from(COMMANDS))
 def test_command_line(workdir, data, command):
     argv = [arg.format(d=workdir) for arg in command]

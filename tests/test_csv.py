@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterdp import simdata
-from clusterdp.estimation import debias_rows
 from clusterdp.mechanisms import (
     _TABLE_BLOCK, RELEASE_HEADER, cluster_dp, read_release, write_release,
 )
@@ -441,18 +440,22 @@ class TestSidecarBytes:
     def test_debias_rows_overflow_to_infinity(self, tmp_path):
         release = self.release((6, 8), k_prime=1)
         space = OutcomeSpace((-1.7e308, -1e308, 1e308, 1.7e308))
+        release = replace(release, space=space)
         with np.errstate(over="ignore", invalid="ignore"):
-            debias = debias_rows(space.array, release.q_tilde, release.params.lam)
-        assert np.isinf(debias).any()
-        text = self.assert_same_bytes(replace(release, space=space, debias=debias), tmp_path)
+            assert np.isinf(release.debias).any()
+            text = self.assert_same_bytes(release, tmp_path)
         assert "Infinity" in text
 
     def test_negative_zero(self, tmp_path):
+        """At lambda = 0 the rows are the space's values, so a -0.0 outcome gives -0.0 rows."""
         release = self.release((6, 8), k_prime=1)
-        debias, q_tilde = release.debias.copy(), release.q_tilde.copy()
-        debias[0, 1] = -0.0
+        assert release.space.values == (-1.0, 0.0, 1.0, 2.0)
+        q_tilde = release.q_tilde.copy()
         q_tilde[1, 0, 0] = -0.0
-        text = self.assert_same_bytes(replace(release, debias=debias, q_tilde=q_tilde), tmp_path)
+        release = replace(release, space=OutcomeSpace((-1.0, -0.0, 1.0, 2.0)), q_tilde=q_tilde,
+                          params=replace(release.params, lam=0.0))
+        assert np.signbit(release.debias[..., 1]).all()
+        text = self.assert_same_bytes(release, tmp_path)
         assert "-0.0" in text
 
 

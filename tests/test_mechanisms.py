@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from clusterdp import accounting
+from clusterdp.estimation import tau_q
 from clusterdp.mechanisms import (
     arm_histograms,
     cluster_dp,
@@ -416,6 +417,32 @@ class TestReleaseSerialization:
         write_release(release2, csv2, side2)
         assert csv1.read_bytes() == csv2.read_bytes()
         assert side1.read_bytes() == side2.read_bytes()
+
+    @pytest.mark.parametrize("kind", list(MechanismKind), ids=lambda kind: kind.value)
+    def test_estimate_read_back_is_bit_exact(self, small_pop, streams, tmp_path, kind):
+        """The reader derives the rows again from the parsed q_tilde: same bits, same estimate."""
+        design = draw_design(small_pop, 0.5, streams.generator("z"))
+        params = (MechanismParams.uniform_prior(small_pop.space.k, 0.7)
+                  if kind is MechanismKind.UNIFORM_PRIOR_DP
+                  else MechanismParams(kind=kind, gamma=0.05, sigma=3.0, lam=0.7))
+        release = cluster_dp(small_pop, design, params, streams.child("ser"))
+        csv_path, sidecar = tmp_path / "r.csv", tmp_path / "r.json"
+        write_release(release, csv_path, sidecar)
+        back = read_release(csv_path, sidecar)
+        assert back.params == release.params
+        assert np.array_equal(back.q_tilde, release.q_tilde)
+        assert np.array_equal(back.debias, release.debias)
+        assert tau_q(back) == tau_q(release)
+
+    def test_lambda_one_release_writes_nothing(self, small_pop, streams, tmp_path):
+        """A lambda = 1 release has no debias rows, so neither file is written."""
+        design = draw_design(small_pop, 0.5, streams.generator("z"))
+        params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.05, sigma=3.0, lam=1.0)
+        release = cluster_dp(small_pop, design, params, streams.child("ser"))
+        csv_path, sidecar = tmp_path / "r.csv", tmp_path / "r.json"
+        with pytest.raises(ValidationError, match="debias"):
+            write_release(release, csv_path, sidecar)
+        assert not csv_path.exists() and not sidecar.exists()
 
     def test_debias_row_reproduces_outcomes_through_q(self, small_pop, streams):
         design = draw_design(small_pop, 0.5, streams.generator("z"))

@@ -16,6 +16,7 @@ from clusterdp.model import (
 from clusterdp.rng import RngStreams
 from clusterdp.simdata import GmmConfig, gen_gmm
 from clusterdp.variance import (
+    _bracket,
     a_of_x,
     baseline_gaps,
     cluster_dp_variance_bound,
@@ -276,6 +277,25 @@ class TestAOfX:
         # large finite sigma approaches the analytic limit
         near = a_of_x(10, space, params(gamma=0.1, sigma=1e9, lam=0.5))
         assert near == pytest.approx(a_of_x(10, space, p_inf), rel=1e-6)
+
+
+class TestBracket:
+    """gamma + (sigma/x)(e^{-gamma x/sigma} - e^{-x/sigma}) lies in [gamma, 1], rising in sigma."""
+
+    X = np.array([1.0, 2.0, 7.0, 100.0, 1e4, 1e6])
+    GAMMAS = (0.0, 1e-3, 0.02, 0.1, 0.25, 0.5)
+    SIGMAS = np.logspace(-3, 300, 607)
+
+    def test_in_range_and_non_decreasing_in_sigma(self):
+        for gamma in self.GAMMAS:
+            table = np.array([_bracket(self.X, gamma, float(s)) for s in self.SIGMAS])
+            assert table.min() >= gamma - 1e-15 and table.max() <= 1.0 + 1e-15, gamma
+            assert np.diff(table, axis=0).min() >= -1e-15, gamma
+
+    def test_large_sigma_reaches_the_limit(self):
+        # the difference of two exponentials read 1.02-1.13 at sigma = 1e16-1e17 and gamma at 1e20
+        for gamma in self.GAMMAS:
+            assert np.all(np.abs(_bracket(self.X, gamma, 1e20) - 1.0) <= 1e-12), gamma
 
 
 class TestClusterBound:
