@@ -123,7 +123,9 @@ def calibrate_lambda(
 
     Splits the budget exactly as the sweep experiments do: eps_tilde is
     whatever remains after the prior spend, then lam solves the delta identity,
-    lam = (1 - delta) / (1 + gamma (e^eps_tilde - 1)).
+    lam = (1 - delta) / (1 + gamma (e^eps_tilde - 1)). Every mechanism meets
+    eps_tilde = inf, so lam is 0 there; a lam of 1, which leaves no estimator,
+    is a CalibrationError.
     """
     if not target_eps > 0:
         raise CalibrationError("target_eps must be > 0")
@@ -136,4 +138,12 @@ def calibrate_lambda(
             f"budget exhausted by prior estimation: target_eps={target_eps} "
             f"<= prior budget {prior}"
         )
-    return (1.0 - target_delta) / (1.0 + _excess(gamma, eps_tilde))
+    if math.isinf(eps_tilde):
+        return 0.0
+    lam = (1.0 - target_delta) / (1.0 + _excess(gamma, eps_tilde))
+    if lam >= 1.0:  # no commas: experiment tables hold this message in one cell
+        raise CalibrationError(
+            f"no lambda < 1 meets target_eps={target_eps} and "
+            f"target_delta={target_delta} at gamma={gamma}"
+        )
+    return lam

@@ -411,45 +411,26 @@ def run_variance_sweep(cfg: ExperimentConfig, seed: int):
     design = counts_design(pop, cfg.treated_fraction)
     truth = pop.ate
     reps = cfg.replications
-    base = {"seed": seed, "config_hash": cfg.config_hash}
     phi = {"phi0": homogeneity(pop, design, 0), "phi1": homogeneity(pop, design, 1)}
-    rows = []
+
+    def row(mechanism, gamma, sigma, lam, eps, delta, theory, taus) -> dict:
+        return {"mechanism": mechanism, "gamma": gamma, "sigma": sigma, "lambda": lam,
+                "epsilon": eps, "delta": delta, "status": "ok",
+                "theory_variance_or_bound": theory, **_mc_row(taus, truth), **phi}
 
     taus = nodp_taus(pop, cfg.treated_fraction, streams.child("nodp"), reps)
-    rows.append(
-        {
-            "mechanism": "no_dp",
-            "gamma": "",
-            "sigma": "",
-            "lambda": "",
-            "epsilon": math.inf,
-            "delta": 0.0,
-            "status": "ok",
-            "theory_variance_or_bound": ht_variance(pop, design),
-            **_mc_row(taus, truth),
-            **phi,
-            **base,
-        }
-    )
+    rows = [row("no_dp", "", "", "", math.inf, 0.0, ht_variance(pop, design), taus)]
 
     grid = cfg.gamma_grid or (cfg.mechanism["gamma"],)
     sigma = cfg.mechanism["sigma"]
     for kind in (MechanismKind.CLUSTER_DP, MechanismKind.CLUSTER_FREE_DP):
         for gi, gamma in enumerate(grid):
-            row = {
-                "mechanism": kind.value,
-                "gamma": gamma,
-                "sigma": sigma,
-                **phi,
-                **base,
-            }
             try:
                 lam, eps, delta = _calibrated(cfg, gamma, sigma)
             except accounting.CalibrationError as exc:
-                rows.append(
-                    {**row, "lambda": "", "epsilon": "", "delta": "",
-                     "status": f"infeasible: {exc}"}
-                )
+                rows.append({"mechanism": kind.value, "gamma": gamma, "sigma": sigma,
+                             "lambda": "", "epsilon": "", "delta": "",
+                             "status": f"infeasible: {exc}", **phi})
                 continue
             params = _cluster_params(cfg, kind=kind, gamma=gamma, lam=lam)
             taus = cluster_mechanism_taus(
@@ -457,10 +438,7 @@ def run_variance_sweep(cfg: ExperimentConfig, seed: int):
                 streams.child("sweep", kind.value, gi), reps,
             )
             bound = cluster_dp_variance_bound(pop, design, params).value
-            rows.append(
-                {**row, "lambda": lam, "epsilon": eps, "delta": delta, "status": "ok",
-                 "theory_variance_or_bound": bound, **_mc_row(taus, truth)}
-            )
+            rows.append(row(kind.value, gamma, sigma, lam, eps, delta, bound, taus))
 
     uniform = MechanismParams.uniform_prior(pop.space.k)
     lam, eps, delta = _calibrated(cfg, uniform.gamma, uniform.sigma)
@@ -471,21 +449,8 @@ def run_variance_sweep(cfg: ExperimentConfig, seed: int):
         ("uniform_prior_unstratified", pooled, counts_design(pooled, [design.n1])),
     ):
         taus = uniform_prior_taus(units, lam, units_design.n1c, streams.child("sweep", name), reps)
-        rows.append(
-            {
-                "mechanism": name,
-                "gamma": uniform.gamma,
-                "sigma": "",
-                "lambda": lam,
-                "epsilon": eps,
-                "delta": delta,
-                "status": "ok",
-                "theory_variance_or_bound": uniform_prior_variance(units, units_design, lam),
-                **_mc_row(taus, truth),
-                **phi,
-                **base,
-            }
-        )
+        theory = uniform_prior_variance(units, units_design, lam)
+        rows.append(row(name, uniform.gamma, "", lam, eps, delta, theory, taus))
     return {"results": rows}, {"population_n": pop.n, "outcomes_k": pop.space.k}
 
 
@@ -494,7 +459,6 @@ def run_homogeneity_sweep(cfg: ExperimentConfig, seed: int):
     streams = RngStreams(seed)
     pops = _beta_populations(cfg, streams, "homogeneity sweep")
     sigma, gamma = cfg.mechanism["sigma"], cfg.mechanism["gamma"]
-    base = {"seed": seed, "config_hash": cfg.config_hash}
     rows = []
     for li, lam in enumerate(cfg.lambda_grid):
         for bi, (beta, pop) in enumerate(pops):
@@ -522,7 +486,6 @@ def run_homogeneity_sweep(cfg: ExperimentConfig, seed: int):
                     "var_cluster_free_dp": vf,
                     "ratio": ratio,
                     "ratio_se": ratio * math.sqrt((se_c / vc) ** 2 + (se_f / vf) ** 2),
-                    **base,
                 }
             )
     for lam in cfg.lambda_grid:
@@ -542,7 +505,6 @@ def run_bound_validation(cfg: ExperimentConfig, seed: int):
     pops = _beta_populations(cfg, streams, "bound validation")
     mech = cfg.mechanism
     params = _cluster_params(cfg)
-    base = {"seed": seed, "config_hash": cfg.config_hash}
     rows = []
     for bi, (beta, pop) in enumerate(pops):
         design = counts_design(pop, cfg.treated_fraction)
@@ -569,7 +531,6 @@ def run_bound_validation(cfg: ExperimentConfig, seed: int):
                 "gap_upper_band": gap_upper,
                 "contained": bool(gap >= -2.0 * se) and bool(gap <= gap_upper),
                 "replications": cfg.replications,
-                **base,
             }
         )
     return {"results": rows}, {}
@@ -598,16 +559,15 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
             stacklevel=2,
         )
     mech = cfg.mechanism
-    base = {"seed": seed, "config_hash": cfg.config_hash}
     rows = []
     for ei, eps in enumerate(cfg.epsilon_grid):
         try:
             lam = 0.0 if math.isinf(eps) else accounting.calibrate_lambda(
                 eps, 0.0, mech["gamma"], mech["sigma"]
             )
-        except accounting.CalibrationError:
+        except accounting.CalibrationError as exc:
             rows.append({"mechanism": "cluster_dp", "epsilon": eps,
-                         "status": "infeasible: budget exhausted by prior estimation", **base})
+                         "status": f"infeasible: {exc}"})
             continue
         params = _cluster_params(cfg, lam=lam)
         biases = {name: [] for name in ("cluster_dp", "noisy_ht", "noisy_histogram")}
@@ -654,7 +614,6 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
                     "mc_se_within": float(np.mean(se_within[name])),
                     "noise_draws": cfg.noise_draws,
                     "subpop_draws": cfg.subpop_draws,
-                    **base,
                 }
             )
     return {"results": rows}, {"subpop_n": sub_n}
@@ -699,8 +658,6 @@ def run_distribution_check(cfg: ExperimentConfig, seed: int):
         "ad_statistic": ad_statistic,
         "ad_critical_1pct": crit_1pct,
         "normal_at_1pct": bool(ad_statistic < crit_1pct),
-        "seed": seed,
-        "config_hash": cfg.config_hash,
     }
     samples = [{"replication": i, "tau_hat": float(t), "deviation": float(d)}
                for i, (t, d) in enumerate(zip(taus, dev))]
@@ -750,6 +707,8 @@ def run_experiment(
     started = time.perf_counter()
     tables, meta = EXPERIMENTS[name](cfg, seed)
     runtime_ms = 1000.0 * (time.perf_counter() - started)
+    for row in tables["results"]:
+        row.update(seed=seed, config_hash=cfg.config_hash)
     manifest = {
         "experiment": name,
         "seed": seed,

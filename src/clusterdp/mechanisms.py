@@ -44,6 +44,8 @@ __all__ = [
     "NoisyEstimate",
     "noisy_ht",
     "noisy_histogram",
+    "ht_scales",
+    "histogram_scales",
     "write_release",
     "read_release",
 ]
@@ -198,19 +200,30 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValidationError("epsilon must be > 0")
 
 
+def ht_scales(design: Design, space: OutcomeSpace, epsilon: float) -> np.ndarray:
+    """Noisy HT's Laplace scale per cluster: max|y| / min(n0c, n1c) / epsilon; 0 at eps = inf."""
+    _check_epsilon(epsilon)
+    scales = space.max_abs / np.minimum(design.n0c, design.n1c)
+    return np.zeros_like(scales) if math.isinf(epsilon) else scales / epsilon
+
+
+def histogram_scales(design: Design, epsilon: float) -> np.ndarray:
+    """Noisy histogram's Laplace scale per (cluster, arm): 1 / (n_ac epsilon); 0 at eps = inf."""
+    _check_epsilon(epsilon)
+    n_ac = design.arm_counts()
+    return np.zeros(n_ac.shape) if math.isinf(epsilon) else 1.0 / (n_ac * epsilon)
+
+
 def ht_noise_term(pop, design, epsilon: float, std) -> tuple[float, np.ndarray]:
-    """(noise term, per-cluster scales max|y| / min(n0c, n1c) / epsilon) from standard draws."""
-    scales = pop.space.max_abs / np.minimum(design.n0c, design.n1c)
-    scales = np.zeros_like(scales) if math.isinf(epsilon) else scales / epsilon
+    """(noise term, per-cluster ``ht_scales``) from standard draws (C,)."""
+    scales = ht_scales(design, pop.space, epsilon)
     weights = pop.cluster_sizes / pop.n
     return float(np.dot(weights, std * scales)), scales
 
 
 def histogram_noise_term(pop, design, epsilon: float, std) -> float:
-    """Histogram-contrast noise term, scale 1 / (n_ac epsilon), from standard draws (C, 2, K)."""
-    n_ac = design.arm_counts()
-    scales = np.zeros(n_ac.shape) if math.isinf(epsilon) else 1.0 / (n_ac * epsilon)
-    w = std * scales[..., None]
+    """Histogram-contrast noise term at ``histogram_scales`` from standard draws (C, 2, K)."""
+    w = std * histogram_scales(design, epsilon)[..., None]
     weights = pop.cluster_sizes / pop.n
     return float(np.einsum("c,k,ck->", weights, pop.space.array, w[:, 1] - w[:, 0]))
 
@@ -226,7 +239,6 @@ def noisy_ht(
     The per-cluster sensitivity is max|y| / min(n0c, n1c); epsilon = inf is
     implemented as noise scale zero.
     """
-    _check_epsilon(epsilon)
     std = laplace_noise(streams.generator("laplace"), 1.0, pop.n_clusters)
     term, scales = ht_noise_term(pop, design, epsilon, std)
     return NoisyEstimate(value=tau_no_dp(pop, design) + term, noise_scales=scales)
@@ -239,7 +251,6 @@ def noisy_histogram(
     streams: RngStreams,
 ) -> float:
     """Weighted outcome contrast computed from per-(cluster, arm) noised histograms."""
-    _check_epsilon(epsilon)
     std = laplace_noise(streams.generator("laplace"), 1.0, (pop.n_clusters, 2, pop.space.k))
     return tau_no_dp(pop, design) + histogram_noise_term(pop, design, epsilon, std)
 

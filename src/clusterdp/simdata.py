@@ -217,12 +217,11 @@ _BLOCK_CHARS = 1 << 16
 def read_columns(path, header: list[str]) -> list[list[str]]:
     """The columns of a CSV file under ``header``; rows of the wrong length are named by line.
 
-    A file with no ``"`` and no ``\\r`` is split a block of text at a time
-    (``_plain_columns``). Any other file, an empty one or one with another
-    header goes through ``csv.reader`` from its start (``_csv_columns``). Both
-    give the same columns, or the same message, on every file both can read.
-    Text that does not decode, and a field longer than ``csv.field_size_limit()``,
-    are named by file and line.
+    A well-formed file with no ``"`` and no ``\\r`` is split a block of text at
+    a time (``_plain_columns``). Every other file goes through ``csv.reader``
+    from its start (``_csv_columns``), which names each row fault. Text that
+    does not decode, and a field longer than ``csv.field_size_limit()``, are
+    named by file and line.
     """
     try:
         columns = _plain_columns(path, header)
@@ -239,40 +238,27 @@ def _plain_columns(path, header: list[str]) -> list[list[str]] | None:
     Each block is about 64 KB of text cut at a line break. Each line break
     becomes a field of its own, so a block whose rows all hold ``width``
     fields splits into rows of ``width`` fields and a ``"\\n"``, and no list
-    or string per row is built. A row's fields are its commas plus one; a
-    blank row, which ``csv.reader`` reads as no fields, has no comma, so it
-    misfits any header of two or more fields.
+    or string per row is built. A block with another header, a ``"``, a
+    ``\\r``, a row of another width or more characters than the field limit
+    (no shorter block holds a field over it) gives None: ``csv.reader`` reads
+    the file, or names its fault.
     """
     width, limit = len(header), csv.field_size_limit()
     columns: list[list[str]] = [[] for _ in header]
-    misfits = []
     with open(path, newline="") as fh:
         if (fh.readline().removesuffix("\n") != ",".join(header)
                 or max(map(len, header)) > limit):  # csv.reader names such a header field
             return None
-        line = 2  # of the block's first row
         while block := fh.read(_BLOCK_CHARS):
             block = (block + fh.readline()).removesuffix("\n")
-            if '"' in block or "\r" in block:
-                return None
-            if len(block) > limit:  # no shorter block holds a field over the limit
-                for i, row in enumerate(block.split("\n"), start=line):
-                    if len(row) > limit and max(map(len, row.split(","))) > limit:
-                        raise ValidationError(
-                            f"{path}, line {i}: field larger than field limit ({limit})")
             rows = block.count("\n") + 1
             fields = block.replace("\n", ",\n,").split(",")
-            if (len(fields) != rows * (width + 1) - 1
+            if ('"' in block or "\r" in block or len(block) > limit
+                    or len(fields) != rows * (width + 1) - 1
                     or fields[width::width + 1].count("\n") != rows - 1):
-                misfits += [f"line {i}: expected {width} fields"
-                            for i, row in enumerate(block.split("\n"), start=line)
-                            if row.count(",") != width - 1]
-            elif not misfits:
-                for j, column in enumerate(columns):
-                    column.extend(fields[j::width + 1])
-            line += rows
-    if misfits:
-        raise ValidationError("; ".join(misfits))
+                return None
+            for j, column in enumerate(columns):
+                column.extend(fields[j::width + 1])
     return columns
 
 

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .mechanisms import histogram_scales, ht_scales
 from .model import Design, MechanismParams, OutcomeSpace, PopulationDataset, ValidationError
 
 __all__ = [
@@ -237,20 +238,16 @@ def baseline_gaps(
 ) -> tuple[float, float]:
     """Exact added variances of the two aggregate baselines at privacy level epsilon.
 
-    Noisy Horvitz-Thompson: 2 sum_c (n_c/n * Delta_c / eps)^2 with
-    Delta_c = max|y| / min(n0c, n1c). Noisy histogram:
-    (2/eps^2) (sum_y y^2) sum_c (n_c/n)^2 (1/n0c^2 + 1/n1c^2).
+    A Laplace draw of scale b has variance 2 b^2. With w_c = n_c/n and the
+    scales b the draws use: noisy Horvitz-Thompson 2 sum_c (w_c b_c)^2
+    (``ht_scales``), noisy histogram 2 |y|^2 sum_c w_c^2 (b_c0^2 + b_c1^2)
+    (``histogram_scales``).
     """
-    if not epsilon > 0:
-        raise ValidationError("epsilon must be > 0")
-    if math.isinf(epsilon):
-        return 0.0, 0.0
     weights = pop.cluster_sizes / pop.n
-    delta_c = pop.space.max_abs / np.minimum(design.n0c, design.n1c)
-    inv_sq = 1.0 / design.n0c.astype(float) ** 2 + 1.0 / design.n1c.astype(float) ** 2
-    # 1/eps^2 as two float divisions: inf, not an exception, past the float range
-    nht = 2.0 * float(np.sum((weights * delta_c) ** 2)) / epsilon / epsilon
-    nh = 2.0 * pop.space.l2_sq * float(np.sum(weights**2 * inv_sq)) / epsilon / epsilon
+    with np.errstate(over="ignore"):  # a scale or its square past the float range is inf
+        nht = 2.0 * float(np.sum((weights * ht_scales(design, pop.space, epsilon)) ** 2))
+        nh_sum = float(np.sum((weights[:, None] * histogram_scales(design, epsilon)) ** 2))
+    nh = 2.0 * pop.space.l2_sq * nh_sum if nh_sum else 0.0  # no noise, no variance, any |y|^2
     if not (math.isfinite(nht) and math.isfinite(nh)):
         raise ValidationError(f"epsilon={epsilon!r} is so small that the baseline gaps overflow")
     return nht, nh

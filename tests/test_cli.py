@@ -140,6 +140,24 @@ class TestAccountCalibrate:
         assert "budget exhausted" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["calibrate", "--gamma", "0", "--target-eps", "1"], id="gamma_zero"),
+            pytest.param(["calibrate", "--kind", "uniform_prior_dp", "--k", "2",
+                          "--target-eps", "1e-300"], id="uniform_eps_below_resolution"),
+        ],
+    )
+    def test_calibrate_lambda_one_exit_code(self, capsys, argv):
+        """At lambda = 1 there are no debias rows, so it is no answer."""
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert stdout == "" and "no lambda < 1 meets target_eps=" in err
+
+    def test_calibrate_infinite_target_gamma_zero(self, capsys):
+        code, stdout, _ = run_cli(capsys, "calibrate", "--target-eps", "inf", "--gamma", "0")
+        assert code == 0 and json.loads(stdout) == {"lambda": 0.0}
+
+    @pytest.mark.parametrize(
         "argv, named",
         [
             pytest.param(["account", "--kind", "uniform_prior_dp", "--lam", "0.8"], "--k",
@@ -293,6 +311,42 @@ class TestExperimentCommand:
         assert (outdir / "distribution_samples.csv").exists()
         manifest = json.loads((outdir / "distribution_manifest.json").read_text())
         assert manifest["seed"] == 6
+
+    @pytest.mark.parametrize(
+        "name, config",
+        [
+            pytest.param("variance_sweep",
+                         {"gamma_grid": [0.0, 0.02], "targets": {"epsilon": 2.0, "delta": 0.0},
+                          "replications": 3}, id="variance_sweep"),
+            pytest.param("baseline_bias",
+                         {"mechanism": {"gamma": 0.0}, "epsilon_grid": ["inf", 1.0],
+                          "subpop_sizes": [30, 35], "noise_draws": 1, "subpop_draws": 2},
+                         id="baseline_bias"),
+        ],
+    )
+    def test_gamma_zero_point_infeasible(self, tmp_path, capsys, name, config):
+        """At gamma = 0 no lambda < 1 meets a finite target; that point alone is infeasible."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "population": {"kind": "gmm", "beta": 3.0, "v": 5.0, "k_prime": 2,
+                           "cluster_sizes": [40, 60]},
+            **config,
+        }))
+        code, _, err = run_cli(
+            capsys, "experiment", name, "--config", str(cfg), "--seed", "2",
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 0, err
+        with open(tmp_path / "o" / f"{name}_results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            infeasible = row["mechanism"].startswith("cluster") and (
+                row["gamma"] == "0.0" if name == "variance_sweep" else row["epsilon"] == "1.0")
+            if infeasible:
+                assert row["status"].startswith("infeasible: no lambda < 1 meets"), row
+            else:
+                assert row["status"] == "ok", row
+        assert any(r["status"] != "ok" for r in rows) and any(r["status"] == "ok" for r in rows)
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_exit_code(self, tmp_path, capsys, workers):

@@ -6,7 +6,8 @@ population files against the row-by-row record reader it replaced
 (``oracles.read_records``): both accept and reject the same files and build
 the same populations. Every corpus file has twins with a quoted field and
 with CRLF line ends, which the reader sends through ``csv.reader``; on the
-files without, its plain text split must give what ``csv.reader`` gives.
+files without, its plain text split must give the columns ``csv.reader``
+gives, or None where ``csv.reader`` names a fault.
 The sidecar writer must match one ``json.dumps`` byte for byte, and neither
 writer nor reader may use more memory than the implementations they replaced.
 """
@@ -298,18 +299,35 @@ def _columns_or_message(read):
         return f"ValidationError: {exc}"
 
 
-@pytest.mark.parametrize("case", sorted(PLAIN_CORPUS))
-def test_plain_split_matches_csv_reader(tmp_path, case):
-    """On a file with no quote and no CR both readers give the same columns or message."""
-    path = tmp_path / "pop.csv"
-    path.write_bytes(PLAIN_CORPUS[case].encode())
-    plain = _columns_or_message(lambda: _plain_columns(path, POPULATION_HEADER))
-    reference = _columns_or_message(lambda: _csv_columns(path, POPULATION_HEADER))
-    if case == "empty":  # no header line: csv.reader names what it found
-        assert plain is None and reference.startswith("ValidationError: expected header")
+def _assert_plain_split(path, header, exact=True) -> None:
+    """The plain split gives None where csv.reader names a fault, else csv.reader's columns
+    (or None too, unless ``exact``); read_columns gives csv.reader's columns or message."""
+    plain = _plain_columns(path, header)
+    reference = _columns_or_message(lambda: _csv_columns(path, header))
+    if isinstance(reference, str):
+        assert plain is None
     else:
-        assert plain == reference
-    assert _columns_or_message(lambda: read_columns(path, POPULATION_HEADER)) == reference
+        assert plain == reference or (not exact and plain is None)
+    assert _columns_or_message(lambda: read_columns(path, header)) == reference
+
+
+# Files the package writes; they must take the plain split. 5000 rows span two blocks.
+WRITTEN = {"written_serial_ids": lambda pop: pop,
+           "written_text_ids": TestGeneratedIds.with_text_ids}
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_CORPUS) + sorted(WRITTEN))
+def test_plain_split_matches_csv_reader(tmp_path, case):
+    """On a file with no quote and no CR the plain split gives what csv.reader gives."""
+    path = tmp_path / "pop.csv"
+    if case in WRITTEN:
+        config = GmmConfig(beta=1.0, v=5.0, k_prime=2, cluster_sizes=(2000, 3000))
+        write_population_csv(WRITTEN[case](gen_gmm(config, RngStreams(7))), path)
+        assert len(path.read_bytes()) > _BLOCK_CHARS
+        assert _plain_columns(path, POPULATION_HEADER) is not None
+    else:
+        path.write_bytes(PLAIN_CORPUS[case].encode())
+    _assert_plain_split(path, POPULATION_HEADER)
 
 
 @given(st.text(alphabet="ab1,\n\0\x85 ", max_size=40), st.sampled_from([4, _BLOCK_CHARS]),
@@ -317,17 +335,15 @@ def test_plain_split_matches_csv_reader(tmp_path, case):
 @settings(max_examples=300, deadline=None)
 def test_plain_split_matches_csv_reader_on_any_plain_text(body, block_chars, field_limit):
     """Also with blocks of a few characters, and with a field limit that short fields
-    pass (7, the longest header field) or that a header field breaks (3)."""
+    pass (7, the longest header field) or that a header field breaks (3). Under a short
+    limit the plain split may leave a well-formed file to csv.reader."""
     default_limit = csv.field_size_limit(field_limit)
     try:
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(simdata, "_BLOCK_CHARS", block_chars):
             path = Path(tmp) / "pop.csv"
             path.write_bytes((HEADER + body).encode())
-            plain = _columns_or_message(lambda: _plain_columns(path, POPULATION_HEADER))
-            reference = _columns_or_message(lambda: _csv_columns(path, POPULATION_HEADER))
-            assert plain == (None if field_limit == 3 else reference)
-            assert _columns_or_message(lambda: read_columns(path, POPULATION_HEADER)) == reference
+            _assert_plain_split(path, POPULATION_HEADER, exact=field_limit == default_limit)
     finally:
         csv.field_size_limit(default_limit)
 
@@ -347,12 +363,11 @@ def test_misfits_named_on_both_sides_of_a_block_edge(tmp_path):
     path = tmp_path / "pop.csv"
     path.write_bytes(PLAIN_CORPUS["misfits_at_block_edge"].encode())
     assert len(path.read_bytes()) > 2 * _BLOCK_CHARS
-    expected = (f"line {BLOCK_ROWS + 1}: expected 4 fields; "
-                f"line {BLOCK_ROWS + 2}: expected 4 fields")
-    for read in (_plain_columns, _csv_columns):
-        with pytest.raises(ValidationError) as exc:
-            read(path, POPULATION_HEADER)
-        assert str(exc.value) == expected
+    assert _plain_columns(path, POPULATION_HEADER) is None
+    with pytest.raises(ValidationError) as exc:
+        read_columns(path, POPULATION_HEADER)
+    assert str(exc.value) == (f"line {BLOCK_ROWS + 1}: expected 4 fields; "
+                              f"line {BLOCK_ROWS + 2}: expected 4 fields")
 
 
 @pytest.mark.parametrize("extra, fault", [(0, None), (1, "field larger than field limit"),
@@ -393,9 +408,9 @@ def test_release_file_on_both_readers(tmp_path, small_release):
     short[2] = short[2].rsplit(",", 1)[0]  # line 3 loses its y_tilde
     for lines, expected in ((text, None), ("\n".join(short), "line 3: expected 4 fields")):
         csv_path.write_bytes(lines.encode())
-        plain = _columns_or_message(lambda: _plain_columns(csv_path, RELEASE_HEADER))
-        assert plain == _columns_or_message(lambda: _csv_columns(csv_path, RELEASE_HEADER))
-        assert expected is None or plain == f"ValidationError: {expected}"
+        _assert_plain_split(csv_path, RELEASE_HEADER)
+        assert expected is None or _columns_or_message(
+            lambda: read_columns(csv_path, RELEASE_HEADER)) == f"ValidationError: {expected}"
         for make in TWINS.values():
             twin = tmp_path / "twin.csv"
             twin.write_bytes(make(lines).encode())

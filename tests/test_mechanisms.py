@@ -12,6 +12,10 @@ from clusterdp.mechanisms import (
     arm_histograms,
     cluster_dp,
     fit_priors,
+    histogram_noise_term,
+    histogram_scales,
+    ht_noise_term,
+    ht_scales,
     noisy_histogram,
     noisy_ht,
     perturb_clip,
@@ -30,6 +34,7 @@ from clusterdp.model import (
     draw_design,
 )
 from clusterdp.rng import RngStreams, laplace_noise
+from clusterdp.variance import baseline_gaps
 
 from conftest import interleaved_cells, make_population, random_population, uniform_release
 from oracles import prior_violations, q_matrix, resample_dense
@@ -367,6 +372,29 @@ class TestAggregateBaselines:
         design = fixed_design(pop, [5])
         est = noisy_ht(pop, design, 1.0, streams.child("s"))
         assert est.noise_scales.tolist() == [6.0 / 5.0]
+
+    def test_draws_and_gaps_read_one_set_of_scales(self, streams):
+        """Unit draws pick out each scale; baseline_gaps is 2 b^2 summed over the same scales."""
+        values = (-2.0, 0.5, 3.0)
+        pop = make_population(values, {
+            "a": [(values[i % 3], values[(i + 1) % 3]) for i in range(7)],
+            "b": [(values[(i + 2) % 3], values[i % 3]) for i in range(5)],
+        })
+        design, eps = fixed_design(pop, [3, 2]), 0.7
+        w = pop.cluster_sizes / pop.n
+        b_ht, b_hist = ht_scales(design, pop.space, eps), histogram_scales(design, eps)
+        assert b_ht.tolist() == [3.0 / 3 / eps, 3.0 / 2 / eps]
+        assert ht_noise_term(pop, design, eps, np.ones(2))[0] == float(np.dot(w, b_ht))
+        assert np.array_equal(noisy_ht(pop, design, eps, streams.child("h")).noise_scales, b_ht)
+        for c, a, k in np.ndindex(2, 2, 3):
+            std = np.zeros((2, 2, 3))
+            std[c, a, k] = 1.0
+            expected = (1 if a else -1) * w[c] * values[k] * b_hist[c, a]
+            assert histogram_noise_term(pop, design, eps, std) == pytest.approx(expected, rel=1e-15)
+        nht, nh = baseline_gaps(pop, design, eps)
+        assert nht == pytest.approx(2 * np.sum((w * b_ht) ** 2), rel=1e-15)
+        assert nh == pytest.approx(2 * pop.space.l2_sq * np.sum((w[:, None] * b_hist) ** 2),
+                                   rel=1e-15)
 
     def test_noisy_ht_added_variance(self, streams):
         from clusterdp.estimation import tau_no_dp
