@@ -23,6 +23,7 @@ __all__ = [
     "CalibrationError",
     "PrivacyReport",
     "prior_budget",
+    "resample_share",
     "resample_budget",
     "cluster_dp_eps_delta",
     "cluster_dp_pure_eps",
@@ -78,6 +79,20 @@ def prior_budget(gamma: float, sigma: float, k: int | None = None) -> float:
     return min(laplace_term, clip_term)
 
 
+def resample_share(target_eps: float, gamma: float, sigma: float, k: int | None = None) -> float:
+    """eps_tilde = target_eps - prior_budget; inf at target inf, whatever the prior spends."""
+    prior = prior_budget(gamma, sigma, k)  # before the inf test, so that its warning fires
+    if math.isinf(target_eps):
+        return math.inf
+    eps_tilde = target_eps - prior
+    if not eps_tilde > 0:
+        raise CalibrationError(
+            f"budget exhausted by prior estimation: target_eps={target_eps} "
+            f"<= prior budget {prior}"
+        )
+    return eps_tilde
+
+
 def _excess(scale: float, eps: float) -> float:
     """scale * (e^eps - 1); 0 at scale 0 even for eps = inf, inf past the float range."""
     try:
@@ -121,23 +136,15 @@ def calibrate_lambda(
 ) -> float:
     """Largest-variance-free lam meeting (target_eps, target_delta) for the cluster mechanism.
 
-    Splits the budget exactly as the sweep experiments do: eps_tilde is
-    whatever remains after the prior spend, then lam solves the delta identity,
-    lam = (1 - delta) / (1 + gamma (e^eps_tilde - 1)). Every mechanism meets
-    eps_tilde = inf, so lam is 0 there; a lam of 1, which leaves no estimator,
-    is a CalibrationError.
+    lam solves the delta identity, lam = (1 - delta) / (1 + gamma (e^eps_tilde - 1)), at
+    the ``resample_share`` of the target. Every mechanism meets eps_tilde = inf, so lam
+    is 0 there; a lam of 1, which leaves no estimator, is a CalibrationError.
     """
     if not target_eps > 0:
         raise CalibrationError("target_eps must be > 0")
     if not 0.0 <= target_delta < 1.0:
         raise ValidationError("target_delta must lie in [0, 1)")
-    prior = prior_budget(gamma, sigma, k)
-    eps_tilde = target_eps - prior
-    if not eps_tilde > 0:
-        raise CalibrationError(
-            f"budget exhausted by prior estimation: target_eps={target_eps} "
-            f"<= prior budget {prior}"
-        )
+    eps_tilde = resample_share(target_eps, gamma, sigma, k)
     if math.isinf(eps_tilde):
         return 0.0
     lam = (1.0 - target_delta) / (1.0 + _excess(gamma, eps_tilde))

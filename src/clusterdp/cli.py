@@ -8,6 +8,7 @@ calibration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -55,27 +56,12 @@ def _space_from_pop_file(path, values_arg):
 
 
 def _cmd_generate(args) -> None:
-    streams = RngStreams(args.seed)
-    if args.model == "gmm":
-        config = simdata.GmmConfig(
-            beta=args.beta,
-            v=args.v,
-            k_prime=args.kprime,
-            tau=args.tau,
-            cluster_sizes=tuple(args.sizes),
-        )
-        pop = simdata.gen_gmm(config, streams)
-    else:
-        config = simdata.GraphPopConfig(
-            community_sizes=tuple(args.communities),
-            p_in=args.pin,
-            p_out=args.pout,
-            beta=tuple(args.beta_vec),
-            v=args.v,
-            k=args.k,
-            tau=args.tau,
-        )
-        pop = simdata.gen_graph_population(config, streams)
+    """Each config field is the ``dest`` of one flag; nargs lists become tuples."""
+    config_cls, gen = {"gmm": (simdata.GmmConfig, simdata.gen_gmm),
+                       "graph": (simdata.GraphPopConfig, simdata.gen_graph_population)}[args.model]
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(config_cls)}
+    config = config_cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
+    pop = gen(config, RngStreams(args.seed))
     simdata.write_population_csv(pop, args.out)
     _emit({"written": str(args.out), "n": pop.n, "clusters": pop.n_clusters,
            "k": pop.space.k, "ate": pop.ate})
@@ -205,17 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
     gmm = gen_sub.add_parser("gmm")
     gmm.add_argument("--beta", type=_float_arg, default=4.5)
     gmm.add_argument("--v", type=_float_arg, default=5.0)
-    gmm.add_argument("--kprime", type=int, default=5)
+    gmm.add_argument("--kprime", dest="k_prime", type=int, default=5)
     gmm.add_argument("--tau", type=int, default=1)
-    gmm.add_argument("--sizes", type=int, nargs="+", default=[500, 1000, 2000])
+    gmm.add_argument("--sizes", dest="cluster_sizes", type=int, nargs="+",
+                     default=[500, 1000, 2000])
     gmm.add_argument("--seed", type=_seed_arg, default=0)
     gmm.add_argument("--out", required=True)
     gmm.set_defaults(func=_cmd_generate)
     graph = gen_sub.add_parser("graph")
-    graph.add_argument("--communities", type=int, nargs="+", required=True)
-    graph.add_argument("--pin", type=_float_arg, default=0.1)
-    graph.add_argument("--pout", type=_float_arg, default=0.01)
-    graph.add_argument("--beta-vec", type=_float_arg, nargs=4, default=[1.0, 1.0, 1.0, 1.0])
+    graph.add_argument("--communities", dest="community_sizes", type=int, nargs="+",
+                       required=True)
+    graph.add_argument("--pin", dest="p_in", type=_float_arg, default=0.1)
+    graph.add_argument("--pout", dest="p_out", type=_float_arg, default=0.01)
+    graph.add_argument("--beta-vec", dest="beta", type=_float_arg, nargs=4, default=[1.0] * 4)
     graph.add_argument("--v", type=_float_arg, default=0.1)
     graph.add_argument("--k", type=int, default=8)
     graph.add_argument("--tau", type=_float_arg, default=1.0)

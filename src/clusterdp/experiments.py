@@ -400,7 +400,7 @@ def _calibrated(cfg, gamma, sigma) -> tuple[float, float, float]:
     eps_t, delta_t = cfg.targets["epsilon"], cfg.targets["delta"]
     lam = accounting.calibrate_lambda(eps_t, delta_t, gamma, sigma)
     params = _cluster_params(cfg, gamma=gamma, sigma=sigma, lam=lam)
-    report = accounting.cluster_dp_eps_delta(params, eps_t - accounting.prior_budget(gamma, sigma))
+    report = accounting.cluster_dp_eps_delta(params, accounting.resample_share(eps_t, gamma, sigma))
     return lam, report.epsilon, report.delta
 
 
@@ -562,23 +562,19 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
     rows = []
     for ei, eps in enumerate(cfg.epsilon_grid):
         try:
-            lam = 0.0 if math.isinf(eps) else accounting.calibrate_lambda(
-                eps, 0.0, mech["gamma"], mech["sigma"]
-            )
+            lam = accounting.calibrate_lambda(eps, 0.0, mech["gamma"], mech["sigma"])
         except accounting.CalibrationError as exc:
             rows.append({"mechanism": "cluster_dp", "epsilon": eps,
                          "status": f"infeasible: {exc}"})
             continue
         params = _cluster_params(cfg, lam=lam)
-        biases = {name: [] for name in ("cluster_dp", "noisy_ht", "noisy_histogram")}
-        se_within = {name: [] for name in biases}
+        devs = np.empty((cfg.noise_draws, 3, cfg.subpop_draws))
         for j in range(cfg.noise_draws):
             noise = streams.child("noise", ei, j)
             u_keep = noise.generator("resample").random(superpop.n)
             u_cat = open_uniform(noise.generator("resample_cat"), superpop.n)
             std_nht = laplace_noise(noise.generator("nht"), 1.0, c)
             std_nh = laplace_noise(noise.generator("nh"), 1.0, (c, 2, k))
-            devs = {name: np.empty(cfg.subpop_draws) for name in biases}
             for s in range(cfg.subpop_draws):
                 node = streams.child("subpop", ei, j, s)
                 sub, kept = subsample(superpop, counts, node.generator("sample"))
@@ -591,17 +587,16 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
                 )
                 per_unit = debias_rows(sub.space.array, q, lam)[sub.cluster, design.z, y_t]
                 tau = per_cluster_contributions(per_unit, sub.cluster, design).sum()
-                devs["cluster_dp"][s] = float(tau) - truth
                 nht_term, _ = ht_noise_term(sub, design, eps, std_nht)
-                devs["noisy_ht"][s] = base_tau + nht_term - truth
-                devs["noisy_histogram"][s] = (
-                    base_tau + histogram_noise_term(sub, design, eps, std_nh) - truth
+                devs[j, :, s] = (  # cluster_dp, noisy_ht, noisy_histogram
+                    float(tau) - truth,
+                    base_tau + nht_term - truth,
+                    base_tau + histogram_noise_term(sub, design, eps, std_nh) - truth,
                 )
-            for name in biases:
-                biases[name].append(float(np.mean(devs[name])))
-                se_within[name].append(float(np.std(devs[name], ddof=1) / math.sqrt(cfg.subpop_draws)))
-        for name in biases:
-            b = np.array(biases[name])
+        biases = devs.mean(axis=2)
+        se_within = devs.std(axis=2, ddof=1) / math.sqrt(cfg.subpop_draws)
+        for m, name in enumerate(("cluster_dp", "noisy_ht", "noisy_histogram")):
+            b = biases[:, m]
             rows.append(
                 {
                     "mechanism": name,
@@ -611,7 +606,7 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
                     "bias_mean": float(b.mean()),
                     "bias_abs_mean": float(np.abs(b).mean()),
                     "bias_spread": float(b.std(ddof=1)) if len(b) > 1 else 0.0,
-                    "mc_se_within": float(np.mean(se_within[name])),
+                    "mc_se_within": float(np.mean(se_within[:, m])),
                     "noise_draws": cfg.noise_draws,
                     "subpop_draws": cfg.subpop_draws,
                 }

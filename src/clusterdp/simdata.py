@@ -148,17 +148,16 @@ class GraphPopConfig:
 
 
 def _planted_partition_features(config: GraphPopConfig, rng) -> np.ndarray:
-    """Per-community (nodes, edges, cross-edges, density) from a sampled graph."""
+    """Per-community (nodes, edges, cross-edges, density); a block's edges are one binomial draw."""
     sizes = config.community_sizes
     c = len(sizes)
     edges = np.zeros(c)
     cross = np.zeros(c)
     for a in range(c):
         na = sizes[a]
-        block = rng.random((na, na)) < config.p_in
-        edges[a] = np.triu(block, k=1).sum()
+        edges[a] = rng.binomial(na * (na - 1) // 2, config.p_in)
         for b in range(a + 1, c):
-            cut = (rng.random((na, sizes[b])) < config.p_out).sum()
+            cut = rng.binomial(na * sizes[b], config.p_out)
             cross[a] += cut
             cross[b] += cut
     nodes = np.asarray(sizes, dtype=float)

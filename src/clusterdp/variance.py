@@ -244,10 +244,11 @@ def baseline_gaps(
     (``histogram_scales``).
     """
     weights = pop.cluster_sizes / pop.n
-    with np.errstate(over="ignore"):  # a scale or its square past the float range is inf
+    with np.errstate(over="ignore"):  # a scale, |y|^2 or a product past the float range is inf
         nht = 2.0 * float(np.sum((weights * ht_scales(design, pop.space, epsilon)) ** 2))
         nh_sum = float(np.sum((weights[:, None] * histogram_scales(design, epsilon)) ** 2))
-    nh = 2.0 * pop.space.l2_sq * nh_sum if nh_sum else 0.0  # no noise, no variance, any |y|^2
+        nh = 2.0 * pop.space.l2_sq * nh_sum if nh_sum else 0.0  # no noise, no variance, any |y|^2
     if not (math.isfinite(nht) and math.isfinite(nh)):
-        raise ValidationError(f"epsilon={epsilon!r} is so small that the baseline gaps overflow")
+        raise ValidationError(f"baseline gaps overflow at epsilon={epsilon!r} and outcome values "
+                              f"{pop.space.values}: epsilon is too small or the values too large")
     return nht, nh

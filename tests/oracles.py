@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from clusterdp.estimation import debias_rows
-from clusterdp.experiments import _batched_weights
 from clusterdp.mechanisms import (
     arm_histograms, perturb_clip, renormalize, resample_draws, resample_from_uniforms,
 )
@@ -110,7 +109,9 @@ def cluster_taus_fixed_design(pop, design, params, streams, reps: int) -> np.nda
     """
     assert params.kind is MechanismKind.CLUSTER_DP
     params.check_gamma(pop.space.k)
-    w_unit = _batched_weights(design.z, pop, design.n1c, design.n0c)
+    # each unit's weight in the stratified contrast: +(n_c/n)/n_1c treated, -(n_c/n)/n_0c control
+    arm_weight = (pop.cluster_sizes / pop.n)[:, None] / design.arm_counts()
+    w_unit = np.where(design.z == 1, 1.0, -1.0) * arm_weight[pop.cluster, design.z]
     scale = 0.0 if math.isinf(params.sigma) else params.sigma / design.arm_counts()[..., None]
     out = np.empty(reps)
     for ci, start in enumerate(range(0, reps, 5000)):

@@ -10,6 +10,7 @@ from clusterdp.accounting import (
     cluster_dp_eps_delta,
     cluster_dp_pure_eps,
     prior_budget,
+    resample_share,
 )
 from clusterdp.model import MechanismKind, MechanismParams
 from clusterdp.rng import RngStreams
@@ -111,6 +112,14 @@ class TestCalibration:
     def test_budget_exhausted(self):
         with pytest.raises(CalibrationError, match="budget exhausted"):
             calibrate_lambda(0.05, 0.0, 0.02, 10.0)
+
+    def test_resample_share(self):
+        assert resample_share(0.2, 0.02, 10.0) == 0.2 - prior_budget(0.02, 10.0)
+        assert resample_share(math.inf, 0.0, 0.0) == math.inf  # prior budget inf too
+        with pytest.raises(CalibrationError, match="budget exhausted"):
+            resample_share(0.1, 0.02, 10.0)
+        with pytest.warns(UserWarning, match="sigma=inf with gamma < 1/K"):
+            assert resample_share(math.inf, 0.01, math.inf, 12) == math.inf
 
     def test_nonpositive_target_named(self):
         # named as the target's fault even where the prior budget is 0 (the uniform prior)

@@ -1,13 +1,15 @@
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
-from clusterdp.cli import main
+from clusterdp.cli import build_parser, main
 from clusterdp.mechanisms import read_release
 from clusterdp.model import OutcomeSpace
-from clusterdp.simdata import ingest_csv
+from clusterdp.rng import RngStreams
+from clusterdp.simdata import GmmConfig, GraphPopConfig, gen_graph_population, ingest_csv
 
 
 def run_cli(capsys, *args):
@@ -51,6 +53,28 @@ class TestGenerate:
         code, stdout, err = run_cli(capsys, "generate", *argv, "--out", str(out))
         assert code == 2
         assert stdout == "" and named in err and not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config_cls",
+        [
+            pytest.param(["gmm"], GmmConfig, id="gmm"),
+            pytest.param(["graph", "--communities", "6", "7"], GraphPopConfig, id="graph"),
+        ],
+    )
+    def test_every_config_field_is_a_flag(self, argv, config_cls):
+        args = vars(build_parser().parse_args(["generate", *argv, "--out", "pop.csv"]))
+        missing = [f.name for f in dataclasses.fields(config_cls) if f.name not in args]
+        assert missing == []
+
+    def test_graph_flags_reach_the_config(self, tmp_path, capsys):
+        out = tmp_path / "gpop.csv"
+        flags = ["--communities", "20", "30", "44", "--pin", "0.3", "--pout", "0.02",
+                 "--beta-vec", "1", "0", "2", "0.5", "--v", "0.2", "--k", "5", "--tau", "0.5"]
+        code, _, _ = run_cli(capsys, "generate", "graph", *flags, "--seed", "2", "--out", str(out))
+        assert code == 0
+        config = GraphPopConfig((20, 30, 44), 0.3, 0.02, (1.0, 0.0, 2.0, 0.5), 0.2, 5, 0.5)
+        pop = gen_graph_population(config, RngStreams(2))
+        assert ingest_csv(out, pop.space).y0.tolist() == pop.y0.tolist()
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -155,6 +179,14 @@ class TestAccountCalibrate:
 
     def test_calibrate_infinite_target_gamma_zero(self, capsys):
         code, stdout, _ = run_cli(capsys, "calibrate", "--target-eps", "inf", "--gamma", "0")
+        assert code == 0 and json.loads(stdout) == {"lambda": 0.0}
+
+    def test_calibrate_infinite_target_infinite_prior_budget(self, capsys):
+        # gamma = sigma = 0 spends an infinite prior budget; an infinite target is
+        # still met by every mechanism
+        code, stdout, _ = run_cli(
+            capsys, "calibrate", "--target-eps", "inf", "--gamma", "0", "--sigma", "0"
+        )
         assert code == 0 and json.loads(stdout) == {"lambda": 0.0}
 
     @pytest.mark.parametrize(

@@ -102,6 +102,22 @@ class TestVarianceSweep:
         assert statuses and all(s.startswith("infeasible") for s in statuses)
         assert any(r["mechanism"].startswith("uniform_prior") for r in tables["results"])
 
+    def test_infinite_target_every_row_ok(self):
+        # at sigma = 0 and gamma = 0 the prior spends an infinite budget, yet an
+        # infinite target leaves an infinite resampling share: lambda 0 everywhere
+        cfg = ExperimentConfig.from_dict(
+            {
+                "population": TINY_GMM,
+                "mechanism": {"gamma": 0.02, "sigma": 0.0, "lambda": 0.5},
+                "targets": {"epsilon": "inf", "delta": 0.0},
+                "gamma_grid": [0.0, 0.02],
+                "replications": 20,
+            }
+        )
+        rows = run_variance_sweep(cfg, 5)[0]["results"]
+        assert len(rows) == 7 and all(r["status"] == "ok" for r in rows)
+        assert all(r["lambda"] == 0.0 for r in rows if r["mechanism"] != "no_dp")
+
     def test_pure_eps_rows_report_zero_delta(self):
         # without targets every row is a pure-epsilon guarantee; the delta
         # identity evaluated at its own eps_tilde leaves a rounding residue
@@ -310,6 +326,28 @@ class TestBaselineBias:
         cdp = next(r for r in bias_rows if r["mechanism"] == "cluster_dp" and r["epsilon"] == 0.5)
         nht = next(r for r in bias_rows if r["mechanism"] == "noisy_ht" and r["epsilon"] == 0.5)
         assert cdp["bias_abs_mean"] < nht["bias_abs_mean"]
+
+    def test_infinite_epsilon_needs_no_prior_budget(self):
+        # gamma = sigma = 0 spends an infinite prior budget: epsilon = 1 is out of
+        # reach, epsilon = inf is met at lambda 0
+        cfg = ExperimentConfig.from_dict(
+            {
+                "population": TINY_GMM,
+                "mechanism": {"gamma": 0.0, "sigma": 0.0, "lambda": 0.5},
+                "subpop_sizes": [20, 20, 30],
+                "epsilon_grid": [1.0, "inf"],
+                "noise_draws": 2,
+                "subpop_draws": 3,
+            }
+        )
+        rows = run_baseline_bias(cfg, 5)[0]["results"]
+        assert [(r["mechanism"], r["epsilon"], r["status"][:10]) for r in rows] == [
+            ("cluster_dp", 1.0, "infeasible"),
+            ("cluster_dp", math.inf, "ok"),
+            ("noisy_ht", math.inf, "ok"),
+            ("noisy_histogram", math.inf, "ok"),
+        ]
+        assert rows[1]["lambda"] == 0.0
 
     def test_small_population_warns(self):
         cfg = ExperimentConfig.from_dict(

@@ -150,6 +150,29 @@ class TestGraphPopulation:
         assert np.all(feats[:, 3] >= 0.0) and np.all(feats[:, 3] <= 1.0)
         assert feats[:, 0].tolist() == [20, 30, 40, 55]
 
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_edge_counts_at_certain_edges(self, p):
+        from clusterdp.simdata import _planted_partition_features
+
+        config = self.config(community_sizes=(3, 4, 6), p_in=p, p_out=p)
+        feats = _planted_partition_features(config, RngStreams(3).generator("graph"))
+        # pairs within: 3, 6, 15; pairs across: 3*4 + 3*6, 3*4 + 4*6, 3*6 + 4*6
+        assert feats[:, 1].tolist() == [3 * p, 6 * p, 15 * p]
+        assert feats[:, 2].tolist() == [30 * p, 36 * p, 42 * p]
+
+    def test_edge_counts_without_pair_arrays(self):
+        """Counting edges must not hold a uniform per node pair (150 MB at these sizes)."""
+        from clusterdp.simdata import _planted_partition_features
+
+        config = self.config(community_sizes=(2000, 3000, 4000))
+        tracemalloc.start()
+        try:
+            _planted_partition_features(config, RngStreams(3).generator("graph"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     def test_deterministic(self):
         a = gen_graph_population(self.config(), RngStreams(9))
         b = gen_graph_population(self.config(), RngStreams(9))

@@ -390,5 +390,12 @@ class TestBaselineGaps:
             nht, nh = baseline_gaps(pop, design, eps)
             assert nht <= nh + 1e-15
 
+    def test_values_past_float_square_named(self):
+        # |y|^2 overflows at 1e200; the suite's warning filter turns a stray
+        # NumPy overflow warning into an error, so only the ValidationError passes
+        pop = make_population((0.0, 1.0, 1e200), {"a": [(0, 1), (1, 1e200), (1e200, 0), (1, 1)]})
+        with pytest.raises(ValidationError, match=r"epsilon=1\.0 .*outcome values"):
+            baseline_gaps(pop, fixed_design(pop, [2]), 1.0)
+
     def test_infinite_epsilon_no_gap(self, small_pop):
         assert baseline_gaps(small_pop, fixed_design(small_pop, [2, 3]), math.inf) == (0.0, 0.0)
