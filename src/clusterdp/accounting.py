@@ -4,7 +4,8 @@ The cluster mechanism's privacy loss decomposes into a prior-estimation
 budget ``min(1/sigma, 2/gamma)`` and a resampling budget ``eps_tilde`` with
 failure probability ``delta = max(0, 1 - lam + lam * gamma * (1 - e^eps_tilde))``.
 Choosing ``eps_tilde = log(1 + (1-lam)/(lam*gamma))`` makes delta vanish,
-which gives the pure-epsilon form. The uniform-prior mechanism has no
+which gives the pure-epsilon form. ``report`` builds every ``PrivacyReport``,
+pure or at a chosen ``eps_tilde``. The uniform-prior mechanism has no
 functions of its own: it is priced and calibrated as the cluster mechanism at
 ``MechanismParams.uniform_prior(k)`` (gamma = 1/K, sigma = inf), where the
 prior budget is 0. Calibration algebraically inverts these identities;
@@ -25,6 +26,7 @@ __all__ = [
     "prior_budget",
     "resample_share",
     "resample_budget",
+    "report",
     "cluster_dp_eps_delta",
     "cluster_dp_pure_eps",
     "calibrate_lambda",
@@ -101,30 +103,43 @@ def _excess(scale: float, eps: float) -> float:
         return math.inf
 
 
-def cluster_dp_eps_delta(
-    params: MechanismParams, eps_tilde: float, k: int | None = None
-) -> PrivacyReport:
-    """(epsilon, delta) guarantee of the cluster mechanism at a chosen resampling budget."""
-    if not eps_tilde > 0:
-        raise ValidationError("eps_tilde must be > 0")
-    prior = prior_budget(params.gamma, params.sigma, k)
-    delta = max(0.0, 1.0 - params.lam - _excess(params.lam * params.gamma, eps_tilde))
-    return PrivacyReport(
-        epsilon=prior + eps_tilde,
-        delta=delta,
-        prior_budget=prior,
-        resample_budget=eps_tilde,
-    )
-
-
 def resample_budget(lam: float, gamma: float) -> float:
     """Budget spent resampling: log(1 + (1-lam)/(lam*gamma)); inf when lam or gamma is 0."""
     return math.inf if lam == 0.0 or gamma == 0.0 else math.log1p((1.0 - lam) / (lam * gamma))
 
 
+def report(
+    params: MechanismParams, k: int | None = None, eps_tilde: float | None = None
+) -> PrivacyReport:
+    """The guarantee of a cluster-mechanism release and its two-stage split.
+
+    Without ``eps_tilde`` it is the pure epsilon: the prior budget plus the resampling
+    budget, at delta 0. At a chosen resampling budget ``eps_tilde`` the failure
+    probability is delta = max(0, 1 - lam - lam * gamma * (e^eps_tilde - 1)); every
+    mechanism meets eps_tilde = inf, so delta is 0 there whatever lam is.
+    """
+    if eps_tilde is not None and not eps_tilde > 0:
+        raise ValidationError("eps_tilde must be > 0")
+    prior = prior_budget(params.gamma, params.sigma, k)
+    if eps_tilde is None:
+        resample = resample_budget(params.lam, params.gamma)
+        return PrivacyReport(prior + resample, 0.0, prior, resample)
+    delta = 0.0
+    if not math.isinf(eps_tilde):
+        delta = max(0.0, 1.0 - params.lam - _excess(params.lam * params.gamma, eps_tilde))
+    return PrivacyReport(prior + eps_tilde, delta, prior, eps_tilde)
+
+
+def cluster_dp_eps_delta(
+    params: MechanismParams, eps_tilde: float, k: int | None = None
+) -> PrivacyReport:
+    """(epsilon, delta) guarantee of the cluster mechanism at a chosen resampling budget."""
+    return report(params, k, eps_tilde)
+
+
 def cluster_dp_pure_eps(params: MechanismParams, k: int | None = None) -> float:
     """Pure epsilon: the prior budget plus the resampling budget."""
-    return prior_budget(params.gamma, params.sigma, k) + resample_budget(params.lam, params.gamma)
+    return report(params, k).epsilon
 
 
 def calibrate_lambda(

@@ -112,13 +112,7 @@ def _cmd_estimate(args) -> None:
 
 def _cmd_account(args) -> None:
     params = _mechanism_params(args, args.k, args.lam)
-    if args.eps_tilde is not None:
-        report = accounting.cluster_dp_eps_delta(params, args.eps_tilde, args.k)
-    else:
-        prior = accounting.prior_budget(params.gamma, params.sigma, args.k)
-        resample = accounting.resample_budget(params.lam, params.gamma)
-        report = accounting.PrivacyReport(prior + resample, 0.0, prior, resample)
-    _emit(report.as_dict())
+    _emit(accounting.report(params, args.k, args.eps_tilde).as_dict())
 
 
 def _cmd_calibrate(args) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Design, PopulationDataset, PrivatizedRelease, ValidationError
+from .model import Design, PopulationDataset, PrivatizedRelease, ValidationError, arm_cells
 
 __all__ = [
     "debias_rows",
@@ -37,8 +37,8 @@ def debias_rows(values: np.ndarray, q_tilde: np.ndarray, lam: float) -> np.ndarr
 def _cluster_sums(values_per_unit, cluster, z, n1c, n0c) -> np.ndarray:
     """Per-cluster `mean(treated) - mean(control)` contrasts, weighted within arms."""
     c = len(n1c)
-    sums = np.bincount(cluster * 2 + z, weights=values_per_unit, minlength=2 * c).reshape(c, 2)
-    return sums[:, 1] / n1c - sums[:, 0] / n0c
+    sums = np.bincount(arm_cells(cluster, z), weights=values_per_unit, minlength=2 * c)
+    return sums[1::2] / n1c - sums[0::2] / n0c
 
 
 def per_cluster_contributions(values_per_unit, cluster, design: Design) -> np.ndarray:
@@ -58,7 +58,7 @@ def tau_q(release: PrivatizedRelease) -> float:
     rows, design = release.debias, release.design
     if not np.all(np.isfinite(rows)):
         raise ValidationError("debias rows overflow the float range")
-    cell = (release.cluster * 2 + design.z) * release.space.k + release.y_tilde
+    cell = arm_cells(release.cluster, design.z, release.y_tilde, release.space.k)
     per_unit = rows.take(cell)  # one flat gather of rows[cluster, z, y_tilde]
     return float(per_cluster_contributions(per_unit, release.cluster, design).sum())
 

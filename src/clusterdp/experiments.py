@@ -395,13 +395,14 @@ def _mc_row(taus: np.ndarray, truth: float) -> dict:
 def _calibrated(cfg, gamma, sigma) -> tuple[float, float, float]:
     """(lam, eps, delta) at one grid point: pure epsilon without targets, else calibrated."""
     if cfg.targets is None:
-        params = _cluster_params(cfg, gamma=gamma, sigma=sigma)
-        return params.lam, accounting.cluster_dp_pure_eps(params), 0.0
-    eps_t, delta_t = cfg.targets["epsilon"], cfg.targets["delta"]
-    lam = accounting.calibrate_lambda(eps_t, delta_t, gamma, sigma)
-    params = _cluster_params(cfg, gamma=gamma, sigma=sigma, lam=lam)
-    report = accounting.cluster_dp_eps_delta(params, accounting.resample_share(eps_t, gamma, sigma))
-    return lam, report.epsilon, report.delta
+        params, eps_tilde = _cluster_params(cfg, gamma=gamma, sigma=sigma), None
+    else:
+        eps_t, delta_t = cfg.targets["epsilon"], cfg.targets["delta"]
+        lam = accounting.calibrate_lambda(eps_t, delta_t, gamma, sigma)
+        params = _cluster_params(cfg, gamma=gamma, sigma=sigma, lam=lam)
+        eps_tilde = accounting.resample_share(eps_t, gamma, sigma)
+    report = accounting.report(params, eps_tilde=eps_tilde)
+    return params.lam, report.epsilon, report.delta
 
 
 def run_variance_sweep(cfg: ExperimentConfig, seed: int):

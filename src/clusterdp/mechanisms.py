@@ -30,6 +30,7 @@ from .model import (
     PrivatizedRelease,
     ProjectedPrior,
     ValidationError,
+    arm_cells,
     finite_number,
 )
 from .rng import RngStreams, laplace_noise, open_uniform
@@ -57,7 +58,7 @@ def arm_histograms(pop: PopulationDataset, design: Design) -> np.ndarray:
         raise ValidationError("empty treatment arm in cluster")
     k = pop.space.k
     c = pop.n_clusters
-    cell = (pop.cluster * 2 + design.z) * k + pop.observed(design)
+    cell = arm_cells(pop.cluster, design.z, pop.observed(design), k)
     return np.bincount(cell, minlength=c * 2 * k).reshape(c, 2, k)
 
 
@@ -123,24 +124,35 @@ def resample_draws(rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarr
     return rng.random(size), open_uniform(rng, size)
 
 
+_RESAMPLE_BLOCK = 1 << 14  # units per block: a block's per-unit temporaries stay in cache
+
+
 def resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat) -> np.ndarray:
     """Keep each outcome where u_keep >= lam, else draw from its arm prior by inverse CDF at u_cat.
 
-    ``q_tilde`` (..., C, 2, K) and the uniforms (..., n) may carry a leading replication axis.
-    The CDF is summed once per (cluster, arm) cell, and each unit's draw counts the
-    entries j < K - 1 of its cell's CDF that lie below u_cat, with no (n, K) array.
-    This equals the capped count min(#{j < K : u_cat > cdf[j]}, K - 1) bit for bit:
-    a cumsum adds the same numbers in the same order per row, and q_tilde >= 0 makes
-    each CDF row non-decreasing in floating point, so the entries below u_cat form
-    a prefix and dropping the last one only applies the cap.
+    ``q_tilde`` (..., C, 2, K) and the uniforms (..., n) may carry a leading replication axis;
+    the int64 result has the shape of ``u_cat``. The CDF is summed once per (cluster, arm)
+    cell, and each unit's draw counts the entries j < K - 1 of its cell's CDF that lie
+    below u_cat, with no (n, K) array. This equals the capped count
+    min(#{j < K : u_cat > cdf[j]}, K - 1) bit for bit: a cumsum adds the same numbers in
+    the same order per row, and q_tilde >= 0 makes each CDF row non-decreasing in floating
+    point, so the entries below u_cat form a prefix and dropping the last one only applies
+    the cap. Units go through in blocks of ``_RESAMPLE_BLOCK``; a count does not depend on
+    the order in which it is taken, so the blocks change no bit.
     """
-    cdf = np.cumsum(q_tilde, axis=-1)
-    cdf = cdf.reshape(*cdf.shape[:-3], -1, cdf.shape[-1])  # (..., 2C, K), row cluster * 2 + z
-    cell = cluster * 2 + z
-    drawn = np.zeros(u_cat.shape, dtype=np.int64)
-    for j in range(cdf.shape[-1] - 1):
-        drawn += u_cat > np.take(cdf[..., j], cell, axis=-1)
-    return np.where(u_keep < lam, drawn, y_observed)
+    cdf = np.cumsum(q_tilde, axis=-1)[..., :-1]
+    cdf = cdf.reshape(*cdf.shape[:-3], -1, cdf.shape[-1])  # (..., 2C, K - 1), row cluster * 2 + z
+    thresholds = np.ascontiguousarray(cdf.transpose(-1, *range(cdf.ndim - 1)))  # (K - 1, ..., 2C)
+    counter = np.min_scalar_type(cdf.shape[-1])  # the narrowest type that holds K - 1
+    out = np.empty(u_cat.shape, dtype=np.int64)
+    for start in range(0, u_cat.shape[-1], _RESAMPLE_BLOCK):
+        part = slice(start, start + _RESAMPLE_BLOCK)
+        cell, u = arm_cells(cluster[part], z[part]), u_cat[..., part]
+        drawn = np.zeros(u.shape, dtype=counter)
+        for column in thresholds:
+            drawn += u > column.take(cell, axis=-1)
+        out[..., part] = np.where(u_keep[..., part] < lam, drawn, y_observed[part])
+    return out
 
 
 def resample_outcomes(

@@ -23,6 +23,7 @@ __all__ = [
     "SerialIds",
     "PopulationDataset",
     "Design",
+    "arm_cells",
     "MechanismKind",
     "MechanismParams",
     "ProjectedPrior",
@@ -174,7 +175,9 @@ class PopulationDataset:
         sizes = np.bincount(self.cluster, minlength=c)
         object.__setattr__(self, "cluster_sizes", _frozen_array(sizes, np.int64))
         order = _frozen_array(np.argsort(self.cluster, kind="stable"), np.int64)
-        object.__setattr__(self, "members", tuple(np.split(order, np.cumsum(sizes)[:-1])))
+        ends = np.cumsum(sizes).tolist()
+        members = tuple(order[a:b] for a, b in zip([0, *ends], ends))  # read-only views
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def from_columns(cls, unit_ids, labels, y0, y1, space: OutcomeSpace) -> "PopulationDataset":
@@ -290,6 +293,21 @@ class Design:
     def arm_counts(self) -> np.ndarray:
         """(C, 2) array with column 0 = control counts, column 1 = treated counts."""
         return np.stack([self.n0c, self.n1c], axis=1)
+
+
+def arm_cells(cluster, z, y=None, k: int = 0) -> np.ndarray:
+    """Each unit's row ``cluster * 2 + z`` of a (C, 2, ...) table, or with ``y`` its cell
+    ``(cluster * 2 + z) * k + y`` of a flattened (C, 2, K) table.
+
+    The index is built in place in the one array ``cluster * 2``: the same integer
+    operations as the expression, with no temporary per operation.
+    """
+    cell = cluster * 2
+    cell += z
+    if y is not None:
+        cell *= k
+        cell += y
+    return cell
 
 
 def resolve_treated_counts(pop: PopulationDataset, treated) -> np.ndarray:

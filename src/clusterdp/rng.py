@@ -52,8 +52,13 @@ def open_uniform(rng: np.random.Generator, size=None) -> np.ndarray:
     """Uniform draws on the open interval (0, 1), on a fixed 2**53 grid.
 
     Endpoints are excluded so inverse-CDF transforms never produce infinities.
+    The shift and scale run in place on the converted draws: the same two IEEE
+    operations as ``(x + 0.5) * 2**-53``, with no second array.
     """
-    return (rng.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) * 2.0**-53
+    u = rng.integers(0, 1 << 53, size=size).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def laplace_noise(rng: np.random.Generator, scale, size=None) -> np.ndarray:

@@ -12,7 +12,7 @@ from clusterdp.accounting import (
     prior_budget,
     resample_share,
 )
-from clusterdp.model import MechanismKind, MechanismParams
+from clusterdp.model import MechanismKind, MechanismParams, ValidationError
 from clusterdp.rng import RngStreams
 
 from oracles import uniform_prior_eps
@@ -85,6 +85,36 @@ class TestUniformAccounting:
         assert report.prior_budget == 0.0
         assert report.epsilon == 0.7
         assert report.delta == pytest.approx(max(0.0, 1 - 0.9 - 0.9 / 5 * math.expm1(0.7)))
+
+
+class TestReport:
+    """``report`` builds every PrivacyReport: pure, or at a chosen eps_tilde."""
+
+    def test_pure_report(self):
+        p = params(0.02, 10.0, 0.8)
+        got = accounting.report(p)
+        assert got == accounting.PrivacyReport(
+            0.1 + accounting.resample_budget(0.8, 0.02), 0.0, 0.1, math.log1p(0.2 / 0.016)
+        )
+        assert got.epsilon == cluster_dp_pure_eps(p)
+
+    def test_eps_delta_report(self):
+        p = params(0.02, 10.0, 0.8)
+        got = accounting.report(p, eps_tilde=1.0)
+        assert got == cluster_dp_eps_delta(p, 1.0)
+        assert got.delta == 1.0 - 0.8 - 0.8 * 0.02 * math.expm1(1.0)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("gamma", [0.0, 0.02])
+    def test_infinite_eps_tilde_has_zero_delta(self, gamma, lam):
+        # every mechanism meets (inf, 0); lam = 0 used to read delta = 1
+        got = accounting.report(params(gamma, 10.0, lam), eps_tilde=math.inf)
+        assert got.epsilon == math.inf and got.delta == 0.0
+
+    @pytest.mark.parametrize("eps_tilde", [0.0, -1.0, math.nan])
+    def test_eps_tilde_must_be_positive(self, eps_tilde):
+        with pytest.raises(ValidationError, match="eps_tilde must be > 0"):
+            accounting.report(params(0.02, 10.0, 0.8), eps_tilde=eps_tilde)
 
 
 class TestCalibration:

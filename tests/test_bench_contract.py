@@ -25,9 +25,10 @@ from clusterdp.cli import main
 from clusterdp.experiments import (
     EXPERIMENTS, ExperimentConfig, build_population, cluster_mechanism_taus,
 )
-from clusterdp.mechanisms import fit_priors
+from clusterdp.mechanisms import _RESAMPLE_BLOCK, fit_priors
 from clusterdp.model import MechanismKind, MechanismParams, draw_design
 from clusterdp.rng import RngStreams
+from clusterdp.simdata import GmmConfig, gen_gmm
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -119,4 +120,22 @@ def test_tracer_replays_replication_zero(tracing, small_pop, streams, kind):
             "treated": 0.5, "streams": streams}
     taus = cluster_mechanism_taus(**args, reps=2)
     assert len(taus) == 2
+    assert tracing._replay_replication(args, taus) is True
+
+
+@pytest.fixture(scope="module")
+def two_block_pop():
+    config = GmmConfig(beta=4.5, v=5.0, k_prime=5, cluster_sizes=(20000, 15000))
+    return gen_gmm(config, RngStreams(6))
+
+
+@pytest.mark.parametrize("kind", list(MechanismKind))
+def test_tracer_replays_replication_zero_past_one_block(tracing, two_block_pop, kind):
+    # the resampling kernel works in blocks of units; this population spans three
+    assert two_block_pop.n > 2 * _RESAMPLE_BLOCK
+    k = two_block_pop.space.k
+    params = (MechanismParams.uniform_prior(k, 0.8) if kind is MechanismKind.UNIFORM_PRIOR_DP
+              else MechanismParams(kind=kind, gamma=0.02, sigma=10.0, lam=0.8))
+    args = {"pop": two_block_pop, "params": params, "treated": 0.5, "streams": RngStreams(7)}
+    taus = cluster_mechanism_taus(**args, reps=1)
     assert tracing._replay_replication(args, taus) is True

@@ -148,6 +148,15 @@ class TestAccountCalibrate:
         payload = json.loads(stdout)
         assert payload["delta"] == pytest.approx(0.0, abs=1e-15)
 
+    def test_account_infinite_eps_tilde_zero_delta(self, capsys):
+        code, stdout, _ = run_cli(
+            capsys, "account", "--lam", "0", "--eps-tilde", "inf", "--gamma", "0.02",
+            "--sigma", "10",
+        )
+        assert code == 0
+        assert json.loads(stdout) == {"epsilon": "inf", "delta": 0.0, "prior_budget": 0.1,
+                                      "resample_budget": "inf"}
+
     def test_calibrate(self, capsys):
         code, stdout, _ = run_cli(
             capsys, "calibrate", "--target-eps", "0.2", "--target-delta", "1e-4",

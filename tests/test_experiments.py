@@ -117,6 +117,7 @@ class TestVarianceSweep:
         rows = run_variance_sweep(cfg, 5)[0]["results"]
         assert len(rows) == 7 and all(r["status"] == "ok" for r in rows)
         assert all(r["lambda"] == 0.0 for r in rows if r["mechanism"] != "no_dp")
+        assert all(r["delta"] == 0.0 for r in rows)  # every mechanism meets (inf, 0)
 
     def test_pure_eps_rows_report_zero_delta(self):
         # without targets every row is a pure-epsilon guarantee; the delta

@@ -227,6 +227,15 @@ class TestInverseCdfDraws:
         u = open_uniform(RngStreams(3).generator("u"), 10_000)
         assert u.min() > 0.0 and u.max() < 1.0
 
+    @pytest.mark.parametrize("size", [None, 10_000])
+    def test_open_uniform_is_the_grid_expression(self, size):
+        # the in-place shift and scale give the bits of the out-of-place expression
+        u = open_uniform(RngStreams(3).generator("u"), size)
+        x = RngStreams(3).generator("u").integers(0, 1 << 53, size=size)
+        want = (x.astype(float) + 0.5) * 2**-53
+        assert type(u) is type(want) and u.dtype == want.dtype
+        assert np.asarray(u).tobytes() == np.asarray(want).tobytes()
+
     def test_laplace_zero_scale_is_zero(self):
         w = laplace_noise(RngStreams(3).generator("l"), 0.0, 100)
         assert np.all(w == 0.0)
