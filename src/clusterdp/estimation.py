@@ -56,7 +56,7 @@ def tau_q(release: PrivatizedRelease) -> float:
     debiasing rows of the released priors; it never sees true outcomes.
     """
     rows, design = release.debias, release.design
-    if not np.all(np.isfinite(rows)):
+    if not np.isfinite(rows).all():
         raise ValidationError("debias rows overflow the float range")
     cell = arm_cells(release.cluster, design.z, release.y_tilde, release.space.k)
     per_unit = rows.take(cell)  # one flat gather of rows[cluster, z, y_tilde]

@@ -54,7 +54,7 @@ __all__ = [
 
 def arm_histograms(pop: PopulationDataset, design: Design) -> np.ndarray:
     """Exact observed-outcome counts (C, 2, K) for every (cluster, arm); arm 0 is control."""
-    if np.any(design.n0c < 1) or np.any(design.n1c < 1):
+    if design.n0c.min() < 1 or design.n1c.min() < 1:
         raise ValidationError("empty treatment arm in cluster")
     k = pop.space.k
     c = pop.n_clusters
@@ -75,18 +75,20 @@ def renormalize(q: np.ndarray, gamma: float) -> np.ndarray:
     toward 1. A vector already summing to one is returned unchanged. The
     denominators cannot vanish: sum(q) > 1 forces some q_y > gamma, and
     sum(q) < 1 forces some q_y < 1 (else the sum would be K >= 2).
-    Broadcasts over any leading axes.
+    Broadcasts over any leading axes. Each branch runs only on the rows it
+    rewrites, and only when there are any.
     """
-    q = np.asarray(q, dtype=float)
+    q = np.array(q, dtype=float)
     k = q.shape[-1]
     s = q.sum(axis=-1, keepdims=True)
-    over_den = np.where(s > 1.0, s - k * gamma, 1.0)
-    under_den = np.where(s < 1.0, k - s, 1.0)
+    over, under = (s > 1.0)[..., 0], (s < 1.0)[..., 0]
     # Anchored forms (algebraically the per-entry shift from the headroom
     # weights) guarantee q_tilde >= gamma in floating point as well.
-    over = gamma + (q - gamma) * ((1.0 - k * gamma) / over_den)
-    under = q + (1.0 - q) * ((1.0 - s) / under_den)
-    return np.where(s > 1.0, over, np.where(s < 1.0, under, q))
+    if over.any():
+        q[over] = gamma + (q[over] - gamma) * ((1.0 - k * gamma) / (s[over] - k * gamma))
+    if under.any():
+        q[under] = q[under] + (1.0 - q[under]) * ((1.0 - s[under]) / (k - s[under]))
+    return q
 
 
 def fit_priors(
@@ -112,7 +114,8 @@ def fit_priors(
     p_hat = counts / n_ac[..., None]
     noise = 0.0
     if not math.isinf(params.sigma):
-        noise = laplace_noise(rng, 1.0, p_hat.shape) * (params.sigma / n_ac)[..., None]
+        noise = laplace_noise(rng, 1.0, p_hat.shape)
+        noise *= (params.sigma / n_ac)[..., None]
     q_tilde = renormalize(perturb_clip(p_hat, params.gamma, noise), params.gamma)
     if params.kind is MechanismKind.CLUSTER_FREE_DP:
         q_tilde = np.broadcast_to(q_tilde, (pop.n_clusters, 2, k)).copy()
@@ -124,7 +127,7 @@ def resample_draws(rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarr
     return rng.random(size), open_uniform(rng, size)
 
 
-_RESAMPLE_BLOCK = 1 << 14  # units per block: a block's per-unit temporaries stay in cache
+_RESAMPLE_BLOCK = 1 << 14  # uniforms per block: a block's temporaries stay in cache
 
 
 def resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat) -> np.ndarray:
@@ -137,20 +140,22 @@ def resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat) 
     min(#{j < K : u_cat > cdf[j]}, K - 1) bit for bit: a cumsum adds the same numbers in
     the same order per row, and q_tilde >= 0 makes each CDF row non-decreasing in floating
     point, so the entries below u_cat form a prefix and dropping the last one only applies
-    the cap. Units go through in blocks of ``_RESAMPLE_BLOCK``; a count does not depend on
-    the order in which it is taken, so the blocks change no bit.
+    the cap. Units go through in blocks of about ``_RESAMPLE_BLOCK`` uniforms, two a unit
+    and replication (u_keep and u_cat); each block gathers the K - 1 thresholds of every
+    u_cat at once and sums their comparisons. A count does not depend on the order in
+    which it is taken, so the blocks change no bit.
     """
     cdf = np.cumsum(q_tilde, axis=-1)[..., :-1]
     cdf = cdf.reshape(*cdf.shape[:-3], -1, cdf.shape[-1])  # (..., 2C, K - 1), row cluster * 2 + z
     thresholds = np.ascontiguousarray(cdf.transpose(-1, *range(cdf.ndim - 1)))  # (K - 1, ..., 2C)
     counter = np.min_scalar_type(cdf.shape[-1])  # the narrowest type that holds K - 1
     out = np.empty(u_cat.shape, dtype=np.int64)
-    for start in range(0, u_cat.shape[-1], _RESAMPLE_BLOCK):
-        part = slice(start, start + _RESAMPLE_BLOCK)
-        cell, u = arm_cells(cluster[part], z[part]), u_cat[..., part]
-        drawn = np.zeros(u.shape, dtype=counter)
-        for column in thresholds:
-            drawn += u > column.take(cell, axis=-1)
+    block = max(1, _RESAMPLE_BLOCK // (2 * max(1, math.prod(u_cat.shape[:-1]))))
+    for start in range(0, u_cat.shape[-1], block):
+        part = slice(start, start + block)
+        u = u_cat[..., part]
+        drawn = (u > thresholds.take(arm_cells(cluster[part], z[part]), axis=-1)).sum(
+            axis=0, dtype=counter)
         out[..., part] = np.where(u_keep[..., part] < lam, drawn, y_observed[part])
     return out
 
@@ -216,14 +221,15 @@ def ht_scales(design: Design, space: OutcomeSpace, epsilon: float) -> np.ndarray
     """Noisy HT's Laplace scale per cluster: max|y| / min(n0c, n1c) / epsilon; 0 at eps = inf."""
     _check_epsilon(epsilon)
     scales = space.max_abs / np.minimum(design.n0c, design.n1c)
-    return np.zeros_like(scales) if math.isinf(epsilon) else scales / epsilon
+    scales /= epsilon  # a finite scale over eps = inf is +0.0
+    return scales
 
 
 def histogram_scales(design: Design, epsilon: float) -> np.ndarray:
     """Noisy histogram's Laplace scale per (cluster, arm): 1 / (n_ac epsilon); 0 at eps = inf."""
     _check_epsilon(epsilon)
-    n_ac = design.arm_counts()
-    return np.zeros(n_ac.shape) if math.isinf(epsilon) else 1.0 / (n_ac * epsilon)
+    scales = design.arm_counts() * epsilon
+    return np.divide(1.0, scales, out=scales)  # 1 / inf is +0.0
 
 
 def ht_noise_term(pop, design, epsilon: float, std) -> tuple[float, np.ndarray]:

@@ -57,6 +57,9 @@ class OutcomeSpace:
 
     The fixed ordering of ``values`` defines every vector and matrix index
     used elsewhere (histograms, randomization matrices, debiasing rows).
+    The scalars ``max_abs`` (the sup norm, B in the variance bounds), ``l2_sq``,
+    ``mean`` and ``mean_sq`` of the values are fixed at construction; one past
+    the float range is inf, which the variance formulas that read it report.
     """
 
     values: tuple[float, ...]
@@ -69,8 +72,14 @@ class OutcomeSpace:
             raise ValidationError(f"outcome values must be finite, got {vals}")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValidationError("outcome values must be strictly increasing")
+        arr = _frozen_array(vals, float)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_array", _frozen_array(vals, float))
+        object.__setattr__(self, "_array", arr)
+        object.__setattr__(self, "max_abs", float(np.max(np.abs(arr))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "l2_sq", float(np.dot(arr, arr)))
+            object.__setattr__(self, "mean", float(arr.mean()))
+            object.__setattr__(self, "mean_sq", float((arr**2).mean()))
 
     @property
     def k(self) -> int:
@@ -79,23 +88,6 @@ class OutcomeSpace:
     @property
     def array(self) -> np.ndarray:
         return self._array
-
-    @property
-    def max_abs(self) -> float:
-        """Sup norm of the value vector (B in the variance bounds)."""
-        return float(np.max(np.abs(self._array)))
-
-    @property
-    def l2_sq(self) -> float:
-        return float(np.dot(self._array, self._array))
-
-    @property
-    def mean(self) -> float:
-        return float(self._array.mean())
-
-    @property
-    def mean_sq(self) -> float:
-        return float((self._array**2).mean())
 
     def lookup(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Index of each value, and whether the space holds it exactly (NaN never)."""
@@ -252,8 +244,12 @@ class PopulationDataset:
         return float(np.mean(vals[self.y1] - vals[self.y0]))
 
     def observed(self, design: "Design") -> np.ndarray:
-        """Observed outcome indices under a realized assignment."""
-        return np.where(design.z == 1, self.y1, self.y0)
+        """Observed outcome indices under a realized assignment: y0 + z (y1 - y0), in place,
+        which is y1 where z = 1 and y0 where z = 0 (``Design`` holds only 0/1 entries)."""
+        y = self.y1 - self.y0
+        y *= design.z
+        y += self.y0
+        return y
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +261,13 @@ class Design:
     n0c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "z", _frozen_array(self.z, np.int8))
+        raw = np.asarray(self.z)
+        z = _frozen_array(raw, np.int8)
+        # one pass over the int8 entries: a negative one reads as >= 128 in the uint8 view;
+        # an entry that a cast lost (256, 0.5) differs from its int8 value
+        if z.size and (z.view(np.uint8).max() > 1 or (z is not raw and not np.array_equal(raw, z))):
+            raise ValidationError("assignment must be one 0/1 entry per unit")
+        object.__setattr__(self, "z", z)
         object.__setattr__(self, "n1c", _frozen_array(self.n1c, np.int64))
         object.__setattr__(self, "n0c", _frozen_array(self.n0c, np.int64))
         # .min() is one pass per array; the size guards keep a zero-cluster design valid
@@ -276,7 +278,7 @@ class Design:
     def from_assignment(cls, cluster, z, n_clusters: int) -> "Design":
         """The design of a realized 0/1 assignment of units with dense cluster ids."""
         cluster, z = np.asarray(cluster), np.asarray(z)
-        if z.shape != cluster.shape or not np.isin(z, (0, 1)).all():
+        if z.shape != cluster.shape:
             raise ValidationError("assignment must be one 0/1 entry per unit")
         n1c = np.bincount(cluster[z == 1], minlength=n_clusters)
         n0c = np.bincount(cluster[z == 0], minlength=n_clusters)
@@ -292,7 +294,9 @@ class Design:
 
     def arm_counts(self) -> np.ndarray:
         """(C, 2) array with column 0 = control counts, column 1 = treated counts."""
-        return np.stack([self.n0c, self.n1c], axis=1)
+        counts = np.empty((len(self.n0c), 2), dtype=np.int64)
+        counts[:, 0], counts[:, 1] = self.n0c, self.n1c
+        return counts
 
 
 def arm_cells(cluster, z, y=None, k: int = 0) -> np.ndarray:
@@ -420,7 +424,8 @@ class PrivatizedRelease:
         object.__setattr__(self, "y_tilde", _frozen_array(self.y_tilde, np.int64))
         object.__setattr__(self, "q_tilde", _frozen_array(self.q_tilde, float))
         y = self.y_tilde
-        if y.size and (y.min() < 0 or y.max() >= self.space.k):
+        # one pass: a negative index reads as >= 2**63 in the uint64 view
+        if y.size and y.view(np.uint64).max() >= self.space.k:
             raise ValidationError("privatized outcome outside space")
 
     @property

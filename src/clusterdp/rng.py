@@ -48,16 +48,22 @@ class RngStreams:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def open_uniform(rng: np.random.Generator, size=None) -> np.ndarray:
-    """Uniform draws on the open interval (0, 1), on a fixed 2**53 grid.
+_HALF_STEP = np.float64(2.0**-54)  # a NumPy scalar, so that one draw is an np.float64 too
 
-    Endpoints are excluded so inverse-CDF transforms never produce infinities.
-    The shift and scale run in place on the converted draws: the same two IEEE
-    operations as ``(x + 0.5) * 2**-53``, with no second array.
+
+def open_uniform(rng: np.random.Generator, size=None) -> np.ndarray:
+    """Uniform draws ``(m + 0.5) * 2**-53`` for m uniform on 0 .. 2**53 - 1, on a fixed grid.
+
+    Zero is never drawn, so inverse-CDF transforms see no infinity there; the top
+    point rounds to exactly 1.0 (m = 2**53 - 1, probability 2**-53 a draw).
+    ``rng.random`` makes m * 2**-53 from one 64-bit word x of the stream with
+    m = x >> 11: the same word and the same m that ``rng.integers(0, 2**53)`` draws
+    (its bounded draw, Lemire's method, never rejects when the range is a power of two).
+    Adding 2**-54 then rounds as ``(m + 0.5) * 2**-53`` does, since scaling by a
+    power of two commutes with rounding, so the two forms give the same bits.
     """
-    u = rng.integers(0, 1 << 53, size=size).astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
+    u = rng.random(size)
+    u += _HALF_STEP
     return u
 
 
@@ -65,9 +71,14 @@ def laplace_noise(rng: np.random.Generator, scale, size=None) -> np.ndarray:
     """Laplace(scale) draws via inverse CDF on a uniform, for cross-platform reproducibility.
 
     ``scale`` is the b in density (1/2b) exp(-|x|/b); it may broadcast against ``size``.
+    The shift and the doubling run in place: the same IEEE operations as
+    ``-scale * sign(u) * log1p(-2 |u|)`` on ``u = open_uniform(rng, size) - 0.5``.
     """
-    u = open_uniform(rng, size) - 0.5
-    return -np.asarray(scale, dtype=float) * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    u = open_uniform(rng, size)
+    u -= 0.5
+    tail = np.abs(u)
+    tail *= -2.0
+    return -np.asarray(scale, dtype=float) * np.sign(u) * np.log1p(tail)
 
 
 def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray:

@@ -11,6 +11,11 @@ row-by-row record reader checks the column reader of population files; the
 CDF-table resampler and the one-bincount cluster sums bit for bit; the
 sidecar as one ``json.dumps`` checks the block-wise sidecar writer byte for
 byte; the singular-value bound and the scalar outcome lookups serve only tests.
+The earlier forms of the per-call expressions of a release (the two-``where``
+renormalization, the ``where`` of observed outcomes, the K - 1 column count,
+the one-line Laplace transform, the uniform grid from bounded integers, the
+branching baseline scales and the stacked arm counts) check their rewrites
+byte for byte.
 """
 
 import csv
@@ -70,6 +75,55 @@ def resample_dense(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat) -> np.nd
     cum = np.cumsum(q_tilde[..., cluster, z, :], axis=-1)
     drawn = np.minimum((u_cat[..., None] > cum).sum(axis=-1), k - 1)
     return np.where(u_keep < lam, drawn, y_observed)
+
+
+def resample_columns(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat) -> np.ndarray:
+    """Inverse-CDF resampling as K - 1 rounds of gather, compare and add over all units."""
+    cdf = np.cumsum(q_tilde, axis=-1)
+    drawn = np.zeros(u_cat.shape, dtype=np.min_scalar_type(q_tilde.shape[-1] - 1))
+    for j in range(q_tilde.shape[-1] - 1):
+        drawn += u_cat > cdf[..., cluster, z, j]
+    return np.where(u_keep < lam, drawn, y_observed)
+
+
+def renormalize_two_where(q, gamma: float) -> np.ndarray:
+    """Both branches on every row, then chosen per row by two nested ``np.where``."""
+    q = np.asarray(q, dtype=float)
+    k = q.shape[-1]
+    s = q.sum(axis=-1, keepdims=True)
+    over_den = np.where(s > 1.0, s - k * gamma, 1.0)
+    under_den = np.where(s < 1.0, k - s, 1.0)
+    over = gamma + (q - gamma) * ((1.0 - k * gamma) / over_den)
+    under = q + (1.0 - q) * ((1.0 - s) / under_den)
+    return np.where(s > 1.0, over, np.where(s < 1.0, under, q))
+
+
+def observed_where(pop, design) -> np.ndarray:
+    return np.where(design.z == 1, pop.y1, pop.y0)
+
+
+def open_uniform_integers(rng, size=None):
+    """The 2**53 grid from bounded integers: ``(m + 0.5) * 2**-53``."""
+    return (rng.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def laplace_one_line(rng, scale, size=None):
+    u = open_uniform_integers(rng, size) - 0.5
+    return -np.asarray(scale, dtype=float) * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
+def ht_scales_branching(design, space, epsilon: float) -> np.ndarray:
+    scales = float(np.max(np.abs(space.array))) / np.minimum(design.n0c, design.n1c)
+    return np.zeros_like(scales) if math.isinf(epsilon) else scales / epsilon
+
+
+def histogram_scales_branching(design, epsilon: float) -> np.ndarray:
+    n_ac = arm_counts_stacked(design)
+    return np.zeros(n_ac.shape) if math.isinf(epsilon) else 1.0 / (n_ac * epsilon)
+
+
+def arm_counts_stacked(design) -> np.ndarray:
+    return np.stack([design.n0c, design.n1c], axis=1)
 
 
 def cluster_sums_two_pass(values_per_unit, cluster, z, n1c, n0c) -> np.ndarray:

@@ -9,7 +9,10 @@ experiment configs in ``perfbench/run.py``'s ``WORKLOADS`` must stay valid
 configs, or every Monte Carlo operation of the benchmark fails. The
 tracer also rebuilds replication 0 of ``cluster_mechanism_taus`` from the
 public calls; a kernel change that breaks that parity is caught here too.
-Both modules are loaded from their files and never modified.
+A traced call that moves into a private helper records no span, and
+``perfbench/run.py --trace 1`` then exits 2 with "traced run produced no
+[...]"; each per-layer span and counter is checked here on toy operations.
+The modules are loaded from their files and never modified.
 """
 
 import importlib
@@ -21,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from clusterdp import estimation, experiments, mechanisms, model
 from clusterdp.cli import main
 from clusterdp.experiments import (
     EXPERIMENTS, ExperimentConfig, build_population, cluster_mechanism_taus,
@@ -139,3 +143,53 @@ def test_tracer_replays_replication_zero_past_one_block(tracing, two_block_pop, 
     args = {"pop": two_block_pop, "params": params, "treated": 0.5, "streams": RngStreams(7)}
     taus = cluster_mechanism_taus(**args, reps=1)
     assert tracing._replay_replication(args, taus) is True
+
+
+# The per-layer spans (as "<span>_s" in run.PER_LAYER) and the counters behind
+# run.PER_LAYER metrics that a Monte Carlo replication or one release records.
+RELEASE_SPANS = {
+    "model.draw_design", "mechanisms.arm_histograms", "mechanisms.fit_priors",
+    "mechanisms.resample_outcomes", "estimation.debias_rows",
+    "estimation.per_cluster_contributions", "rng.generator",
+}
+RELEASE_COUNTERS = {
+    "prior_cells": "mechanisms.prior_cells",
+    "units_resampled": "mechanisms.units_resampled",
+    "units_redrawn": "mechanisms.resample_useful_ratio",
+    "resample_bytes_computed": "mechanisms.resample_bytes_computed",
+}
+_TOY = {"population": {"kind": "gmm", "beta": 4.5, "v": 5.0, "k_prime": 3, "tau": 1,
+                       "cluster_sizes": [8, 12]}}
+
+
+def _toy_distribution():
+    experiments.run_experiment("distribution", {**_TOY, "replications": 3}, 3)
+
+
+def _toy_release(pop, streams):
+    design = model.draw_design(pop, 0.5, streams.generator("assignment"))
+    params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.02, sigma=10.0, lam=0.5)
+    estimation.tau_q(mechanisms.cluster_dp(pop, design, params, streams))
+
+
+def _toy_scalars(pop, streams):
+    design = experiments.counts_design(pop, 0.5)
+    mechanisms.noisy_ht(pop, design, 1.0, streams.child("nht"))
+    mechanisms.noisy_histogram(pop, design, 1.0, streams.child("nh"))
+
+
+@pytest.mark.parametrize("op, spans, counters", [
+    (_toy_distribution, RELEASE_SPANS, set(RELEASE_COUNTERS)),
+    (_toy_release, RELEASE_SPANS, set(RELEASE_COUNTERS)),
+    (_toy_scalars, {"rng.generator", "estimation.per_cluster_contributions"}, set()),
+])
+def test_traced_operations_feed_their_layers(tracing, small_pop, streams, op, spans, counters):
+    run = _load("run")
+    assert {f"{name}_s" for name in spans} | {RELEASE_COUNTERS[c] for c in counters} <= set(
+        run.PER_LAYER)
+    rec = tracing.Recorder()
+    with tracing.instrumented(rec):
+        op() if op is _toy_distribution else op(small_pop, streams)
+    assert spans - {span[0] for span in rec.spans} == set()
+    assert counters - set(rec.counters) == set()
+    assert rec.replay_failures == []

@@ -1,0 +1,166 @@
+"""The per-call kernels of a release against their earlier forms, byte for byte.
+
+Each rewrite of a hot expression keeps every element's float operations in the
+same order, so its result must equal the reference form in ``tests/oracles.py``
+in value, sign of zero, dtype and shape, on random and on edge inputs.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clusterdp.mechanisms import histogram_scales, ht_scales, renormalize, resample_from_uniforms
+from clusterdp.model import OutcomeSpace
+from clusterdp.rng import RngStreams, laplace_noise, open_uniform
+
+from conftest import random_population
+from oracles import (
+    arm_counts_stacked,
+    histogram_scales_branching,
+    ht_scales_branching,
+    laplace_one_line,
+    observed_where,
+    open_uniform_integers,
+    renormalize_two_where,
+    resample_columns,
+)
+import test_mechanisms
+from test_mechanisms import fixed_design
+
+
+def same(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _rows(rng, lead, k, gamma):
+    """Clipped rows in [gamma, 1], with rows that sum to exactly one, rows at gamma, and zeros
+    of either sign mixed in."""
+    q = rng.uniform(gamma, 1.0, (*lead, k))
+    q = np.where(rng.random(q.shape) < 0.2, gamma, q)
+    flat = q.reshape(-1, k)
+    for row in flat:
+        kind = rng.integers(0, 4)
+        if kind == 0:  # dyadic entries that sum to exactly one
+            cuts = np.sort(rng.integers(0, 1025, k - 1))
+            row[:] = np.diff(np.concatenate([[0], cuts, [1024]])) / 1024.0
+        elif kind == 1:
+            row[:] = gamma
+    if gamma == 0.0:  # -0.0 keeps its sign only where no branch rewrites the row
+        flat[rng.random(flat.shape) < 0.2] = -0.0
+    return q
+
+
+class TestRenormalize:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([2, 3, 12]),
+        lead=st.sampled_from([(), (4,), (3, 2), (5, 3, 2)]),
+        floor=st.sampled_from(["zero", "half", "one_over_k"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_two_where(self, seed, k, lead, floor):
+        rng = np.random.default_rng(seed)
+        gamma = {"zero": 0.0, "half": 0.5 / k, "one_over_k": 1.0 / k}[floor]
+        q = _rows(rng, lead, k, gamma)
+        assert same(renormalize(q, gamma), renormalize_two_where(q, gamma))
+
+    def test_signed_zero_in_a_row_summing_to_one(self):
+        q = np.array([[1.0, -0.0], [-0.0, 1.0], [0.75, 0.5], [-0.0, 0.5]])
+        got = renormalize(q, 0.0)
+        assert same(got, renormalize_two_where(q, 0.0))
+        assert np.signbit(got[0, 1]) and np.signbit(got[1, 0])
+
+    def test_leaves_its_argument_alone(self):
+        q = np.array([0.75, 0.5])
+        renormalize(q, 0.0)
+        assert q.tolist() == [0.75, 0.5]
+
+
+class TestResampleColumns:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([2, 3, 12]),
+        n=st.sampled_from([1, 7, 3000, 9000]),
+        reps=st.sampled_from([0, 1, 3]),
+        lam=st.sampled_from([0.0, 0.6, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_column_count(self, seed, k, n, reps, lam):
+        # at 3 replications a block is 2730 units, so 3000 and 9000 units span several
+        lead = (reps,) if reps else ()
+        y, cluster, z, q, _, u_keep, u_cat = test_mechanisms.TestResampleKernel._units(
+            np.random.default_rng(seed), n, 4, k, lead)
+        args = (y, cluster, z, q, lam, u_keep, u_cat)
+        assert same(resample_from_uniforms(*args), resample_columns(*args))
+
+
+class TestObserved:
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_where(self, seed, c):
+        rng = np.random.default_rng(seed)
+        pop = random_population(rng, n_clusters=c, size_range=(2, 9))
+        design = fixed_design(pop, [int(rng.integers(1, s)) for s in pop.cluster_sizes])
+        assert same(pop.observed(design), observed_where(pop, design))
+        assert same(design.arm_counts(), arm_counts_stacked(design))
+
+
+class TestOpenUniform:
+    @given(seed=st.integers(0, 2**63), size=st.sampled_from([None, 1, 9, (4, 3), 5000]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_bounded_integers(self, seed, size):
+        streams = RngStreams(seed)
+        g, h = streams.generator("u"), streams.generator("u")
+        got, want = open_uniform(g, size), open_uniform_integers(h, size)
+        assert type(got) is type(want)
+        assert same(got, want)
+        assert g.random() == h.random()  # the stream is left at the same place
+
+    def test_shift_rounds_as_the_grid_point(self):
+        # m * 2**-53 + 2**-54 against (m + 0.5) * 2**-53 where m + 0.5 itself rounds
+        m = np.array([0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+        shifted = m.astype(np.float64) * 2.0**-53
+        shifted += 2.0**-54
+        assert same(shifted, (m.astype(np.float64) + 0.5) * 2.0**-53)
+
+
+class TestLaplaceNoise:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.sampled_from([None, 1, 7, (3, 2, 12), (5, 3)]),
+        scale=st.sampled_from([1.0, 0.3, 0.0, -0.0, "array"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_line(self, seed, size, scale):
+        if scale == "array":  # one scale per trailing entry, broadcast against size
+            last = 1 if size is None else np.atleast_1d(size)[-1]
+            scale = np.random.default_rng(seed).uniform(0.0, 2.0, last)
+        streams = RngStreams(seed)
+        got = laplace_noise(streams.generator("l"), scale, size)
+        want = laplace_one_line(streams.generator("l"), scale, size)
+        assert type(got) is type(want)
+        assert same(got, want)
+
+
+class TestBaselineScales:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        epsilon=st.sampled_from([0.05, 1.0, 7.3, float("inf")]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_match_branching_forms(self, seed, epsilon):
+        rng = np.random.default_rng(seed)
+        values = tuple(sorted(rng.choice(np.arange(-6.0, 7.0), size=3, replace=False)))
+        pop = random_population(rng, n_clusters=int(rng.integers(1, 5)), space_values=values)
+        design = fixed_design(pop, [int(rng.integers(1, s)) for s in pop.cluster_sizes])
+        assert same(ht_scales(design, pop.space, epsilon),
+                    ht_scales_branching(design, pop.space, epsilon))
+        assert same(histogram_scales(design, epsilon), histogram_scales_branching(design, epsilon))
+
+    def test_space_scalars_fixed_at_construction(self):
+        space = OutcomeSpace((-3.0, 0.5, 2.0))
+        arr = space.array
+        assert space.max_abs == float(np.max(np.abs(arr)))
+        assert (space.l2_sq, space.mean, space.mean_sq) == (
+            float(np.dot(arr, arr)), float(arr.mean()), float((arr**2).mean()))

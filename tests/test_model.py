@@ -179,6 +179,18 @@ class TestDrawDesign:
         with pytest.raises(ValidationError):
             Design.from_assignment(small_pop.cluster, z, small_pop.n_clusters)
 
+    @pytest.mark.parametrize("z", [
+        np.array([2, 0, 1, 0]), np.array([1, 0, -1, 0], dtype=np.int8),
+        np.array([1, 0, 257, 0]), np.array([1.0, 0.0, 0.5, 0.0]),
+    ])
+    def test_rejects_an_entry_other_than_0_or_1(self, z):
+        # observed outcomes are y0 + z (y1 - y0): any other entry would read a blend
+        with pytest.raises(ValidationError, match="assignment must be one 0/1 entry per unit"):
+            Design(z=z, n1c=np.array([1, 1]), n0c=np.array([1, 1]))
+        with pytest.raises(ValidationError, match="assignment must be one 0/1 entry per unit"):
+            Design.from_assignment(np.array([0, 0, 1, 1]), z, 2)
+        Design(z=np.array([True, False, True, False]), n1c=np.array([1, 1]), n0c=np.array([1, 1]))
+
 
 class TestMechanismParams:
     def test_gamma_range(self):
@@ -229,7 +241,7 @@ class TestInverseCdfDraws:
 
     @pytest.mark.parametrize("size", [None, 10_000])
     def test_open_uniform_is_the_grid_expression(self, size):
-        # the in-place shift and scale give the bits of the out-of-place expression
+        # one shifted random() per draw gives the bits of the bounded-integer grid expression
         u = open_uniform(RngStreams(3).generator("u"), size)
         x = RngStreams(3).generator("u").integers(0, 1 << 53, size=size)
         want = (x.astype(float) + 0.5) * 2**-53
