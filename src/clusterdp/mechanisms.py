@@ -38,6 +38,7 @@ from .simdata import float_column, format_value, read_columns
 
 __all__ = [
     "arm_histograms",
+    "prior_from_counts",
     "perturb_clip",
     "renormalize",
     "resample_outcomes",
@@ -91,26 +92,27 @@ def renormalize(q: np.ndarray, gamma: float) -> np.ndarray:
     return q
 
 
-def fit_priors(
-    pop: PopulationDataset,
-    design: Design,
+def prior_from_counts(
+    counts: np.ndarray,
+    n_ac: np.ndarray,
     params: MechanismParams,
     rng: np.random.Generator,
-) -> ProjectedPrior:
-    """Noise/clip/renormalize per (cluster, arm); pooled first for the cluster-free kind.
+) -> np.ndarray:
+    """The prior step on arm histograms (..., C, 2, K) of arm sizes n_ac (C, 2): q_tilde
+    of the histograms' shape. Noise/clip/renormalize per (cluster, arm); pooled over
+    clusters first for the cluster-free kind.
 
-    The prior noise is drawn here only: one standard Laplace array of the histogram's
-    shape from ``rng``, scaled by sigma / n_ac. Nothing is drawn at sigma = inf or for
-    the uniform-prior kind, whose prior is exactly 1/K everywhere.
+    The prior noise is drawn here only: one standard Laplace array of the (pooled)
+    histograms' shape from ``rng``, scaled by sigma / n_ac. Nothing is drawn at
+    sigma = inf or for the uniform-prior kind, whose prior is exactly 1/K everywhere.
     """
-    k = pop.space.k
+    shape, k = counts.shape, counts.shape[-1]
     params.check_gamma(k)
     if params.kind is MechanismKind.UNIFORM_PRIOR_DP:
-        return ProjectedPrior(q=np.full((pop.n_clusters, 2, k), 1.0 / k), gamma=params.gamma)
-    counts, n_ac = arm_histograms(pop, design), design.arm_counts()
+        return np.full(shape, 1.0 / k)
     if params.kind is MechanismKind.CLUSTER_FREE_DP:
-        counts = counts.sum(axis=0, keepdims=True)
-        n_ac = n_ac.sum(axis=0, keepdims=True)
+        counts = counts.sum(axis=-3, keepdims=True)
+        n_ac = n_ac.sum(axis=-2, keepdims=True)
     p_hat = counts / n_ac[..., None]
     noise = 0.0
     if not math.isinf(params.sigma):
@@ -118,8 +120,20 @@ def fit_priors(
         noise *= (params.sigma / n_ac)[..., None]
     q_tilde = renormalize(perturb_clip(p_hat, params.gamma, noise), params.gamma)
     if params.kind is MechanismKind.CLUSTER_FREE_DP:
-        q_tilde = np.broadcast_to(q_tilde, (pop.n_clusters, 2, k)).copy()
-    return ProjectedPrior(q=q_tilde, gamma=params.gamma)
+        q_tilde = np.broadcast_to(q_tilde, shape).copy()
+    return q_tilde
+
+
+def fit_priors(
+    pop: PopulationDataset,
+    design: Design,
+    params: MechanismParams,
+    rng: np.random.Generator,
+) -> ProjectedPrior:
+    """``prior_from_counts`` on the design's arm histograms: one prior per (cluster, arm)."""
+    counts = arm_histograms(pop, design)
+    q = prior_from_counts(counts, design.arm_counts(), params, rng)
+    return ProjectedPrior(q=q, gamma=params.gamma)
 
 
 def resample_draws(rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 __all__ = [
     "RngStreams",
@@ -82,5 +82,9 @@ def laplace_noise(rng: np.random.Generator, scale, size=None) -> np.ndarray:
 
 
 def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray:
-    """Standard normal draws via inverse CDF on a uniform (deterministic transform)."""
-    return norm.ppf(open_uniform(rng, size))
+    """Standard normal draws via inverse CDF on a uniform (deterministic transform).
+
+    ``ndtri`` is the function ``scipy.stats.norm.ppf`` evaluates, without that
+    method's argument handling.
+    """
+    return ndtri(open_uniform(rng, size))

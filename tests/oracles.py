@@ -14,8 +14,8 @@ byte; the singular-value bound and the scalar outcome lookups serve only tests.
 The earlier forms of the per-call expressions of a release (the two-``where``
 renormalization, the ``where`` of observed outcomes, the K - 1 column count,
 the one-line Laplace transform, the uniform grid from bounded integers, the
-branching baseline scales and the stacked arm counts) check their rewrites
-byte for byte.
+branching baseline scales, the stacked arm counts, the prior fit written out on
+the design and ``norm.ppf`` on the uniform grid) check their rewrites byte for byte.
 """
 
 import csv
@@ -24,6 +24,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.stats import norm
 
 from clusterdp.estimation import debias_rows
 from clusterdp.mechanisms import (
@@ -36,7 +37,7 @@ from clusterdp.model import (
     PopulationDataset,
     ValidationError,
 )
-from clusterdp.rng import laplace_noise
+from clusterdp.rng import laplace_noise, open_uniform
 
 
 def q_matrix(q_tilde, lam: float) -> np.ndarray:
@@ -110,6 +111,31 @@ def open_uniform_integers(rng, size=None):
 def laplace_one_line(rng, scale, size=None):
     u = open_uniform_integers(rng, size) - 0.5
     return -np.asarray(scale, dtype=float) * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
+def standard_normal_ppf(rng, size=None):
+    return norm.ppf(open_uniform(rng, size))
+
+
+def fit_priors_on_design(pop, design, params, rng) -> np.ndarray:
+    """The prior fit as one function of the design: q_tilde (C, 2, K)."""
+    k = pop.space.k
+    params.check_gamma(k)
+    if params.kind is MechanismKind.UNIFORM_PRIOR_DP:
+        return np.full((pop.n_clusters, 2, k), 1.0 / k)
+    counts, n_ac = arm_histograms(pop, design), design.arm_counts()
+    if params.kind is MechanismKind.CLUSTER_FREE_DP:
+        counts = counts.sum(axis=0, keepdims=True)
+        n_ac = n_ac.sum(axis=0, keepdims=True)
+    p_hat = counts / n_ac[..., None]
+    noise = 0.0
+    if not math.isinf(params.sigma):
+        noise = laplace_noise(rng, 1.0, p_hat.shape)
+        noise *= (params.sigma / n_ac)[..., None]
+    q_tilde = renormalize(perturb_clip(p_hat, params.gamma, noise), params.gamma)
+    if params.kind is MechanismKind.CLUSTER_FREE_DP:
+        q_tilde = np.broadcast_to(q_tilde, (pop.n_clusters, 2, k)).copy()
+    return q_tilde
 
 
 def ht_scales_branching(design, space, epsilon: float) -> np.ndarray:

@@ -11,7 +11,10 @@ tracer also rebuilds replication 0 of ``cluster_mechanism_taus`` from the
 public calls; a kernel change that breaks that parity is caught here too.
 A traced call that moves into a private helper records no span, and
 ``perfbench/run.py --trace 1`` then exits 2 with "traced run produced no
-[...]"; each per-layer span and counter is checked here on toy operations.
+[...]"; each per-layer span and counter is checked here on toy operations,
+and every layer ``perfbench/smoke.py`` requires of ``mc_small`` on a toy traced
+pass, so that moving an experiment to another kernel cannot drop one. The
+import times come from ``-X importtime``, which must log both imports.
 The modules are loaded from their files and never modified.
 """
 
@@ -103,6 +106,14 @@ def test_workload_configs_accepted():
     assert pop.n == sum(ExperimentConfig.from_dict({}).population["cluster_sizes"])
 
 
+def test_import_layers_find_both_imports():
+    # -X importtime logs an import statement, not scipy's lazy ``from scipy import stats``
+    # when nothing imported scipy.stats before; a missing line fails every traced run
+    layers = _load("run").import_layers(samples=1)
+    assert set(layers) == {"import.clusterdp_s", "import.scipy_stats_s"}
+    assert all(seconds > 0 for seconds in layers.values())
+
+
 def test_checks_accept_the_cli_release(tmp_path, capsys):
     checks = _load("checks")
     pop, release, sidecar = tmp_path / "pop.csv", tmp_path / "r.csv", tmp_path / "r.json"
@@ -192,4 +203,23 @@ def test_traced_operations_feed_their_layers(tracing, small_pop, streams, op, sp
         op() if op is _toy_distribution else op(small_pop, streams)
     assert spans - {span[0] for span in rec.spans} == set()
     assert counters - set(rec.counters) == set()
+    assert rec.replay_failures == []
+
+
+# Per-layer metrics of a traced mc_small run that are not read from its spans:
+# run.import_layers times the imports, worker.traced the tracing overhead.
+_NOT_FROM_SPANS = {"import.clusterdp_s", "import.scipy_stats_s", "trace.overhead_s"}
+
+
+def test_traced_mc_small_pass_feeds_every_layer(tracing, tmp_path):
+    # the five experiments and the scalar batches, as the traced mc_small run makes them
+    smoke, worker = _load("smoke"), _load("worker")
+    spec = {**smoke.run.WORKLOADS["mc_small"], **smoke.TOY["mc_small"][0], "seed": smoke.SEED}
+    rec = tracing.Recorder()
+    with tracing.instrumented(rec):
+        ops = [worker._op(name, body) for name, body in worker.mc_ops(spec, tmp_path)]
+    assert [op["error"] for op in ops if op["error"]] == []
+    assert {op["name"] for op in ops} == set(spec["experiments"]) | {"scalar_batch"}
+    metrics = worker.layer_metrics(rec, spec, tmp_path, ops)
+    assert smoke.MC_SMALL_LAYERS - _NOT_FROM_SPANS - set(metrics) == set()
     assert rec.replay_failures == []

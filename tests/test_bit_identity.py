@@ -9,13 +9,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterdp.mechanisms import histogram_scales, ht_scales, renormalize, resample_from_uniforms
-from clusterdp.model import OutcomeSpace
-from clusterdp.rng import RngStreams, laplace_noise, open_uniform
+from clusterdp.mechanisms import (
+    fit_priors, histogram_scales, ht_scales, renormalize, resample_from_uniforms,
+)
+from clusterdp.model import MechanismKind, MechanismParams, OutcomeSpace
+from clusterdp.rng import RngStreams, laplace_noise, open_uniform, standard_normal
 
 from conftest import random_population
 from oracles import (
     arm_counts_stacked,
+    fit_priors_on_design,
     histogram_scales_branching,
     ht_scales_branching,
     laplace_one_line,
@@ -23,6 +26,7 @@ from oracles import (
     open_uniform_integers,
     renormalize_two_where,
     resample_columns,
+    standard_normal_ppf,
 )
 import test_mechanisms
 from test_mechanisms import fixed_design
@@ -141,6 +145,44 @@ class TestLaplaceNoise:
         want = laplace_one_line(streams.generator("l"), scale, size)
         assert type(got) is type(want)
         assert same(got, want)
+
+
+class TestStandardNormal:
+    @given(seed=st.integers(0, 2**63), size=st.sampled_from([None, 1, 9, (4, 3), 5000]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_norm_ppf(self, seed, size):
+        streams = RngStreams(seed)
+        got = standard_normal(streams.generator("w"), size)
+        want = standard_normal_ppf(streams.generator("w"), size)
+        assert type(got) is type(want)
+        assert same(got, want)
+
+    def test_grid_ends_and_centre(self):
+        from scipy.special import ndtri
+        from scipy.stats import norm
+
+        u = np.array([2.0**-54, 2.0**-53 + 2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0])
+        assert same(ndtri(u), norm.ppf(u))
+
+
+class TestFitPriors:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(list(MechanismKind)),
+        sigma=st.sampled_from([0.0, 0.7, 10.0, float("inf")]),
+        gamma=st.sampled_from([0.0, 0.05, 1.0 / 3.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fit_on_design(self, seed, kind, sigma, gamma):
+        rng = np.random.default_rng(seed)
+        pop = random_population(rng, n_clusters=int(rng.integers(1, 5)))
+        design = fixed_design(pop, [int(rng.integers(1, s)) for s in pop.cluster_sizes])
+        params = (MechanismParams.uniform_prior(pop.space.k, 0.5)
+                  if kind is MechanismKind.UNIFORM_PRIOR_DP
+                  else MechanismParams(kind=kind, gamma=gamma, sigma=sigma, lam=0.5))
+        streams = RngStreams(seed)
+        got = fit_priors(pop, design, params, streams.generator("laplace")).q
+        assert same(got, fit_priors_on_design(pop, design, params, streams.generator("laplace")))
 
 
 class TestBaselineScales:

@@ -244,6 +244,21 @@ class TestBoundValidation:
         assert abs(row["mc_gap"]) <= 2 * row["mc_variance_se"]
         assert row["contained"]
 
+    def test_contained_allows_monte_carlo_error_on_both_sides(self):
+        # at lambda = 0 the exact gap and gap_upper are both 0, so the verdict is |gap| <= 2 SE
+        for seed in range(8):
+            cfg = ExperimentConfig.from_dict(
+                {
+                    "population": TINY_GMM,
+                    "mechanism": {"gamma": 0.0, "sigma": 0.0, "lambda": 0.0},
+                    "beta_grid": [2.0],
+                    "replications": 300,
+                }
+            )
+            row = run_bound_validation(cfg, seed)[0]["results"][0]
+            assert row["gap_upper_band"] == 0.0
+            assert row["contained"] == (abs(row["mc_gap"]) <= 2 * row["mc_variance_se"])
+
     def test_defaults_contained(self):
         cfg = ExperimentConfig.from_dict(
             {
