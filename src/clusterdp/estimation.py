@@ -34,18 +34,27 @@ def debias_rows(values: np.ndarray, q_tilde: np.ndarray, lam: float) -> np.ndarr
     return (values - lam * prior_mean[..., None]) / (1.0 - lam)
 
 
-def _cluster_sums(values_per_unit, cluster, z, n1c, n0c) -> np.ndarray:
-    """Per-cluster `mean(treated) - mean(control)` contrasts, weighted within arms."""
-    c = len(n1c)
-    sums = np.bincount(arm_cells(cluster, z), weights=values_per_unit, minlength=2 * c)
+def _cluster_sums(values_per_unit, cluster, z, n1c, n0c, arm_index=None) -> np.ndarray:
+    """Per-cluster `mean(treated) - mean(control)` contrasts, weighted within arms.
+
+    ``arm_index`` is ``arm_cells(cluster, z)`` where the caller already holds it.
+    """
+    if arm_index is None:
+        arm_index = arm_cells(cluster, z)
+    sums = np.bincount(arm_index, weights=values_per_unit, minlength=2 * len(n1c))
     return sums[1::2] / n1c - sums[0::2] / n0c
 
 
-def per_cluster_contributions(values_per_unit, cluster, design: Design) -> np.ndarray:
-    """Terms (n_c/n) * [sum_i v_i z_i / n1c - sum_i v_i (1-z_i) / n0c], in cluster order."""
+def per_cluster_contributions(values_per_unit, cluster, design: Design,
+                              arm_index=None) -> np.ndarray:
+    """Terms (n_c/n) * [sum_i v_i z_i / n1c - sum_i v_i (1-z_i) / n0c], in cluster order.
+
+    ``arm_index``, if given, is ``arm_cells(cluster, design.z)``.
+    """
     sizes = design.n1c + design.n0c
     n = sizes.sum()
-    contrast = _cluster_sums(values_per_unit, cluster, design.z, design.n1c, design.n0c)
+    contrast = _cluster_sums(values_per_unit, cluster, design.z, design.n1c, design.n0c,
+                             arm_index)
     return (sizes / n) * contrast
 
 
@@ -58,9 +67,10 @@ def tau_q(release: PrivatizedRelease) -> float:
     rows, design = release.debias, release.design
     if not np.isfinite(rows).all():
         raise ValidationError("debias rows overflow the float range")
-    cell = arm_cells(release.cluster, design.z, release.y_tilde, release.space.k)
+    arm_index = arm_cells(release.cluster, design.z)
+    cell = arm_cells(release.cluster, design.z, release.y_tilde, release.space.k, arm_index)
     per_unit = rows.take(cell)  # one flat gather of rows[cluster, z, y_tilde]
-    return float(per_cluster_contributions(per_unit, release.cluster, design).sum())
+    return float(per_cluster_contributions(per_unit, release.cluster, design, arm_index).sum())
 
 
 def tau_no_dp(pop: PopulationDataset, design: Design) -> float:

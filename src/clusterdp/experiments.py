@@ -654,9 +654,10 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
                 design = draw_design(sub, cfg.treated_fraction, node.generator("assignment"))
                 truth = sub.ate
                 base_tau = tau_no_dp(sub, design)
-                q = fit_priors(sub, design, params, noise.generator("prior")).q
+                observed = sub.observed(design)
+                q = fit_priors(sub, design, params, noise.generator("prior"), observed).q
                 y_t = resample_from_uniforms(
-                    sub.observed(design), sub.cluster, design.z, q, lam, u_keep[kept], u_cat[kept]
+                    observed, sub.cluster, design.z, q, lam, u_keep[kept], u_cat[kept]
                 )
                 per_unit = debias_rows(sub.space.array, q, lam)[sub.cluster, design.z, y_t]
                 tau = per_cluster_contributions(per_unit, sub.cluster, design).sum()

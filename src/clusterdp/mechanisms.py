@@ -53,13 +53,18 @@ __all__ = [
 ]
 
 
-def arm_histograms(pop: PopulationDataset, design: Design) -> np.ndarray:
-    """Exact observed-outcome counts (C, 2, K) for every (cluster, arm); arm 0 is control."""
+def arm_histograms(pop: PopulationDataset, design: Design, observed=None) -> np.ndarray:
+    """Exact observed-outcome counts (C, 2, K) for every (cluster, arm); arm 0 is control.
+
+    ``observed`` is ``pop.observed(design)`` where the caller already holds it.
+    """
     if design.n0c.min() < 1 or design.n1c.min() < 1:
         raise ValidationError("empty treatment arm in cluster")
+    if observed is None:
+        observed = pop.observed(design)
     k = pop.space.k
     c = pop.n_clusters
-    cell = arm_cells(pop.cluster, design.z, pop.observed(design), k)
+    cell = arm_cells(pop.cluster, design.z, observed, k)
     return np.bincount(cell, minlength=c * 2 * k).reshape(c, 2, k)
 
 
@@ -129,9 +134,13 @@ def fit_priors(
     design: Design,
     params: MechanismParams,
     rng: np.random.Generator,
+    observed=None,
 ) -> ProjectedPrior:
-    """``prior_from_counts`` on the design's arm histograms: one prior per (cluster, arm)."""
-    counts = arm_histograms(pop, design)
+    """``prior_from_counts`` on the design's arm histograms: one prior per (cluster, arm).
+
+    ``observed``, if given, is ``pop.observed(design)``, passed on to ``arm_histograms``.
+    """
+    counts = arm_histograms(pop, design, observed)
     q = prior_from_counts(counts, design.arm_counts(), params, rng)
     return ProjectedPrior(q=q, gamma=params.gamma)
 
@@ -142,6 +151,36 @@ def resample_draws(rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarr
 
 
 _RESAMPLE_BLOCK = 1 << 14  # uniforms per block: a block's temporaries stay in cache
+# The bucket table leaves at least _UNITS_PER_ENTRY uniforms per entry; with fewer than
+# _MIN_BUCKETS a row, too many draws would land in a bucket that holds a CDF entry for the
+# table to pay (both measured at K = 12, see README).
+_MIN_BUCKETS = 1 << 6
+_UNITS_PER_ENTRY = 16
+
+
+def _bucket_count(units: int, rows: int) -> int:
+    """Buckets per row of the resampling table for ``units`` uniforms over ``rows`` CDF
+    rows: the largest power of two with at least _UNITS_PER_ENTRY uniforms per entry, or
+    0 (no table) below _MIN_BUCKETS."""
+    per_row = units // (_UNITS_PER_ENTRY * max(rows, 1))
+    return 1 << (per_row.bit_length() - 1) if per_row >= _MIN_BUCKETS else 0
+
+
+def _bucket_table(cdf: np.ndarray, nb: int) -> np.ndarray:
+    """The flat (rows * nb) table of ``cdf`` (rows, K - 1) over nb equal buckets of [0, 1).
+
+    Entry (r, b) is #{j : cdf[r, j] < b / nb}, the draw of every u in bucket b, or the
+    marker K where some cdf[r, j] lies in the bucket. The first bucket reaches down to
+    -inf and the last up to +inf, so every u has a bucket, min(floor(u * nb), nb - 1).
+    """
+    rows, k1 = cdf.shape
+    edge = np.clip(cdf * nb, 0, nb - 1).astype(np.intp)  # the bucket of each entry
+    edge += np.arange(0, rows * nb, nb)[:, None]
+    hits = np.bincount(edge.ravel(), minlength=rows * nb)
+    # entries in buckets up to b: in a bucket that holds none, those below b / nb
+    table = np.cumsum(hits.reshape(rows, nb), axis=1, dtype=np.min_scalar_type(k1 + 1)).ravel()
+    table[hits > 0] = k1 + 1
+    return table
 
 
 def resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat) -> np.ndarray:
@@ -149,28 +188,63 @@ def resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat) 
 
     ``q_tilde`` (..., C, 2, K) and the uniforms (..., n) may carry a leading replication axis;
     the int64 result has the shape of ``u_cat``. The CDF is summed once per (cluster, arm)
-    cell, and each unit's draw counts the entries j < K - 1 of its cell's CDF that lie
+    row, and each unit's draw counts the entries j < K - 1 of its row's CDF that lie
     below u_cat, with no (n, K) array. This equals the capped count
     min(#{j < K : u_cat > cdf[j]}, K - 1) bit for bit: a cumsum adds the same numbers in
     the same order per row, and q_tilde >= 0 makes each CDF row non-decreasing in floating
     point, so the entries below u_cat form a prefix and dropping the last one only applies
     the cap. Units go through in blocks of about ``_RESAMPLE_BLOCK`` uniforms, two a unit
-    and replication (u_keep and u_cat); each block gathers the K - 1 thresholds of every
-    u_cat at once and sums their comparisons. A count does not depend on the order in
-    which it is taken, so the blocks change no bit.
+    and replication (u_keep and u_cat). A count does not depend on the order in which it
+    is taken, so the blocks change no bit.
+
+    With many uniforms per row (``_bucket_count``) a unit's count is read from the row's
+    ``_bucket_table`` at bucket min(floor(u_cat * nb), nb - 1) (a NaN has none); the
+    scaling by a power of two is exact. Where the bucket holds no CDF entry, every entry
+    lies below the bucket or at or above its end, so the count is that of the bucket's
+    start; only units whose bucket holds one take the comparison path. Without a table
+    every unit does: a block gathers the K - 1 thresholds of every u_cat at once and sums
+    their comparisons.
+    The keep/redraw choice is integer arithmetic in the count's unsigned type, which
+    holds every outcome index y_observed < K.
     """
     cdf = np.cumsum(q_tilde, axis=-1)[..., :-1]
-    cdf = cdf.reshape(*cdf.shape[:-3], -1, cdf.shape[-1])  # (..., 2C, K - 1), row cluster * 2 + z
-    thresholds = np.ascontiguousarray(cdf.transpose(-1, *range(cdf.ndim - 1)))  # (K - 1, ..., 2C)
+    cdf = cdf.reshape(-1, cdf.shape[-1])  # (rows, K - 1), row (rep * C + cluster) * 2 + z
+    thresholds = np.ascontiguousarray(cdf.T)  # (K - 1, rows)
     counter = np.min_scalar_type(cdf.shape[-1])  # the narrowest type that holds K - 1
+    lead = q_tilde.shape[:-3]  # each replication's 2C rows follow the previous one's
+    offset = None
+    if lead:
+        offset = np.arange(math.prod(lead)).reshape(*lead, 1) * (2 * q_tilde.shape[-3])
+    nb = _bucket_count(u_cat.size, len(cdf))
+    table = _bucket_table(cdf, nb) if nb else None
     out = np.empty(u_cat.shape, dtype=np.int64)
     block = max(1, _RESAMPLE_BLOCK // (2 * max(1, math.prod(u_cat.shape[:-1]))))
     for start in range(0, u_cat.shape[-1], block):
         part = slice(start, start + block)
         u = u_cat[..., part]
-        drawn = (u > thresholds.take(arm_cells(cluster[part], z[part]), axis=-1)).sum(
-            axis=0, dtype=counter)
-        out[..., part] = np.where(u_keep[..., part] < lam, drawn, y_observed[part])
+        row = arm_cells(cluster[part], z[part])
+        if offset is not None:
+            row = row + offset
+        if table is None:
+            drawn = (u > thresholds.take(row, axis=-1)).sum(axis=0, dtype=counter)
+        else:
+            bucket = u * nb
+            np.clip(bucket, 0, nb - 1, out=bucket)
+            entry = bucket.astype(np.intp)
+            row *= nb
+            entry += row
+            drawn = table.take(entry)
+            slow = np.flatnonzero(drawn > cdf.shape[-1])  # the marker
+            if slow.size:
+                drawn.ravel()[slow] = (u.ravel()[slow] > thresholds.take(
+                    entry.ravel()[slow] // nb, axis=-1)).sum(axis=0, dtype=counter)
+        # drawn where u_keep < lam, else y, as y + (drawn - y) * redraw: the wraparound of
+        # the subtraction cancels in the addition, and no branch is taken per unit
+        y = y_observed[part].astype(drawn.dtype)
+        drawn -= y
+        drawn *= u_keep[..., part] < lam
+        drawn += y
+        out[..., part] = drawn
     return out
 
 
@@ -200,9 +274,10 @@ def cluster_dp(
     per-unit randomization. The fitted prior is released as ``q_tilde``; a
     lambda = 1 release can be drawn, but it has no debiasing rows.
     """
-    q_tilde = fit_priors(pop, design, params, streams.generator("laplace")).q
+    observed = pop.observed(design)
+    q_tilde = fit_priors(pop, design, params, streams.generator("laplace"), observed).q
     y_tilde = resample_outcomes(
-        pop.observed(design),
+        observed,
         pop.cluster,
         design.z,
         q_tilde,

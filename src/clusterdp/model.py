@@ -299,18 +299,24 @@ class Design:
         return counts
 
 
-def arm_cells(cluster, z, y=None, k: int = 0) -> np.ndarray:
+def arm_cells(cluster, z, y=None, k: int = 0, index=None) -> np.ndarray:
     """Each unit's row ``cluster * 2 + z`` of a (C, 2, ...) table, or with ``y`` its cell
     ``(cluster * 2 + z) * k + y`` of a flattened (C, 2, K) table.
 
     The index is built in place in the one array ``cluster * 2``: the same integer
-    operations as the expression, with no temporary per operation.
+    operations as the expression, with no temporary per operation. A caller that holds
+    the row index already passes it as ``index`` with ``y``; the cell is then built in
+    ``index * k``, and ``index`` is left as it was.
     """
-    cell = cluster * 2
-    cell += z
-    if y is not None:
+    if index is not None:
+        cell = index * k
+    else:
+        cell = cluster * 2
+        cell += z
+        if y is None:
+            return cell
         cell *= k
-        cell += y
+    cell += y
     return cell
 
 

@@ -32,7 +32,7 @@ from clusterdp.cli import main
 from clusterdp.experiments import (
     EXPERIMENTS, ExperimentConfig, build_population, cluster_mechanism_taus,
 )
-from clusterdp.mechanisms import _RESAMPLE_BLOCK, fit_priors
+from clusterdp.mechanisms import _RESAMPLE_BLOCK, _bucket_count, fit_priors
 from clusterdp.model import MechanismKind, MechanismParams, draw_design
 from clusterdp.rng import RngStreams
 from clusterdp.simdata import GmmConfig, gen_gmm
@@ -222,4 +222,25 @@ def test_traced_mc_small_pass_feeds_every_layer(tracing, tmp_path):
     assert {op["name"] for op in ops} == set(spec["experiments"]) | {"scalar_batch"}
     metrics = worker.layer_metrics(rec, spec, tmp_path, ops)
     assert smoke.MC_SMALL_LAYERS - _NOT_FROM_SPANS - set(metrics) == set()
+    assert rec.replay_failures == []
+
+
+def test_traced_mc_large_pass_feeds_every_layer(tracing, tmp_path):
+    # the distribution experiment as the traced mc_large run makes it, on 2 x 20 000 units
+    # and 3 replications: enough units per (cluster, arm) row for the resampler's table
+    smoke, worker = _load("smoke"), _load("worker")
+    workload = smoke.run.WORKLOADS["mc_large"]
+    config = workload["experiments"]["distribution"]
+    population = {**config["population"], "cluster_sizes": [20000, 20000]}
+    spec = {**workload, "seed": smoke.SEED, "experiments": {
+        "distribution": {**config, "population": population, "replications": 3}}}
+    assert _bucket_count(sum(population["cluster_sizes"]), 2 * 2) > 0
+    rec = tracing.Recorder()
+    with tracing.instrumented(rec):
+        ops = [worker._op(name, body) for name, body in worker.mc_ops(spec, tmp_path)]
+    assert [op["error"] for op in ops if op["error"]] == []
+    assert [op["name"] for op in ops] == ["distribution"]
+    metrics = worker.layer_metrics(rec, spec, tmp_path, ops)
+    assert smoke.MC_LAYERS - _NOT_FROM_SPANS - set(metrics) == set()
+    assert metrics["experiments.replications"] == 3
     assert rec.replay_failures == []

@@ -12,6 +12,7 @@ from clusterdp import accounting
 from clusterdp.estimation import tau_q
 from clusterdp.mechanisms import (
     _RESAMPLE_BLOCK,
+    _bucket_count,
     arm_histograms,
     cluster_dp,
     fit_priors,
@@ -372,7 +373,9 @@ class TestResampleKernel:
               5 * _RESAMPLE_BLOCK // 2],
     )
     def test_block_boundaries(self, n, reps):
-        args = self._units(np.random.default_rng(n), n, 5, 12, () if reps is None else (reps,))
+        # the comparison path: 50 clusters leave too few uniforms a row for a bucket table
+        args = self._units(np.random.default_rng(n), n, 50, 12, () if reps is None else (reps,))
+        assert _bucket_count(args[-1].size, args[3][..., 0].size) == 0
         got, want = resample_from_uniforms(*args), resample_dense(*args)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
@@ -387,16 +390,9 @@ class TestResampleKernel:
         assert got.max() >= 256
         assert np.array_equal(got, resample_dense(*args))
 
-    def test_peak_memory_per_unit(self):
-        """Below 14 bytes a unit at 200 000 units, K = 12: the int64 result and one block.
-
-        The unblocked kernel held the cell index, the count and one gathered
-        threshold column for every unit at once: 25.1 bytes a unit. The blocked
-        one, which gathers all K - 1 thresholds of a block's units at once,
-        measures 12.2, with Python 3.11.7 and NumPy 2.4.6.
-        """
+    def _peak_per_unit(self, c):
         n = 200_000
-        args = self._units(np.random.default_rng(5), n, 50, 12, ())
+        args = self._units(np.random.default_rng(5), n, c, 12, ())
         gc.collect()
         tracemalloc.start()
         try:
@@ -404,7 +400,109 @@ class TestResampleKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n < 14
+        return peak / n
+
+    def test_peak_memory_per_unit(self):
+        """Below 14 bytes a unit at 200 000 units, K = 12: the int64 result and one block.
+
+        The unblocked kernel held the cell index, the count and one gathered
+        threshold column for every unit at once: 25.1 bytes a unit. The blocked
+        one, which gathers all K - 1 thresholds of a block's units at once,
+        measures 12.9 on 200 clusters, too many for a bucket table, with
+        Python 3.11.7 and NumPy 2.4.6.
+        """
+        assert _bucket_count(200_000, 2 * 200) == 0
+        assert self._peak_per_unit(200) < 14
+
+    def test_peak_memory_per_unit_with_table(self):
+        # 50 clusters: a 64-bucket table, 10.1 bytes a unit
+        assert _bucket_count(200_000, 2 * 50) == 64
+        assert self._peak_per_unit(50) < 14
+
+    def test_bucket_count_rule(self):
+        # no table where it cannot pay: the 875-unit releases of mc_small, baseline_bias's
+        # 175-unit ones, and privatize at 5000 clusters of 20 units
+        assert [_bucket_count(*call) for call in [(875, 6), (175, 6), (100_000, 10_000)]] == [0] * 3
+        assert _bucket_count(10**6, 100) == 512  # 50 clusters of 20 000 units: 51 KB
+        # the floor: 64 buckets at 16 uniforms an entry, and none one uniform short of it
+        assert [_bucket_count(16 * 64 * 100 + d, 100) for d in (0, -1)] == [64, 0]
+
+    @staticmethod
+    def _on_table_path(q, cluster, z, u_cat, lam=1.0):
+        """The kernel against the dense oracle on a call that builds the bucket table."""
+        assert _bucket_count(u_cat.size, q[..., 0].size) > 0
+        rng = np.random.default_rng(u_cat.size)
+        y = rng.integers(0, q.shape[-1], u_cat.shape[-1])
+        args = (y, cluster, z, q, lam, rng.random(u_cat.shape), u_cat)
+        got, want = resample_from_uniforms(*args), resample_dense(*args)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        return got
+
+    @staticmethod
+    def _cells(rng, c, n):
+        return rng.integers(0, c, n), rng.integers(0, 2, n).astype(np.int8)
+
+    def test_table_uniform_of_one(self):
+        # open_uniform's top grid point is exactly 1.0, the one u_cat past the last bucket
+        rng = np.random.default_rng(21)
+        k, n = 12, _RESAMPLE_BLOCK
+        q = np.full((2, 2, k), 1.0 / k)  # cdf[K - 2] = 11/12: the last bucket holds no entry
+        q[1] = [0.5, *[0.499 / (k - 2)] * (k - 2), 0.001]  # cdf[K - 2] = 0.999: it holds one
+        cluster, z = self._cells(rng, 2, n)
+        u_cat = rng.random(n)
+        u_cat[::7] = 1.0
+        got = self._on_table_path(q, cluster, z, u_cat)
+        assert np.all(got[u_cat == 1.0] == k - 1)
+        self._on_table_path(q, cluster, z, u_cat, lam=0.6)
+
+    def test_table_uniform_at_cdf_entries(self):
+        rng = np.random.default_rng(22)
+        k, c, n = 12, 3, _RESAMPLE_BLOCK
+        q = self._tables(rng, "fitted", (c, 2), k)  # gamma = 0: repeated CDF entries
+        cluster, z = self._cells(rng, c, n)
+        entry = np.cumsum(q, axis=-1)[cluster, z, rng.integers(0, k, n)]
+        u_cat = np.select([rng.random(n) < 0.5, rng.random(n) < 0.5],
+                          [entry, np.nextafter(entry, 0.0)], np.nextafter(entry, 2.0))
+        self._on_table_path(q, cluster, z, u_cat)
+
+    def test_table_cdf_entries_on_bucket_edges(self):
+        # every CDF entry of quarters and eighths is some b / nb, where a bucket starts
+        rng = np.random.default_rng(23)
+        n = _RESAMPLE_BLOCK
+        q = np.array([[[0.25, 0.125, 0.125, 0.5], [0.125, 0.375, 0.25, 0.25]]])
+        nb = _bucket_count(n, 2)
+        edges = np.arange(nb + 1) / nb  # 0.0 and 1.0 among them
+        u_cat = rng.choice(np.concatenate([edges, np.nextafter(edges, 0.0), rng.random(nb)]), n)
+        self._on_table_path(q, *self._cells(rng, 1, n), u_cat)
+
+    def test_table_last_cdf_entry_at_or_above_one(self):
+        rng = np.random.default_rng(24)
+        n = _RESAMPLE_BLOCK
+        q = np.array([[[0.5, 0.5, 0.0], [0.75, 0.25 + 2.0**-50, 0.0]]])
+        top = np.cumsum(q, axis=-1)[0, :, 1]
+        assert top[0] == 1.0 and top[1] > 1.0
+        u_cat = rng.choice([1.0, np.nextafter(1.0, 0.0), 0.75, 0.5, *rng.random(8)], n)
+        got = self._on_table_path(q, *self._cells(rng, 1, n), u_cat)
+        assert np.all(got[u_cat == 1.0] == 1)
+
+    def test_table_draws_past_an_8_bit_count(self):
+        # K = 300: counts up to 299 and the marker need a 16-bit table
+        rng = np.random.default_rng(25)
+        n = _RESAMPLE_BLOCK
+        q = np.full((1, 2, 300), 1.0 / 300)
+        got = self._on_table_path(q, *self._cells(rng, 1, n), rng.random(n))
+        assert got.max() >= 256
+
+    @pytest.mark.parametrize("reps", [None, 3])
+    @pytest.mark.parametrize("blocks, extra", [(1, 1), (2, -1), (2, 0), (2, 1), (2.5, 0)])
+    def test_table_block_boundaries(self, blocks, extra, reps):
+        # with a leading axis each replication reads its own rows of the table
+        block = _RESAMPLE_BLOCK // (2 * (reps or 1))
+        n = int(blocks * block) + extra
+        lead = () if reps is None else (reps,)
+        _, cluster, z, q, _, _, u_cat = self._units(np.random.default_rng(n), n, 1, 12, lead)
+        self._on_table_path(q, cluster, z, u_cat, lam=0.6)
 
 
 class TestAggregateBaselines:

@@ -13,6 +13,7 @@ from clusterdp.model import (
     OutcomeSpace,
     PopulationDataset,
     ValidationError,
+    arm_cells,
     draw_design,
 )
 from clusterdp.rng import RngStreams, laplace_noise, open_uniform
@@ -127,6 +128,18 @@ class TestPopulationDataset:
         columns[name][2] = value
         with pytest.raises(ValidationError, match=message):
             PopulationDataset(pop.space, pop.unit_ids, cluster_labels=pop.cluster_labels, **columns)
+
+
+def test_arm_cells_from_a_prebuilt_index():
+    rng = np.random.default_rng(3)
+    cluster, z, y = rng.integers(0, 4, 50), rng.integers(0, 2, 50).astype(np.int8), rng.integers(0, 5, 50)
+    index = arm_cells(cluster, z)
+    assert index.tolist() == (cluster * 2 + z).tolist()
+    cell = arm_cells(cluster, z, y, 5)
+    assert cell.tolist() == ((cluster * 2 + z) * 5 + y).tolist()
+    shared = arm_cells(cluster, z, y, 5, index)
+    assert shared.dtype == cell.dtype and np.array_equal(shared, cell)
+    assert np.array_equal(index, cluster * 2 + z)  # left as it was
 
 
 class TestDrawDesign:
