@@ -97,8 +97,8 @@ def _cmd_estimate(args) -> None:
     release = mechanisms.read_release(args.release, args.sidecar)
     design = release.design
     tau = estimation.tau_q(release)
-    rows = release.debias[release.cluster, design.z, release.y_tilde]
-    contributions = estimation.per_cluster_contributions(rows, release.cluster, design)
+    contributions = estimation.per_cluster_contributions(
+        release.y_tilde, release.cluster, design, release.debias)
     _emit(
         {
             "tau_hat": tau,
@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out", required=True)
     exp.add_argument(
         "--workers", type=int,
-        help="accepted for older scripts; has no effect (replications run in one thread)",
+        help="accepted for older scripts; has no effect (the thread count follows from the "
+             "population and the CPUs)",
     )
     exp.set_defaults(func=_cmd_experiment)
 

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Design, PopulationDataset, PrivatizedRelease, ValidationError, arm_cells
+from .model import (
+    UNIT_BLOCK, Design, PopulationDataset, PrivatizedRelease, ValidationError, arm_cells,
+    unit_blocks,
+)
 
 __all__ = [
     "debias_rows",
@@ -34,27 +37,45 @@ def debias_rows(values: np.ndarray, q_tilde: np.ndarray, lam: float) -> np.ndarr
     return (values - lam * prior_mean[..., None]) / (1.0 - lam)
 
 
-def _cluster_sums(values_per_unit, cluster, z, n1c, n0c, arm_index=None) -> np.ndarray:
+def _arm_values(values_per_unit, cluster, z, table):
+    """Each unit's arm row cluster * 2 + z, and its value: ``values_per_unit``, or with
+    ``table`` (C, 2, K) the entry table[cluster, z, y] at the outcome index y it holds."""
+    index = arm_cells(cluster, z)
+    if table is not None:  # one flat gather
+        values_per_unit = table.take(arm_cells(cluster, z, values_per_unit, table.shape[-1], index))
+    return index, values_per_unit
+
+
+def _cluster_sums(values_per_unit, cluster, z, n1c, n0c, table=None) -> np.ndarray:
     """Per-cluster `mean(treated) - mean(control)` contrasts, weighted within arms.
 
-    ``arm_index`` is ``arm_cells(cluster, z)`` where the caller already holds it.
+    With ``table`` (C, 2, K), ``values_per_unit`` holds each unit's outcome index y, and
+    the unit's value is its entry table[cluster, z, y].
+
+    Up to one block of units (``UNIT_BLOCK``) is summed by one weighted ``bincount``. A
+    longer pass goes a block at a time and adds each block into the arm sums by
+    ``np.add.at``, so it holds no per-unit index or value. Both add the values of an arm
+    one at a time in unit order, starting from zero, so the sums are the same bits.
     """
-    if arm_index is None:
-        arm_index = arm_cells(cluster, z)
-    sums = np.bincount(arm_index, weights=values_per_unit, minlength=2 * len(n1c))
+    if len(cluster) <= UNIT_BLOCK:
+        index, values = _arm_values(values_per_unit, cluster, z, table)
+        sums = np.bincount(index, weights=values, minlength=2 * len(n1c))
+    else:
+        sums = np.zeros(2 * len(n1c))
+        for part in unit_blocks(len(cluster)):
+            np.add.at(sums, *_arm_values(values_per_unit[part], cluster[part], z[part], table))
     return sums[1::2] / n1c - sums[0::2] / n0c
 
 
-def per_cluster_contributions(values_per_unit, cluster, design: Design,
-                              arm_index=None) -> np.ndarray:
+def per_cluster_contributions(values_per_unit, cluster, design: Design, table=None) -> np.ndarray:
     """Terms (n_c/n) * [sum_i v_i z_i / n1c - sum_i v_i (1-z_i) / n0c], in cluster order.
 
-    ``arm_index``, if given, is ``arm_cells(cluster, design.z)``.
+    With ``table`` (C, 2, K), ``values_per_unit`` holds outcome indices y and v_i is
+    table[cluster_i, z_i, y_i], gathered a block of units at a time.
     """
     sizes = design.n1c + design.n0c
     n = sizes.sum()
-    contrast = _cluster_sums(values_per_unit, cluster, design.z, design.n1c, design.n0c,
-                             arm_index)
+    contrast = _cluster_sums(values_per_unit, cluster, design.z, design.n1c, design.n0c, table)
     return (sizes / n) * contrast
 
 
@@ -67,10 +88,7 @@ def tau_q(release: PrivatizedRelease) -> float:
     rows, design = release.debias, release.design
     if not np.isfinite(rows).all():
         raise ValidationError("debias rows overflow the float range")
-    arm_index = arm_cells(release.cluster, design.z)
-    cell = arm_cells(release.cluster, design.z, release.y_tilde, release.space.k, arm_index)
-    per_unit = rows.take(cell)  # one flat gather of rows[cluster, z, y_tilde]
-    return float(per_cluster_contributions(per_unit, release.cluster, design, arm_index).sum())
+    return float(per_cluster_contributions(release.y_tilde, release.cluster, design, rows).sum())
 
 
 def tau_no_dp(pop: PopulationDataset, design: Design) -> float:

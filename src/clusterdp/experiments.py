@@ -26,6 +26,8 @@ import hashlib
 import json
 import math
 import numbers
+import os
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -209,8 +211,8 @@ class ExperimentConfig:
                 return [enc(v) for v in obj]
             return obj
 
-        # workers is accepted for saved configs but has no effect (the
-        # harness runs in one thread); it is not part of the configuration
+        # workers is accepted for saved configs but has no effect (no table
+        # depends on the thread count); it is not part of the configuration
         payload = {k: enc(getattr(self, k)) for k in _DEFAULTS if k != "workers"}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -277,6 +279,26 @@ def counts_design(pop: PopulationDataset, treated) -> Design:
 # Monte Carlo kernels
 # ---------------------------------------------------------------------------
 
+# Units a replication must have before cluster_mechanism_taus runs its replications on
+# two threads: below about 2^15 a second thread cost more than it saved (see README).
+_THREAD_MIN_UNITS = 1 << 15
+
+
+def _replication_threads(units: int, reps: int, cpus: int) -> int:
+    """Threads for ``reps`` replications of ``units`` units each on ``cpus`` CPUs: two
+    from _THREAD_MIN_UNITS units, two replications and two CPUs up, else one. Each
+    thread holds one replication in memory; more than two were never measured."""
+    return 2 if units >= _THREAD_MIN_UNITS and reps >= 2 and cpus >= 2 else 1
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where the OS cannot say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
 def cluster_mechanism_taus(
     pop: PopulationDataset,
     params: MechanismParams,
@@ -290,15 +312,48 @@ def cluster_mechanism_taus(
     ``streams.child("rep", r)``: a design drawn from its "assignment" stream,
     then ``tau_q(cluster_dp(...))``, which consumes its "laplace" and
     "resample" streams.
+
+    On a large population (``_replication_threads``) the calling thread and one
+    helper thread each take the next replication in turn and write its estimate
+    into slot r. A replication reads only its own streams and the population, so
+    every estimate has the same bits on one thread or two; almost all of its time
+    is in NumPy and Philox calls that release the GIL. If replications raise, the
+    error of the first of them is raised here, as on one thread.
     """
     n1c = resolve_treated_counts(pop, treated)
+    taus = np.empty(reps)
 
-    def one(r: int) -> float:
+    def one(r: int) -> None:
         node = streams.child("rep", r)
         design = draw_design(pop, n1c, node.generator("assignment"))
-        return tau_q(cluster_dp(pop, design, params, node))
+        taus[r] = tau_q(cluster_dp(pop, design, params, node))
 
-    return np.array([one(r) for r in range(reps)])
+    if _replication_threads(pop.n, reps, _usable_cpus()) == 1:
+        for r in range(reps):
+            one(r)
+        return taus
+    todo, lock, errors = iter(range(reps)), threading.Lock(), {}
+
+    def work() -> None:
+        while not errors:
+            with lock:
+                r = next(todo, None)
+            if r is None:
+                return
+            try:
+                one(r)
+            except BaseException as exc:  # raised in the caller, after both threads stop
+                errors[r] = exc
+
+    helper = threading.Thread(target=work, name="cluster_mechanism_taus")
+    helper.start()
+    try:
+        work()
+    finally:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return taus
 
 
 # Cells (replication, cluster, arm, outcome) per chunk of count_level_taus: it bounds

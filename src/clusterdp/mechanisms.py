@@ -29,9 +29,11 @@ from .model import (
     PopulationDataset,
     PrivatizedRelease,
     ProjectedPrior,
+    UNIT_BLOCK,
     ValidationError,
     arm_cells,
     finite_number,
+    unit_blocks,
 )
 from .rng import RngStreams, laplace_noise, open_uniform
 from .simdata import float_column, format_value, read_columns
@@ -56,16 +58,26 @@ __all__ = [
 def arm_histograms(pop: PopulationDataset, design: Design, observed=None) -> np.ndarray:
     """Exact observed-outcome counts (C, 2, K) for every (cluster, arm); arm 0 is control.
 
-    ``observed`` is ``pop.observed(design)`` where the caller already holds it.
+    ``observed`` is ``pop.observed(design)`` where the caller already holds it. The counts
+    are the sum of one ``bincount`` of cells per block of units, exact in integers. A
+    block holds at least as many units as there are cells, so adding up its counts never
+    costs more than counting it.
     """
     if design.n0c.min() < 1 or design.n1c.min() < 1:
         raise ValidationError("empty treatment arm in cluster")
     if observed is None:
         observed = pop.observed(design)
-    k = pop.space.k
-    c = pop.n_clusters
-    cell = arm_cells(pop.cluster, design.z, observed, k)
-    return np.bincount(cell, minlength=c * 2 * k).reshape(c, 2, k)
+    k, c = pop.space.k, pop.n_clusters
+    cells = c * 2 * k
+    block = max(UNIT_BLOCK, cells)
+    if pop.n <= block:
+        counts = np.bincount(arm_cells(pop.cluster, design.z, observed, k), minlength=cells)
+    else:
+        counts = np.zeros(cells, dtype=np.intp)
+        for part in unit_blocks(pop.n, block):
+            cell = arm_cells(pop.cluster[part], design.z[part], observed[part], k)
+            counts += np.bincount(cell, minlength=cells)
+    return counts.reshape(c, 2, k)
 
 
 def perturb_clip(p_hat: np.ndarray, gamma: float, noise) -> np.ndarray:
@@ -150,7 +162,7 @@ def resample_draws(rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarr
     return rng.random(size), open_uniform(rng, size)
 
 
-_RESAMPLE_BLOCK = 1 << 14  # uniforms per block: a block's temporaries stay in cache
+_RESAMPLE_BLOCK = 2 * UNIT_BLOCK  # uniforms per block, two a unit: a block stays in cache
 # The bucket table leaves at least _UNITS_PER_ENTRY uniforms per entry; with fewer than
 # _MIN_BUCKETS a row, too many draws would land in a bucket that holds a CDF entry for the
 # table to pay (both measured at K = 12, see README).
@@ -183,29 +195,10 @@ def _bucket_table(cdf: np.ndarray, nb: int) -> np.ndarray:
     return table
 
 
-def resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat) -> np.ndarray:
-    """Keep each outcome where u_keep >= lam, else draw from its arm prior by inverse CDF at u_cat.
-
-    ``q_tilde`` (..., C, 2, K) and the uniforms (..., n) may carry a leading replication axis;
-    the int64 result has the shape of ``u_cat``. The CDF is summed once per (cluster, arm)
-    row, and each unit's draw counts the entries j < K - 1 of its row's CDF that lie
-    below u_cat, with no (n, K) array. This equals the capped count
-    min(#{j < K : u_cat > cdf[j]}, K - 1) bit for bit: a cumsum adds the same numbers in
-    the same order per row, and q_tilde >= 0 makes each CDF row non-decreasing in floating
-    point, so the entries below u_cat form a prefix and dropping the last one only applies
-    the cap. Units go through in blocks of about ``_RESAMPLE_BLOCK`` uniforms, two a unit
-    and replication (u_keep and u_cat). A count does not depend on the order in which it
-    is taken, so the blocks change no bit.
-
-    With many uniforms per row (``_bucket_count``) a unit's count is read from the row's
-    ``_bucket_table`` at bucket min(floor(u_cat * nb), nb - 1) (a NaN has none); the
-    scaling by a power of two is exact. Where the bucket holds no CDF entry, every entry
-    lies below the bucket or at or above its end, so the count is that of the bucket's
-    start; only units whose bucket holds one take the comparison path. Without a table
-    every unit does: a block gathers the K - 1 thresholds of every u_cat at once and sums
-    their comparisons.
-    The keep/redraw choice is integer arithmetic in the count's unsigned type, which
-    holds every outcome index y_observed < K.
+def _block_resampler(y_observed, cluster, z, q_tilde, units: int, out):
+    """The resampler of ``resample_from_uniforms`` for one table ``q_tilde`` and a call of
+    ``units`` uniforms: a function of one block's units ``part``, their categorical
+    uniforms and their redraw flags that writes the block's outcomes into ``out[..., part]``.
     """
     cdf = np.cumsum(q_tilde, axis=-1)[..., :-1]
     cdf = cdf.reshape(-1, cdf.shape[-1])  # (rows, K - 1), row (rep * C + cluster) * 2 + z
@@ -215,13 +208,10 @@ def resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat) 
     offset = None
     if lead:
         offset = np.arange(math.prod(lead)).reshape(*lead, 1) * (2 * q_tilde.shape[-3])
-    nb = _bucket_count(u_cat.size, len(cdf))
+    nb = _bucket_count(units, len(cdf))
     table = _bucket_table(cdf, nb) if nb else None
-    out = np.empty(u_cat.shape, dtype=np.int64)
-    block = max(1, _RESAMPLE_BLOCK // (2 * max(1, math.prod(u_cat.shape[:-1]))))
-    for start in range(0, u_cat.shape[-1], block):
-        part = slice(start, start + block)
-        u = u_cat[..., part]
+
+    def resample_block(part, u, redraw):
         row = arm_cells(cluster[part], z[part])
         if offset is not None:
             row = row + offset
@@ -238,13 +228,50 @@ def resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat) 
             if slow.size:
                 drawn.ravel()[slow] = (u.ravel()[slow] > thresholds.take(
                     entry.ravel()[slow] // nb, axis=-1)).sum(axis=0, dtype=counter)
-        # drawn where u_keep < lam, else y, as y + (drawn - y) * redraw: the wraparound of
-        # the subtraction cancels in the addition, and no branch is taken per unit
+        # drawn where redraw, else y, as y + (drawn - y) * redraw: the wraparound of the
+        # subtraction cancels in the addition, and no branch is taken per unit
         y = y_observed[part].astype(drawn.dtype)
         drawn -= y
-        drawn *= u_keep[..., part] < lam
+        drawn *= redraw
         drawn += y
         out[..., part] = drawn
+
+    return resample_block
+
+
+def resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat,
+                           out=None) -> np.ndarray:
+    """Keep each outcome where u_keep >= lam, else draw from its arm prior by inverse CDF at u_cat.
+
+    ``q_tilde`` (..., C, 2, K) and the uniforms (..., n) may carry a leading replication axis;
+    the int64 result has the shape of ``u_cat``. It is written into ``out`` where given,
+    which may be ``y_observed`` itself: a block reads its outcomes before it writes them.
+    The CDF is summed once per (cluster, arm) row, and each unit's draw counts the
+    entries j < K - 1 of its row's CDF that lie below u_cat, with no (n, K) array. This
+    equals the capped count min(#{j < K : u_cat > cdf[j]}, K - 1) bit for bit: a cumsum
+    adds the same numbers in the same order per row, and q_tilde >= 0 makes each CDF row
+    non-decreasing in floating point, so the entries below u_cat form a prefix and
+    dropping the last one only applies the cap. Units go through in blocks of about
+    ``_RESAMPLE_BLOCK`` uniforms, two a unit and replication (u_keep and u_cat). A count
+    does not depend on the order in which it is taken, so the blocks change no bit.
+
+    With many uniforms per row (``_bucket_count``) a unit's count is read from the row's
+    ``_bucket_table`` at bucket min(floor(u_cat * nb), nb - 1) (a NaN has none); the
+    scaling by a power of two is exact. Where the bucket holds no CDF entry, every entry
+    lies below the bucket or at or above its end, so the count is that of the bucket's
+    start; only units whose bucket holds one take the comparison path. Without a table
+    every unit does: a block gathers the K - 1 thresholds of every u_cat at once and sums
+    their comparisons.
+    The keep/redraw choice is integer arithmetic in the count's unsigned type, which
+    holds every outcome index y_observed < K.
+    """
+    if out is None:
+        out = np.empty(u_cat.shape, dtype=np.int64)
+    resample_block = _block_resampler(y_observed, cluster, z, q_tilde, u_cat.size, out)
+    block = max(1, _RESAMPLE_BLOCK // (2 * max(1, math.prod(u_cat.shape[:-1]))))
+    for start in range(0, u_cat.shape[-1], block):
+        part = slice(start, start + block)
+        resample_block(part, u_cat[..., part], u_keep[..., part] < lam)
     return out
 
 
@@ -255,10 +282,33 @@ def resample_outcomes(
     q_tilde: np.ndarray,
     lam: float,
     rng: np.random.Generator,
+    out=None,
 ) -> np.ndarray:
-    """Report each outcome truthfully w.p. 1-lam, else draw from the unit's arm prior."""
-    u_keep, u_cat = resample_draws(rng, len(y_observed))
-    return resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat)
+    """Report each outcome truthfully w.p. 1-lam, else draw from the unit's arm prior.
+
+    The uniforms are those of ``resample_draws(rng, n)``: all n keep/redraw uniforms,
+    then all n categorical ones. Up to one block of units (``UNIT_BLOCK``) they are
+    drawn whole for ``resample_from_uniforms``. A longer call draws them a block at a
+    time, the same 64-bit words in the same order: the keep uniforms become a one-byte
+    redraw flag a unit, and each block's categorical uniforms are drawn just before
+    that block is resampled. ``out`` is as in ``resample_from_uniforms``.
+    """
+    n = len(y_observed)
+    if n <= UNIT_BLOCK:
+        u_keep, u_cat = resample_draws(rng, n)
+        return resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat, out)
+    if out is None:
+        out = np.empty(n, dtype=np.int64)
+    parts = unit_blocks(n)
+    redraw = np.empty(n, dtype=bool)
+    for part in parts:
+        flags = redraw[part]
+        np.less(rng.random(len(flags)), lam, out=flags)
+    resample_block = _block_resampler(y_observed, cluster, z, q_tilde, n, out)
+    for part in parts:
+        flags = redraw[part]
+        resample_block(part, open_uniform(rng, len(flags)), flags)
+    return out
 
 
 def cluster_dp(
@@ -276,6 +326,7 @@ def cluster_dp(
     """
     observed = pop.observed(design)
     q_tilde = fit_priors(pop, design, params, streams.generator("laplace"), observed).q
+    # the released outcomes overwrite the observed ones, which nothing reads after this
     y_tilde = resample_outcomes(
         observed,
         pop.cluster,
@@ -283,6 +334,7 @@ def cluster_dp(
         q_tilde,
         params.lam,
         streams.generator("resample"),
+        observed,
     )
     return PrivatizedRelease(
         space=pop.space,

@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 MIN_CLUSTER_SIZE = 2
+# Units per block of a per-unit pass over a large population: a block's temporaries stay
+# in cache, and the pass holds no array of n entries besides its input and output.
+UNIT_BLOCK = 1 << 13
 
 
 class ValidationError(ValueError):
@@ -297,6 +300,12 @@ class Design:
         counts = np.empty((len(self.n0c), 2), dtype=np.int64)
         counts[:, 0], counts[:, 1] = self.n0c, self.n1c
         return counts
+
+
+def unit_blocks(n: int, block: int = UNIT_BLOCK) -> list[slice]:
+    """Slices of ``block`` consecutive units that cover 0..n - 1 in order, the last one
+    shorter."""
+    return [slice(start, start + block) for start in range(0, n, block)]
 
 
 def arm_cells(cluster, z, y=None, k: int = 0, index=None) -> np.ndarray:

@@ -16,6 +16,10 @@ renormalization, the ``where`` of observed outcomes, the K - 1 column count,
 the one-line Laplace transform, the uniform grid from bounded integers, the
 branching baseline scales, the stacked arm counts, the prior fit written out on
 the design and ``norm.ppf`` on the uniform grid) check their rewrites byte for byte.
+The whole-array forms of the per-unit passes (one ``bincount`` of every unit's cell,
+``tau_q`` through one gathered per-unit array, ``resample_outcomes`` through one
+``resample_draws`` call) check the blocked passes byte for byte, and the serial loop
+of replications checks the threaded ``cluster_mechanism_taus``.
 """
 
 import csv
@@ -26,9 +30,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.stats import norm
 
-from clusterdp.estimation import debias_rows
+from clusterdp.estimation import debias_rows, tau_q
 from clusterdp.mechanisms import (
-    arm_histograms, perturb_clip, renormalize, resample_draws, resample_from_uniforms,
+    arm_histograms, cluster_dp, perturb_clip, renormalize, resample_draws, resample_from_uniforms,
 )
 from clusterdp.model import (
     MIN_CLUSTER_SIZE,
@@ -36,6 +40,9 @@ from clusterdp.model import (
     OutcomeSpace,
     PopulationDataset,
     ValidationError,
+    arm_cells,
+    draw_design,
+    resolve_treated_counts,
 )
 from clusterdp.rng import laplace_noise, open_uniform
 
@@ -158,6 +165,46 @@ def cluster_sums_two_pass(values_per_unit, cluster, z, n1c, n0c) -> np.ndarray:
     treated = np.bincount(cluster, weights=values_per_unit * (z == 1), minlength=c)
     control = np.bincount(cluster, weights=values_per_unit * (z == 0), minlength=c)
     return treated / n1c - control / n0c
+
+
+def arm_histograms_whole(pop, design) -> np.ndarray:
+    """(C, 2, K) counts from one ``bincount`` of every unit's cell."""
+    k, c = pop.space.k, pop.n_clusters
+    cell = arm_cells(pop.cluster, design.z, pop.observed(design), k)
+    return np.bincount(cell, minlength=c * 2 * k).reshape(c, 2, k)
+
+
+def cluster_sums_whole(values_per_unit, cluster, z, n1c, n0c) -> np.ndarray:
+    """Per-cluster arm contrasts from one weighted ``bincount`` of every unit's arm row."""
+    sums = np.bincount(arm_cells(cluster, z), weights=values_per_unit, minlength=2 * len(n1c))
+    return sums[1::2] / n1c - sums[0::2] / n0c
+
+
+def tau_q_whole(release) -> float:
+    """``tau_q`` through one gathered per-unit array of debias entries."""
+    design = release.design
+    per_unit = release.debias.take(
+        arm_cells(release.cluster, design.z, release.y_tilde, release.space.k))
+    sizes = design.n1c + design.n0c
+    contrast = cluster_sums_whole(per_unit, release.cluster, design.z, design.n1c, design.n0c)
+    return float(((sizes / sizes.sum()) * contrast).sum())
+
+
+def resample_outcomes_whole(y_observed, cluster, z, q_tilde, lam, rng) -> np.ndarray:
+    """``resample_outcomes`` as one ``resample_draws`` call of every uniform, then the kernel."""
+    u_keep, u_cat = resample_draws(rng, len(y_observed))
+    return resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat)
+
+
+def cluster_mechanism_taus_serial(pop, params, treated, streams, reps: int) -> np.ndarray:
+    """The replications of ``cluster_mechanism_taus`` one after another in one thread."""
+    n1c = resolve_treated_counts(pop, treated)
+    taus = []
+    for r in range(reps):
+        node = streams.child("rep", r)
+        design = draw_design(pop, n1c, node.generator("assignment"))
+        taus.append(tau_q(cluster_dp(pop, design, params, node)))
+    return np.array(taus)
 
 
 def uniform_prior_eps(k: int, lam: float) -> float:

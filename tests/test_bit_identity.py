@@ -6,18 +6,26 @@ in value, sign of zero, dtype and shape, on random and on edge inputs.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterdp.estimation import _cluster_sums, per_cluster_contributions, tau_q
 from clusterdp.mechanisms import (
-    fit_priors, histogram_scales, ht_scales, renormalize, resample_from_uniforms,
+    arm_histograms, cluster_dp, fit_priors, histogram_scales, ht_scales, renormalize,
+    resample_from_uniforms, resample_outcomes,
 )
-from clusterdp.model import MechanismKind, MechanismParams, OutcomeSpace
+from clusterdp.model import (
+    UNIT_BLOCK, MechanismKind, MechanismParams, OutcomeSpace, PopulationDataset, SerialIds,
+    draw_design,
+)
 from clusterdp.rng import RngStreams, laplace_noise, open_uniform, standard_normal
 
 from conftest import random_population
 from oracles import (
     arm_counts_stacked,
+    arm_histograms_whole,
+    cluster_sums_whole,
     fit_priors_on_design,
     histogram_scales_branching,
     ht_scales_branching,
@@ -26,7 +34,9 @@ from oracles import (
     open_uniform_integers,
     renormalize_two_where,
     resample_columns,
+    resample_outcomes_whole,
     standard_normal_ppf,
+    tau_q_whole,
 )
 import test_mechanisms
 from test_mechanisms import fixed_design
@@ -206,3 +216,87 @@ class TestBaselineScales:
         assert space.max_abs == float(np.max(np.abs(arr)))
         assert (space.l2_sq, space.mean, space.mean_sq) == (
             float(np.dot(arr, arr)), float(arr.mean()), float((arr**2).mean()))
+
+
+# Units of a per-unit pass: below one block, exactly one, several with a partial last one
+BLOCK_SIZES = [UNIT_BLOCK - 1, UNIT_BLOCK, 3 * UNIT_BLOCK + 517]
+
+
+def _large_population(seed, n, c, k=12, shuffled=False):
+    """n units over c clusters of near-equal size, outcomes uniform on K values, in cluster
+    order or in random order."""
+    rng = np.random.default_rng(seed)
+    cluster = np.arange(n) % c
+    cluster = rng.permutation(cluster) if shuffled else np.sort(cluster)
+    space = OutcomeSpace(tuple(float(v) for v in range(k)))
+    return PopulationDataset(space, SerialIds(np.arange(n)), cluster, rng.integers(0, k, n),
+                             rng.integers(0, k, n), tuple(f"c{i}" for i in range(c)))
+
+
+_CASES = [pytest.param(n, c, shuffled, id=f"n{n}-c{c}-{'shuffled' if shuffled else 'sorted'}")
+          for n in BLOCK_SIZES for c in (2, 50) for shuffled in (False, True)
+          if not (shuffled and n < UNIT_BLOCK)]
+
+
+class TestBlockedPasses:
+    """The per-unit passes taken a block at a time against their whole-array forms.
+
+    Two clusters give the resampler a bucket table, fifty leave it on the comparison
+    path; the shuffled populations put every cluster's units in every block."""
+
+    @staticmethod
+    def _release_args(n, c, shuffled):
+        pop = _large_population(n + c, n, c, shuffled=shuffled)
+        streams = RngStreams(n)
+        design = draw_design(pop, 0.5, streams.generator("assignment"))
+        params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.02, sigma=10.0, lam=0.6)
+        return pop, design, params, streams
+
+    @pytest.mark.parametrize("n, c, shuffled", _CASES)
+    def test_arm_histograms(self, n, c, shuffled):
+        pop, design, _, _ = self._release_args(n, c, shuffled)
+        assert same(arm_histograms(pop, design), arm_histograms_whole(pop, design))
+
+    def test_arm_histograms_with_more_cells_than_a_block(self):
+        # 400 clusters of K = 12 outcomes: 9600 cells, so a block holds 9600 units
+        n, c = 3 * 9600 + 5, 400
+        assert c * 2 * 12 > UNIT_BLOCK
+        pop, design, _, _ = self._release_args(n, c, True)
+        assert same(arm_histograms(pop, design), arm_histograms_whole(pop, design))
+
+    @pytest.mark.parametrize("n, c, shuffled", _CASES)
+    def test_resample_outcomes(self, n, c, shuffled):
+        pop, design, params, streams = self._release_args(n, c, shuffled)
+        observed = pop.observed(design)
+        q = fit_priors(pop, design, params, streams.generator("laplace"), observed).q
+        args = (observed, pop.cluster, design.z, q, params.lam)
+        g, h = streams.generator("resample"), streams.generator("resample")
+        want = resample_outcomes_whole(*args, h)
+        assert same(resample_outcomes(*args, g), want)
+        assert g.random() == h.random()  # the stream is left at the same place
+        into = observed.copy()  # written over its own observed outcomes
+        got = resample_outcomes(into, *args[1:], streams.generator("resample"), into)
+        assert got is into and same(got, want)
+
+    @pytest.mark.parametrize("n, c, shuffled", _CASES)
+    def test_tau_q(self, n, c, shuffled):
+        pop, design, params, streams = self._release_args(n, c, shuffled)
+        release = cluster_dp(pop, design, params, streams)
+        assert same(tau_q(release), tau_q_whole(release))
+
+    @pytest.mark.parametrize("n, c, shuffled", _CASES)
+    def test_cluster_sums(self, n, c, shuffled):
+        # values whose sums depend on the order of the additions, zeros of either sign
+        pop, design, _, _ = self._release_args(n, c, shuffled)
+        rng = np.random.default_rng(n)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 0.1, -3.7e-300])
+        values = rng.choice(pool, n)
+        args = (pop.cluster, design.z, design.n1c, design.n0c)
+        assert same(_cluster_sums(values, *args), cluster_sums_whole(values, *args))
+        # from a (C, 2, K) table of the same values: per unit, its entry at y
+        table = rng.choice(pool, (c, 2, 12))
+        y = rng.integers(0, 12, n)
+        per_unit = table[pop.cluster, design.z, y]
+        assert same(_cluster_sums(y, *args, table), cluster_sums_whole(per_unit, *args))
+        assert same(per_cluster_contributions(y, pop.cluster, design, table),
+                    per_cluster_contributions(per_unit, pop.cluster, design))

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from clusterdp import accounting
+from clusterdp import accounting, experiments
 from clusterdp.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
+    _replication_threads,
     build_population,
+    cluster_mechanism_taus,
     jackknife_variance_se,
     run_baseline_bias,
     run_bound_validation,
@@ -19,6 +21,8 @@ from clusterdp.experiments import (
 )
 from clusterdp.model import MechanismKind, MechanismParams, ValidationError
 from clusterdp.rng import RngStreams
+
+from oracles import cluster_mechanism_taus_serial
 
 TINY_GMM = {
     "kind": "gmm",
@@ -450,3 +454,76 @@ class TestDeterminism:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValidationError, match="unknown experiment"):
             run_experiment("nope", None, 0)
+
+
+# Two clusters of 20 000 units: above the size at which replications run on two threads
+LARGE_GMM = {**TINY_GMM, "k_prime": 5, "cluster_sizes": [20000, 20000]}
+
+
+@pytest.fixture(scope="module")
+def large_pop():
+    return build_population(ExperimentConfig.from_dict({"population": LARGE_GMM}), RngStreams(3))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPU count that cluster_mechanism_taus sees (two threads need two)."""
+    def use(count):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: count)
+    return use
+
+
+class TestThreadedReplications:
+    @staticmethod
+    def params(kind, lam=0.8):
+        if kind is MechanismKind.UNIFORM_PRIOR_DP:
+            return MechanismParams.uniform_prior(12, lam)
+        return MechanismParams(kind=kind, gamma=0.02, sigma=10.0, lam=lam)
+
+    def test_thread_rule(self):
+        least = 1 << 15
+        assert _replication_threads(least, 2, 2) == 2
+        assert _replication_threads(10**6, 24, 64) == 2  # never more than two
+        # one thread below the size, for a single replication, or on a single CPU
+        assert [_replication_threads(*call) for call in [
+            (least - 1, 24, 2), (875, 200, 2), (10**6, 1, 2), (10**6, 24, 1)]] == [1] * 4
+
+    @pytest.mark.parametrize("kind", list(MechanismKind))
+    def test_matches_serial_loop(self, large_pop, cpus, kind):
+        cpus(2)
+        assert _replication_threads(large_pop.n, 5, 2) == 2
+        params, streams = self.params(kind), RngStreams(11)
+        got = cluster_mechanism_taus(large_pop, params, 0.5, streams, 5)
+        want = cluster_mechanism_taus_serial(large_pop, params, 0.5, streams, 5)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_error_in_a_replication_reaches_the_caller(self, large_pop, cpus):
+        cpus(2)
+        with pytest.raises(ValidationError, match="no debias rows"):
+            cluster_mechanism_taus(large_pop, self.params(MechanismKind.CLUSTER_DP, lam=1.0),
+                                   0.5, RngStreams(11), 4)
+
+    def test_error_of_the_first_failing_replication(self, large_pop, cpus, monkeypatch):
+        # replications 2 and up fail; on either thread count the caller sees replication 2's
+        release = experiments.cluster_dp
+
+        def failing(pop, design, params, node):
+            if node.path[-1] >= 2:
+                raise ValidationError(f"replication {node.path[-1]}")
+            return release(pop, design, params, node)
+
+        monkeypatch.setattr(experiments, "cluster_dp", failing)
+        for count in (1, 2):
+            cpus(count)
+            with pytest.raises(ValidationError, match="replication 2$"):
+                cluster_mechanism_taus(large_pop, self.params(MechanismKind.CLUSTER_DP),
+                                       0.5, RngStreams(11), 6)
+
+    def test_distribution_tables_on_one_thread_and_two(self, cpus, tmp_path):
+        config = {"population": LARGE_GMM, "replications": 4}
+        tables = []
+        for tag, count in (("a", 2), ("b", 2), ("c", 1)):
+            cpus(count)
+            run_experiment("distribution", config, seed=5, outdir=tmp_path / tag)
+            tables.append({p.name: p.read_bytes() for p in sorted((tmp_path / tag).glob("*.csv"))})
+        assert tables[0] == tables[1] == tables[2]
