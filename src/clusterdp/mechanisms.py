@@ -12,10 +12,9 @@ single noised scalar instead of unit-level data.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +35,7 @@ from .model import (
     unit_blocks,
 )
 from .rng import RngStreams, laplace_noise, open_uniform
-from .simdata import float_column, format_value, read_columns
+from .simdata import float_column, format_value, read_columns, write_rows
 
 __all__ = [
     "arm_histograms",
@@ -421,6 +420,7 @@ def noisy_histogram(
 
 RELEASE_HEADER = ["unit_id", "cluster", "z", "y_tilde"]
 _ARMS = {"0": 0, "1": 1}
+_ARM_TEXT = np.array(["0", "1"], dtype=object)
 
 
 def write_release(release: PrivatizedRelease, csv_path, sidecar_path) -> None:
@@ -429,10 +429,9 @@ def write_release(release: PrivatizedRelease, csv_path, sidecar_path) -> None:
     text = np.array([format_value(v) for v in release.space.values], dtype=object)
     labels = np.array([str(lab) for lab in release.cluster_labels], dtype=object)
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RELEASE_HEADER)
-        columns = (labels[release.cluster], release.design.z, text[release.y_tilde])
-        writer.writerows(zip(release.unit_ids, *(c.tolist() for c in columns)))
+        fh.write(",".join(RELEASE_HEADER) + "\n")
+        write_rows(fh, (release.unit_ids, labels[release.cluster], _ARM_TEXT[release.design.z],
+                        text[release.y_tilde]))
     params = release.params
     values = {
         "kind": params.kind.value,
@@ -458,32 +457,49 @@ def write_release(release: PrivatizedRelease, csv_path, sidecar_path) -> None:
 # A (C, 2, K) table as indent=2 writes it under a top-level key.
 _CLUSTER_OPEN, _CLUSTER_CLOSE = "\n    [\n      [\n        ", "\n      ]\n    ]"
 _ARM_GAP = "\n      ],\n      [\n        "
-_TABLE_BLOCK = 1024  # clusters formatted per json.dumps call
+_NUMBER_GAP = ",\n        "
+_TABLE_BLOCK = 1024  # clusters formatted per template
+
+
+def _table_template(clusters: int, k: int) -> str:
+    """The ``%s`` template of ``clusters`` (2, K) tables in the indent=2 layout."""
+    arm = _NUMBER_GAP.join(["%s"] * k)
+    return ",".join([_CLUSTER_OPEN + arm + _ARM_GAP + arm + _CLUSTER_CLOSE] * clusters)
+
+
+def _json_numbers(values: np.ndarray) -> tuple:
+    """``values`` as the arguments of a template: each number as json's C encoder writes
+    it, which is ``str`` of a finite float and ``NaN``/``Infinity``/``-Infinity`` else."""
+    numbers = values.ravel().tolist()
+    for i in np.flatnonzero(~np.isfinite(values.ravel())).tolist():
+        v = numbers[i]
+        numbers[i] = "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    return tuple(numbers)
 
 
 def _write_table(fh, table: np.ndarray) -> None:
-    """Write a (C, 2, K) table a block of clusters at a time; the C encoder formats the numbers.
-
-    Between numbers the encoder writes ``, ``, between arms ``], [`` and between
-    clusters ``]], [[``; a number never holds a bracket or a comma, so each
-    gap is widened to the indent=2 layout by one replace.
-    """
+    """Write a (C, 2, K) table a block of clusters at a time through one template."""
     fh.write("[")
+    template = None
     for start in range(0, len(table), _TABLE_BLOCK):
-        text = json.dumps(table[start:start + _TABLE_BLOCK].tolist())[3:-3]
-        text = (text.replace("]], [[", _CLUSTER_CLOSE + "," + _CLUSTER_OPEN)
-                .replace("], [", _ARM_GAP).replace(", ", ",\n        "))
-        fh.write(f'{"," if start else ""}{_CLUSTER_OPEN}{text}{_CLUSTER_CLOSE}')
+        block = table[start:start + _TABLE_BLOCK]
+        if template is None or len(block) < _TABLE_BLOCK:
+            template = _table_template(len(block), table.shape[-1])
+        fh.write(("," if start else "") + template % _json_numbers(block))
     fh.write("\n  ]" if len(table) else "]")
 
 
 def _sidecar_table(sidecar, key: str, shape) -> np.ndarray:
+    """A (C, 2, K) table of JSON numbers; NumPy would also parse strings, booleans and null."""
     try:
         table = np.array(sidecar[key], dtype=float)
     except (TypeError, ValueError):  # ragged or non-numeric nesting
         table = None
     if table is None or table.shape != shape:
         raise ValidationError(f"sidecar {key} must have shape {shape}")
+    # the shape makes every entry three lists deep
+    if not set(map(type, chain.from_iterable(chain.from_iterable(sidecar[key])))) <= {float, int}:
+        raise ValidationError(f"sidecar {key} entries must be JSON numbers")
     return table
 
 

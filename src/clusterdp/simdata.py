@@ -211,6 +211,7 @@ def gen_graph_population(config: GraphPopConfig, streams: RngStreams) -> Populat
 
 POPULATION_HEADER = ["unit_id", "cluster", "y0", "y1"]
 _BLOCK_CHARS = 1 << 16
+_ROW_BLOCK = 1 << 13  # rows joined per write
 
 
 def read_columns(path, header: list[str]) -> list[list[str]]:
@@ -232,22 +233,36 @@ def read_columns(path, header: list[str]) -> list[list[str]]:
 
 
 def _plain_columns(path, header: list[str]) -> list[list[str]] | None:
-    """Columns of a file split at commas and line breaks, or None if it needs ``csv.reader``.
+    """Columns of a file split at commas and line breaks, or None if it needs ``csv.reader``."""
+    width = len(header)
+    columns: list[list[str]] = [[] for _ in header]
+    for fields in _plain_blocks(path, header):
+        if fields is None:
+            return None
+        for j, column in enumerate(columns):
+            column.extend(fields[j::width + 1])
+    return columns
+
+
+def _plain_blocks(path, header: list[str]):
+    """The fields of each block of a file split at commas and line breaks; None (and no
+    more) at the first block that needs ``csv.reader``.
 
     Each block is about 64 KB of text cut at a line break. Each line break
     becomes a field of its own, so a block whose rows all hold ``width``
-    fields splits into rows of ``width`` fields and a ``"\\n"``, and no list
-    or string per row is built. A block with another header, a ``"``, a
-    ``\\r``, a row of another width or more characters than the field limit
-    (no shorter block holds a field over it) gives None: ``csv.reader`` reads
-    the file, or names its fault.
+    fields splits into rows of ``width`` fields and a ``"\\n"``: field j of
+    every row is ``fields[j::width + 1]``, and no list or string per row is
+    built. A file with another header, or a block with a ``"``, a ``\\r``,
+    a row of another width or more characters than the field limit (no
+    shorter block holds a field over it) gives None: ``csv.reader`` reads the
+    file, or names its fault.
     """
     width, limit = len(header), csv.field_size_limit()
-    columns: list[list[str]] = [[] for _ in header]
     with open(path, newline="") as fh:
         if (fh.readline().removesuffix("\n") != ",".join(header)
                 or max(map(len, header)) > limit):  # csv.reader names such a header field
-            return None
+            yield None
+            return
         while block := fh.read(_BLOCK_CHARS):
             block = (block + fh.readline()).removesuffix("\n")
             rows = block.count("\n") + 1
@@ -255,10 +270,9 @@ def _plain_columns(path, header: list[str]) -> list[list[str]] | None:
             if ('"' in block or "\r" in block or len(block) > limit
                     or len(fields) != rows * (width + 1) - 1
                     or fields[width::width + 1].count("\n") != rows - 1):
-                return None
-            for j, column in enumerate(columns):
-                column.extend(fields[j::width + 1])
-    return columns
+                yield None
+                return
+            yield fields
 
 
 def _csv_columns(path, header: list[str]) -> list[list[str]]:
@@ -343,9 +357,38 @@ def _read_population(path):
 
 
 def infer_space(path) -> OutcomeSpace:
-    """The sorted distinct y0 and y1 values of a population file (of 0.0 and -0.0, the first)."""
-    values = np.column_stack(_read_population(path)[2:]).ravel()
-    return OutcomeSpace(tuple(values[np.unique(values, return_index=True)[1]].tolist()))
+    """The sorted distinct y0 and y1 values of a population file (of 0.0 and -0.0, the first).
+
+    A plain file (``_plain_blocks``) is scanned for its distinct outcome texts,
+    and only those go through ``float``. Any other file, a text that is not a
+    finite number, and a file that holds both 0.0 and -0.0 (the first one read
+    wins) are read whole by ``_read_population``, which names each fault.
+    """
+    try:
+        values = _scanned_outcomes(path)
+    except UnicodeDecodeError:
+        values = None
+    if values is None:
+        values = np.column_stack(_read_population(path)[2:]).ravel()
+        values = values[np.unique(values, return_index=True)[1]].tolist()
+    return OutcomeSpace(tuple(values))
+
+
+def _scanned_outcomes(path) -> list[float] | None:
+    """The sorted distinct outcome values of a plain file of finite numbers, else None."""
+    texts, stride = set(), len(POPULATION_HEADER) + 1
+    for fields in _plain_blocks(path, POPULATION_HEADER):
+        if fields is None:
+            return None
+        texts.update(fields[2::stride], fields[3::stride])
+    try:
+        values = list(map(float, texts))
+    except ValueError:
+        return None
+    zero_signs = {math.copysign(1.0, v) for v in values if v == 0.0}
+    if not all(map(math.isfinite, values)) or len(zero_signs) == 2:
+        return None
+    return sorted(set(values))
 
 
 def ingest_csv(path, space: OutcomeSpace) -> PopulationDataset:
@@ -357,10 +400,35 @@ def write_population_csv(pop: PopulationDataset, path) -> None:
     text = np.array([format_value(v) for v in pop.space.values], dtype=object)
     labels = np.array([str(lab) for lab in pop.cluster_labels], dtype=object)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(POPULATION_HEADER)
-        columns = (labels[pop.cluster], text[pop.y0], text[pop.y1])
-        writer.writerows(zip(pop.unit_ids, *(c.tolist() for c in columns)))
+        fh.write(",".join(POPULATION_HEADER) + "\n")
+        write_rows(fh, (pop.unit_ids, labels[pop.cluster], text[pop.y0], text[pop.y1]))
+
+
+def write_rows(fh, columns) -> None:
+    """Write two or more equal-length columns as CSV rows: the bytes that
+    ``csv.writer(fh, lineterminator="\\n").writerows(zip(*columns))`` writes.
+
+    Each block of ``_ROW_BLOCK`` rows is joined with ``","`` and ``"\\n"``. The
+    joined text is kept when it holds rows * (width - 1) commas, ``rows`` line
+    breaks, no ``"`` and no ``\\r``: then no field needed quoting (the plain
+    split's rule, mirrored). Otherwise, and when a field is not a string, that
+    block goes through ``csv.writer``. A column that is a NumPy array becomes a
+    list a block at a time, so only one block of lists and text is alive at once.
+    """
+    width, writer = len(columns), csv.writer(fh, lineterminator="\n")
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        block = [column[start:start + _ROW_BLOCK] for column in columns]
+        block = [part.tolist() if isinstance(part, np.ndarray) else part for part in block]
+        rows = len(block[0])
+        try:
+            text = "\n".join(map(",".join, zip(*block))) + "\n"
+        except TypeError:  # csv.writer formats what is not a string
+            text = ""
+        if (text.count(",") != rows * (width - 1) or text.count("\n") != rows
+                or '"' in text or "\r" in text):
+            writer.writerows(zip(*block))
+        else:
+            fh.write(text)
 
 
 def subsample(

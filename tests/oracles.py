@@ -16,6 +16,9 @@ renormalization, the ``where`` of observed outcomes, the K - 1 column count,
 the one-line Laplace transform, the uniform grid from bounded integers, the
 branching baseline scales, the stacked arm counts, the prior fit written out on
 the design and ``norm.ppf`` on the uniform grid) check their rewrites byte for byte.
+The ``csv.writer`` row writer, the table writer that widens one ``json.dumps``
+per block of clusters by ``str.replace``, and ``infer_space`` as one parse of the
+whole file check the bulk text passes of the CLI byte for byte.
 The whole-array forms of the per-unit passes (one ``bincount`` of every unit's cell,
 ``tau_q`` through one gathered per-unit array, ``resample_outcomes`` through one
 ``resample_draws`` call) check the blocked passes byte for byte, and the serial loop
@@ -45,6 +48,7 @@ from clusterdp.model import (
     resolve_treated_counts,
 )
 from clusterdp.rng import laplace_noise, open_uniform
+from clusterdp.simdata import POPULATION_HEADER, float_column, read_columns
 
 
 def q_matrix(q_tilde, lam: float) -> np.ndarray:
@@ -417,3 +421,52 @@ def sidecar_text(release) -> str:
         "q_tilde": release.q_tilde.tolist(),
     }
     return json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
+
+
+def write_rows_csv(fh, columns) -> None:
+    csv.writer(fh, lineterminator="\n").writerows(zip(*columns))
+
+
+# A (C, 2, K) table as indent=2 writes it under a top-level key.
+CLUSTER_OPEN, CLUSTER_CLOSE = "\n    [\n      [\n        ", "\n      ]\n    ]"
+ARM_GAP = "\n      ],\n      [\n        "
+
+
+def write_table_json(fh, table, block: int = 1024) -> None:
+    """A (C, 2, K) table a block of clusters at a time; the C encoder formats the numbers.
+
+    Between numbers the encoder writes ``, ``, between arms ``], [`` and between
+    clusters ``]], [[``; a number never holds a bracket or a comma, so each
+    gap is widened to the indent=2 layout by one replace.
+    """
+    fh.write("[")
+    for start in range(0, len(table), block):
+        text = json.dumps(table[start:start + block].tolist())[3:-3]
+        text = (text.replace("]], [[", CLUSTER_CLOSE + "," + CLUSTER_OPEN)
+                .replace("], [", ARM_GAP).replace(", ", ",\n        "))
+        fh.write(f'{"," if start else ""}{CLUSTER_OPEN}{text}{CLUSTER_CLOSE}')
+    fh.write("\n  ]" if len(table) else "]")
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def infer_space_full(path) -> OutcomeSpace:
+    """Every y0 and y1 field through ``float``, then the sorted distinct values (of 0.0
+    and -0.0, the first read); a malformed number is named by line."""
+    y0_text, y1_text = read_columns(path, POPULATION_HEADER)[2:]
+    y0, y1 = float_column(y0_text), float_column(y1_text)
+    malformed = [
+        f"line {i + 2}: malformed outcome value"
+        for i in np.flatnonzero(np.isnan(y0) | np.isnan(y1))
+        if not (_is_number(y0_text[i]) and _is_number(y1_text[i]))
+    ]
+    if malformed:
+        raise ValidationError("; ".join(malformed))
+    values = np.column_stack((y0, y1)).ravel()
+    return OutcomeSpace(tuple(values[np.unique(values, return_index=True)[1]].tolist()))

@@ -244,3 +244,28 @@ def test_traced_mc_large_pass_feeds_every_layer(tracing, tmp_path):
     assert smoke.MC_LAYERS - _NOT_FROM_SPANS - set(metrics) == set()
     assert metrics["experiments.replications"] == 3
     assert rec.replay_failures == []
+
+
+# Per-layer metrics of a traced CLI pass that run.py adds: each "<span>_peak_mb" comes
+# from worker.peak_call in a fresh process, on the arguments the tracer recorded.
+_CLI_PEAKS = {"simdata.ingest_csv_peak_mb", "mechanisms.read_release_peak_mb"}
+
+
+def test_traced_cli_pass_feeds_every_layer(tmp_path):
+    # the four CLI stages on 40 x 20 units, as the traced cli_many_clusters run makes them
+    smoke, worker = _load("smoke"), _load("worker")
+    spec = {**smoke.run.WORKLOADS["cli_many_clusters"], **smoke.TOY["cli_many_clusters"][0],
+            "seed": smoke.SEED, "workdir": str(tmp_path)}
+    passes, metrics, rec = worker.traced(spec)
+    ops = passes[0]["ops"]
+    assert [(op["name"], op["error"], op["untraced_error"]) for op in ops] == [
+        (name, None, None) for name in ("generate", "privatize", "estimate", "analyze")]
+    assert rec.replay_failures == []
+    assert smoke.CLI_LAYERS - _NOT_FROM_SPANS - _CLI_PEAKS - set(metrics) == set()
+    # the tracer reads the space that cli passes to ingest_csv, and the peak probe uses it
+    path, values = rec.last_args["simdata.ingest_csv"]
+    assert path == str(tmp_path / "pass0" / "pop.csv")
+    assert values == list(GmmConfig(beta=4.5, v=5.0, k_prime=spec["kprime"]).space().values)
+    assert set(rec.last_args) == {"simdata.ingest_csv", "mechanisms.read_release"}
+    for name, args in rec.last_args.items():
+        assert worker.peak_call(name, args) >= 0.0

@@ -504,6 +504,11 @@ def _mutate_release(release_csv, sidecar, case):
         meta["q_tilde"][0][0] = [1.0] + [0.0] * (k - 1)
     elif case == "debias_row_shifted":
         meta["debias_rows"][0][0] = [v + 100.0 for v in meta["debias_rows"][0][0]]
+    elif case.endswith("_strings"):  # each number as the text NumPy would parse back
+        key = case.removesuffix("_strings")
+        meta[key] = [[[repr(v) for v in arm] for arm in cluster] for cluster in meta[key]]
+    elif case.endswith("_true"):
+        meta[case.removesuffix("_true")][0][1][0] = True
     elif case == "bad_header":
         release_csv.write_text(release_csv.read_text().replace("y_tilde", "y", 1))
     elif case in ("z_outside_arms", "y_tilde_not_a_number", "unknown_cluster", "short_row",
@@ -546,6 +551,8 @@ class TestMalformedInput:
                 ("not_json", "JSON"),
                 ("q_tilde_off_simplex", "q_tilde"), ("q_tilde_below_gamma", "q_tilde"),
                 ("debias_row_shifted", "debias_rows"),
+                *[(f"{key}_{entry}", f"sidecar {key} entries must be JSON numbers")
+                  for key in ("q_tilde", "debias_rows") for entry in ("strings", "true")],
             ]
         ],
     )

@@ -7,7 +7,9 @@ structure of one value in it, or puts bytes the CSV reader treats apart
 size limit) into the raw file, and runs the command in process. Whatever the
 change, the command must return 0, 2 or 3 without raising, and when it
 returns 0 its stdout must be a JSON document with no NaN or infinity in it.
-A flag that argparse rejects exits through ``SystemExit`` with code 2.
+A flag that argparse rejects exits through ``SystemExit`` with code 2. A
+mutated population must also give ``infer_space`` the space, or the message,
+of one parse of the whole file (``oracles.infer_space_full``).
 """
 
 import contextlib
@@ -22,6 +24,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from clusterdp.cli import main
+from clusterdp.model import ValidationError
+from clusterdp.simdata import infer_space
+
+from oracles import infer_space_full
 
 # Small numbers only: a mutated count or size must not make a run slow.
 SCALARS = st.one_of(
@@ -128,6 +134,13 @@ def _mutated_json(data, doc) -> str:
     return json.dumps(_replace(doc, path, value))
 
 
+def _space_or_message(infer, path):
+    try:
+        return tuple(map(repr, infer(path).values))
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in JSON output")
 
@@ -195,6 +208,7 @@ def test_population_field(workdir, row, field, value, command, values):
     lines[row][field] = value
     pop = workdir / "pop_mutated.csv"
     pop.write_text("\n".join(",".join(line) for line in lines) + "\n")
+    assert _space_or_message(infer_space, pop) == _space_or_message(infer_space_full, pop)
     argv = [command, "--pop", pop] + (["--values", values] if values else [])
     if command == "privatize":
         argv += ["--out", workdir / "r.csv", "--sidecar", workdir / "r.json"]

@@ -10,10 +10,14 @@ files without, its plain text split must give the columns ``csv.reader``
 gives, or None where ``csv.reader`` names a fault.
 The sidecar writer must match one ``json.dumps`` byte for byte, and neither
 writer nor reader may use more memory than the implementations they replaced.
+The row writer's join, the tables' ``%s`` template and ``infer_space``'s scan of
+outcome texts must give the bytes, or the space and messages, of the forms they
+replaced (``oracles.write_rows_csv``, ``write_table_json``, ``infer_space_full``).
 """
 
 import csv
 import gc
+import io
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -27,23 +31,28 @@ from hypothesis import strategies as st
 
 from clusterdp import simdata
 from clusterdp.mechanisms import (
-    _TABLE_BLOCK, RELEASE_HEADER, cluster_dp, read_release, write_release,
+    _TABLE_BLOCK, RELEASE_HEADER, _write_table, cluster_dp, read_release, write_release,
 )
 from clusterdp.model import (
     MechanismKind,
     MechanismParams,
     OutcomeSpace,
     PopulationDataset,
+    SerialIds,
     ValidationError,
     draw_design,
 )
 from clusterdp.rng import RngStreams
 from clusterdp.simdata import (
-    _BLOCK_CHARS, POPULATION_HEADER, GmmConfig, _csv_columns, _plain_columns, gen_gmm,
-    infer_space, ingest_csv, read_columns, write_population_csv,
+    _BLOCK_CHARS, _ROW_BLOCK, POPULATION_HEADER, GmmConfig, _csv_columns, _plain_columns,
+    _scanned_outcomes, gen_gmm, infer_space, ingest_csv, read_columns, write_population_csv,
+    write_rows,
 )
 
-from oracles import read_records, records_population, records_space, sidecar_text
+from oracles import (
+    infer_space_full, read_records, records_population, records_space, sidecar_text,
+    write_rows_csv, write_table_json,
+)
 
 # Labels that sort differently as strings and as numbers, and labels that need quoting.
 LABELS = st.one_of(
@@ -510,3 +519,96 @@ class TestPeakMemory:
         release = cluster_dp(pop, design, params, streams)
         csv_path, sidecar = tmp_path / "r.csv", tmp_path / "r.json"
         assert self.peak_mb(lambda: write_release(release, csv_path, sidecar)) <= 12.02
+
+
+# Fields csv.writer quotes or passes through as they are.
+ODD_FIELDS = ["a,b", 'say "x"', "cr\rlf", "lf\nx", "nul\0", "", "é中", '"', ","]
+
+
+def _rows_text(write, columns) -> str:
+    fh = io.StringIO(newline="")
+    write(fh, columns)
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("odd", [None, *ODD_FIELDS])
+@pytest.mark.parametrize("ids", ["serial", "tuple", "int"])
+@pytest.mark.parametrize("n", [0, 1, _ROW_BLOCK, _ROW_BLOCK + 1])
+def test_row_writer_matches_csv_writer(n, ids, odd):
+    """Every block joined, or the last one (with the odd field) through csv.writer."""
+    unit_ids = {"serial": SerialIds(np.arange(n)), "tuple": tuple(f"u{i}" for i in range(n)),
+                "int": tuple(range(n))}[ids]
+    labels = [f"c{i % 7}" for i in range(n)]
+    y0, y1 = np.array(["1.5"] * n, dtype=object), ["-2"] * n  # the writers pass object arrays
+    if odd is not None and n:
+        labels[-1] = odd
+    columns = (unit_ids, labels, y0, y1)
+    assert _rows_text(write_rows, columns) == _rows_text(write_rows_csv, columns)
+
+
+@given(st.lists(st.tuples(*[st.sampled_from(["x", "1", *ODD_FIELDS])] * 4), max_size=12),
+       st.sampled_from([1, 2, 5, _ROW_BLOCK]))
+@settings(max_examples=200, deadline=None)
+def test_row_writer_matches_csv_writer_on_any_rows(rows, block_rows):
+    columns = tuple(map(list, zip(*rows))) if rows else ([], [], [], [])
+    with mock.patch.object(simdata, "_ROW_BLOCK", block_rows):
+        assert _rows_text(write_rows, columns) == _rows_text(write_rows_csv, columns)
+
+
+TABLE_VALUES = [-0.0, 1e-07, 1e16, 5e-324, float("nan"), float("inf"), -float("inf"), 0.1, -3.0]
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 3), (1, 2, 2), (_TABLE_BLOCK, 2, 3),
+                                   (_TABLE_BLOCK + 1, 2, 4)])
+def test_table_writer_matches_json_form(shape):
+    rng = np.random.default_rng(sum(shape))
+    table = rng.random(shape)
+    m = min(len(TABLE_VALUES), table.size)
+    table.ravel()[:m] = TABLE_VALUES[:m]
+    if table.size:
+        table[-1, -1, -1] = float("nan")  # in the last block too
+    new, ref = io.StringIO(), io.StringIO()
+    _write_table(new, table)
+    write_table_json(ref, table, _TABLE_BLOCK)
+    assert new.getvalue() == ref.getvalue()
+
+
+POPULATION_TEXTS = {  # name: (file text, read by the scan)
+    "zero_then_negative_zero": (HEADER + "a,c,0,1\nb,c,-0,1\n", False),
+    "negative_zero_then_zero": (HEADER + "a,c,-0.0,1\nb,c,0,1\n", False),
+    "negative_zero_alone": (HEADER + "a,c,-0,1\nb,c,1,-0.0\n", True),
+    "three_and_three_point_zero": (HEADER + "a,c,3,3.0\nb,c,1,3\n", True),
+    "nan": (HEADER + "a,c,nan,1\nb,c,1,1\n", False),
+    "inf": (HEADER + "a,c,1,inf\nb,c,1,1\n", False),
+    "padded": (HEADER + "a,c, 2 ,1\nb,c,1,1\n", True),
+    "underscore": (HEADER + "a,c,1_000,1\nb,c,1,1\n", True),
+    "malformed": (HEADER + "a,c,1,x\nb,c,y,1\n", False),
+    "one_value": (HEADER + "a,c,1,1\nb,c,1,1\n", True),
+    "header_only": (HEADER, True),
+    "not_utf8": (HEADER + "a,c,1,2\nb\xff,c,1,1\n", False),
+    "quoted": (HEADER + 'a,"c",1,2\nb,c,1,1\n', False),
+    "crlf": (HEADER + "a,c,1,2\r\nb,c,1,1\r\n", False),
+    "wrong_header": ("unit_id,cluster,y0,y2\na,c,1,2\n", False),
+    "short_row": (HEADER + "a,c,1,2\nb,c,1\n", False),
+    "many_blocks": (HEADER + "\n".join(WIDE) + "\n", True),
+}
+
+
+def _space_or_message(read):
+    try:
+        return tuple(map(repr, read().values))
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@pytest.mark.parametrize("case", sorted(POPULATION_TEXTS))
+def test_outcome_scan_matches_full_parse(tmp_path, case):
+    text, scanned = POPULATION_TEXTS[case]
+    path = tmp_path / "pop.csv"
+    path.write_bytes(text.encode("latin-1" if case == "not_utf8" else "utf-8"))
+    try:
+        assert (_scanned_outcomes(path) is not None) is scanned
+    except UnicodeDecodeError:
+        assert not scanned
+    assert _space_or_message(lambda: infer_space(path)) == _space_or_message(
+        lambda: infer_space_full(path))
