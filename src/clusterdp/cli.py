@@ -154,9 +154,6 @@ def _cmd_experiment(args) -> None:
                 raise ValidationError(f"config is not JSON: {exc}") from None
         if not isinstance(config, dict):
             raise ValidationError(f"config must be an object, got {config!r}")
-    if args.workers is not None:
-        config = dict(config or {})
-        config["workers"] = args.workers
     _, manifest = experiments.run_experiment(args.name, config, args.seed, args.out)
     _emit(manifest)
 
@@ -246,11 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", help="JSON config file (defaults used if omitted)")
     exp.add_argument("--seed", type=_seed_arg, default=0)
     exp.add_argument("--out", required=True)
-    exp.add_argument(
-        "--workers", type=int,
-        help="accepted for older scripts; has no effect (the thread count follows from the "
-             "population and the CPUs)",
-    )
     exp.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import (
-    UNIT_BLOCK, Design, PopulationDataset, PrivatizedRelease, ValidationError, arm_cells,
-    unit_blocks,
+    Design, PopulationDataset, PrivatizedRelease, ValidationError, arm_cells, unit_blocks,
 )
 
 __all__ = [
@@ -37,33 +36,23 @@ def debias_rows(values: np.ndarray, q_tilde: np.ndarray, lam: float) -> np.ndarr
     return (values - lam * prior_mean[..., None]) / (1.0 - lam)
 
 
-def _arm_values(values_per_unit, cluster, z, table):
-    """Each unit's arm row cluster * 2 + z, and its value: ``values_per_unit``, or with
-    ``table`` (C, 2, K) the entry table[cluster, z, y] at the outcome index y it holds."""
-    index = arm_cells(cluster, z)
-    if table is not None:  # one flat gather
-        values_per_unit = table.take(arm_cells(cluster, z, values_per_unit, table.shape[-1], index))
-    return index, values_per_unit
-
-
 def _cluster_sums(values_per_unit, cluster, z, n1c, n0c, table=None) -> np.ndarray:
     """Per-cluster `mean(treated) - mean(control)` contrasts, weighted within arms.
 
     With ``table`` (C, 2, K), ``values_per_unit`` holds each unit's outcome index y, and
     the unit's value is its entry table[cluster, z, y].
 
-    Up to one block of units (``UNIT_BLOCK``) is summed by one weighted ``bincount``. A
-    longer pass goes a block at a time and adds each block into the arm sums by
-    ``np.add.at``, so it holds no per-unit index or value. Both add the values of an arm
-    one at a time in unit order, starting from zero, so the sums are the same bits.
+    The pass goes a block of units at a time and adds each block into the arm sums by
+    ``np.add.at``, so it holds no per-unit index or value. It adds the values of an arm
+    one at a time in unit order, starting from zero, as one weighted ``bincount`` of
+    every unit would, so the sums are the same bits.
     """
-    if len(cluster) <= UNIT_BLOCK:
-        index, values = _arm_values(values_per_unit, cluster, z, table)
-        sums = np.bincount(index, weights=values, minlength=2 * len(n1c))
-    else:
-        sums = np.zeros(2 * len(n1c))
-        for part in unit_blocks(len(cluster)):
-            np.add.at(sums, *_arm_values(values_per_unit[part], cluster[part], z[part], table))
+    sums = np.zeros(2 * len(n1c))
+    for part in unit_blocks(len(cluster)):
+        index, values = arm_cells(cluster[part], z[part]), values_per_unit[part]
+        if table is not None:  # one flat gather
+            values = table.take(arm_cells(cluster[part], z[part], values, table.shape[-1], index))
+        np.add.at(sums, index, values)
     return sums[1::2] / n1c - sums[0::2] / n0c
 
 

@@ -14,9 +14,10 @@ Five runners, each a pure function of (config, seed) that emits tidy tables:
 Replications derive their random streams from (seed, replication or chunk
 index), so tables are byte-identical for a given (config, seed). The Monte Carlo
 of ``variance_sweep``, ``homogeneity`` and ``bound_validation`` simulates
-per-(cluster, arm) counts (``count_level_taus``); ``distribution`` replays the
-unit-level release (``cluster_mechanism_taus``), and ``baseline_bias`` freezes
-per-unit draws.
+per-(cluster, arm) counts (``count_level_taus``), the sweep's reference rows
+included: ``no_dp`` is the kernel at lam = 0 and ``uniform_prior_*`` at q = 1/K
+(``nodp_taus``, ``uniform_prior_taus``). ``distribution`` replays the unit-level
+release (``cluster_mechanism_taus``), and ``baseline_bias`` freezes per-unit draws.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from . import accounting
 from .estimation import debias_rows, per_cluster_contributions, tau_no_dp, tau_q
 from .mechanisms import (
     cluster_dp, fit_priors, histogram_noise_term, ht_noise_term, prior_from_counts,
-    resample_draws, resample_from_uniforms,
+    resample_from_uniforms,
 )
 from .model import (
     Design,
@@ -313,12 +314,12 @@ def cluster_mechanism_taus(
     then ``tau_q(cluster_dp(...))``, which consumes its "laplace" and
     "resample" streams.
 
-    On a large population (``_replication_threads``) the calling thread and one
-    helper thread each take the next replication in turn and write its estimate
-    into slot r. A replication reads only its own streams and the population, so
-    every estimate has the same bits on one thread or two; almost all of its time
-    is in NumPy and Philox calls that release the GIL. If replications raise, the
-    error of the first of them is raised here, as on one thread.
+    The calling thread takes the next replication in turn and writes its estimate
+    into slot r; on a large population (``_replication_threads``) one helper thread
+    runs the same loop beside it. A replication reads only its own streams and the
+    population, so every estimate has the same bits on one thread or two; almost all
+    of its time is in NumPy and Philox calls that release the GIL. If replications
+    raise, the error of the first of them is raised here.
     """
     n1c = resolve_treated_counts(pop, treated)
     taus = np.empty(reps)
@@ -328,10 +329,6 @@ def cluster_mechanism_taus(
         design = draw_design(pop, n1c, node.generator("assignment"))
         taus[r] = tau_q(cluster_dp(pop, design, params, node))
 
-    if _replication_threads(pop.n, reps, _usable_cpus()) == 1:
-        for r in range(reps):
-            one(r)
-        return taus
     todo, lock, errors = iter(range(reps)), threading.Lock(), {}
 
     def work() -> None:
@@ -345,12 +342,15 @@ def cluster_mechanism_taus(
             except BaseException as exc:  # raised in the caller, after both threads stop
                 errors[r] = exc
 
-    helper = threading.Thread(target=work, name="cluster_mechanism_taus")
-    helper.start()
+    helper = None
+    if _replication_threads(pop.n, reps, _usable_cpus()) == 2:
+        helper = threading.Thread(target=work, name="cluster_mechanism_taus")
+        helper.start()
     try:
         work()
     finally:
-        helper.join()
+        if helper is not None:
+            helper.join()
     if errors:
         raise errors[min(errors)]
     return taus
@@ -420,28 +420,6 @@ def count_level_taus(
     return out
 
 
-def _batched_assignments(pop, n1c, g, m) -> np.ndarray:
-    """m stratified assignments as an (m, n) 0/1 matrix."""
-    z = np.zeros((m, pop.n), dtype=np.int8)
-    rows = np.arange(m)[:, None]
-    for c, members in enumerate(pop.members):
-        order = np.argsort(g.random((m, len(members))), axis=1)
-        z[rows, members[order[:, : n1c[c]]]] = 1
-    return z
-
-
-def _batched_weights(z, pop, n1c, n0c) -> np.ndarray:
-    sizes = n1c + n0c
-    w_t = (sizes / pop.n) / n1c
-    w_c = (sizes / pop.n) / n0c
-    return np.where(z == 1, w_t[pop.cluster], -w_c[pop.cluster])
-
-
-# Replications per ("batch", ci) stream of uniform_prior_taus. The chunk size
-# fixes which draws each stream makes, so changing it changes every table.
-_UNIFORM_CHUNK = 20000
-
-
 def uniform_prior_taus(
     pop: PopulationDataset,
     lam: float,
@@ -449,36 +427,18 @@ def uniform_prior_taus(
     streams: RngStreams,
     reps: int,
 ) -> np.ndarray:
-    """Uniform-prior estimator over joint (assignment, resampling) replications.
+    """``count_level_taus`` of the uniform prior q = 1/K at resampling probability lam.
 
     Assignments are stratified by cluster; on ``pop.pooled()`` they are
     completely randomized over all units.
     """
-    if lam >= 1.0:
-        raise ValidationError("estimator undefined at lambda = 1")
-    n1c = resolve_treated_counts(pop, treated)
-    n0c = pop.cluster_sizes - n1c
-    vals = pop.space.array
-    y0v, y1v = vals[pop.y0], vals[pop.y1]
-    k = pop.space.k
-    out = np.empty(reps)
-    for ci, start in enumerate(range(0, reps, _UNIFORM_CHUNK)):
-        m = min(_UNIFORM_CHUNK, reps - start)
-        g = streams.generator("batch", ci)
-        z = _batched_assignments(pop, n1c, g, m)
-        y_t = np.where(z == 1, y1v, y0v)
-        if lam > 0.0:  # the assignment is drawn first, so skipping keeps its bits
-            u_keep, u_cat = resample_draws(g, (m, pop.n))
-            # inverse CDF of q = 1/K in one multiply, with no CDF table to compare against
-            drawn = np.minimum((u_cat * k).astype(np.int64), k - 1)
-            y_t = np.where(u_keep < lam, vals[drawn], y_t)
-        w = _batched_weights(z, pop, n1c, n0c)
-        out[start : start + m] = (y_t * w).sum(axis=1) / (1.0 - lam)
-    return out
+    return count_level_taus(pop, MechanismParams.uniform_prior(pop.space.k, lam), treated,
+                            streams, reps)
 
 
 def nodp_taus(pop: PopulationDataset, treated, streams: RngStreams, reps: int) -> np.ndarray:
-    """True-outcome difference-in-means over assignment replications (lam = 0, same bits)."""
+    """True-outcome difference-in-means over assignment replications: lam = 0 keeps
+    every outcome, so nothing is redrawn."""
     return uniform_prior_taus(pop, 0.0, treated, streams, reps)
 
 

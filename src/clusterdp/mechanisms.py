@@ -68,14 +68,10 @@ def arm_histograms(pop: PopulationDataset, design: Design, observed=None) -> np.
         observed = pop.observed(design)
     k, c = pop.space.k, pop.n_clusters
     cells = c * 2 * k
-    block = max(UNIT_BLOCK, cells)
-    if pop.n <= block:
-        counts = np.bincount(arm_cells(pop.cluster, design.z, observed, k), minlength=cells)
-    else:
-        counts = np.zeros(cells, dtype=np.intp)
-        for part in unit_blocks(pop.n, block):
-            cell = arm_cells(pop.cluster[part], design.z[part], observed[part], k)
-            counts += np.bincount(cell, minlength=cells)
+    counts = np.zeros(cells, dtype=np.intp)
+    for part in unit_blocks(pop.n, max(UNIT_BLOCK, cells)):
+        counts += np.bincount(arm_cells(pop.cluster[part], design.z[part], observed[part], k),
+                              minlength=cells)
     return counts.reshape(c, 2, k)
 
 
@@ -154,11 +150,6 @@ def fit_priors(
     counts = arm_histograms(pop, design, observed)
     q = prior_from_counts(counts, design.arm_counts(), params, rng)
     return ProjectedPrior(q=q, gamma=params.gamma)
-
-
-def resample_draws(rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarray]:
-    """The two uniforms of one resampling pass, in draw order: keep/redraw, then categorical."""
-    return rng.random(size), open_uniform(rng, size)
 
 
 _RESAMPLE_BLOCK = 2 * UNIT_BLOCK  # uniforms per block, two a unit: a block stays in cache
@@ -285,17 +276,14 @@ def resample_outcomes(
 ) -> np.ndarray:
     """Report each outcome truthfully w.p. 1-lam, else draw from the unit's arm prior.
 
-    The uniforms are those of ``resample_draws(rng, n)``: all n keep/redraw uniforms,
-    then all n categorical ones. Up to one block of units (``UNIT_BLOCK``) they are
-    drawn whole for ``resample_from_uniforms``. A longer call draws them a block at a
-    time, the same 64-bit words in the same order: the keep uniforms become a one-byte
-    redraw flag a unit, and each block's categorical uniforms are drawn just before
-    that block is resampled. ``out`` is as in ``resample_from_uniforms``.
+    The uniforms are all n keep/redraw uniforms ``rng.random(n)``, then all n
+    categorical ones ``open_uniform(rng, n)``, drawn a block of units (``UNIT_BLOCK``)
+    at a time: the same 64-bit words in the same order as whole draws. The keep
+    uniforms become a one-byte redraw flag a unit, and each block's categorical
+    uniforms are drawn just before that block is resampled. ``out`` is as in
+    ``resample_from_uniforms``.
     """
     n = len(y_observed)
-    if n <= UNIT_BLOCK:
-        u_keep, u_cat = resample_draws(rng, n)
-        return resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat, out)
     if out is None:
         out = np.empty(n, dtype=np.int64)
     parts = unit_blocks(n)
@@ -493,6 +481,8 @@ def _sidecar_table(sidecar, key: str, shape) -> np.ndarray:
     """A (C, 2, K) table of JSON numbers; NumPy would also parse strings, booleans and null."""
     try:
         table = np.array(sidecar[key], dtype=float)
+    except OverflowError:  # an integer that no float holds
+        raise ValidationError(f"sidecar {key} entries must be finite numbers") from None
     except (TypeError, ValueError):  # ragged or non-numeric nesting
         table = None
     if table is None or table.shape != shape:

@@ -42,10 +42,14 @@ class ValidationError(ValueError):
 
 
 def finite_number(name: str, x) -> float:
-    """A finite JSON number; strings, booleans, NaN and infinities are rejected, naming ``name``."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
-        raise ValidationError(f"{name} must be a finite number, got {x!r}")
-    return float(x)
+    """A finite JSON number; strings, booleans, NaN, infinities and integers past the float
+    range are rejected, naming ``name``."""
+    try:
+        if not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x):
+            return float(x)
+    except OverflowError:  # an integer that no float holds
+        pass
+    raise ValidationError(f"{name} must be a finite number, got {x!r}")
 
 
 def _frozen_array(values, dtype) -> np.ndarray:

@@ -21,7 +21,8 @@ per block of clusters by ``str.replace``, and ``infer_space`` as one parse of th
 whole file check the bulk text passes of the CLI byte for byte.
 The whole-array forms of the per-unit passes (one ``bincount`` of every unit's cell,
 ``tau_q`` through one gathered per-unit array, ``resample_outcomes`` through one
-``resample_draws`` call) check the blocked passes byte for byte, and the serial loop
+``resample_draws`` call of all n keep and all n categorical uniforms) check the
+blocked passes, which every call of the library takes, byte for byte; the serial loop
 of replications checks the threaded ``cluster_mechanism_taus``.
 """
 
@@ -35,7 +36,7 @@ from scipy.stats import norm
 
 from clusterdp.estimation import debias_rows, tau_q
 from clusterdp.mechanisms import (
-    arm_histograms, cluster_dp, perturb_clip, renormalize, resample_draws, resample_from_uniforms,
+    arm_histograms, cluster_dp, perturb_clip, renormalize, resample_from_uniforms,
 )
 from clusterdp.model import (
     MIN_CLUSTER_SIZE,
@@ -192,6 +193,11 @@ def tau_q_whole(release) -> float:
     sizes = design.n1c + design.n0c
     contrast = cluster_sums_whole(per_unit, release.cluster, design.z, design.n1c, design.n0c)
     return float(((sizes / sizes.sum()) * contrast).sum())
+
+
+def resample_draws(rng, size) -> tuple[np.ndarray, np.ndarray]:
+    """The two uniforms of one resampling pass, in draw order: keep/redraw, then categorical."""
+    return rng.random(size), open_uniform(rng, size)
 
 
 def resample_outcomes_whole(y_observed, cluster, z, q_tilde, lam, rng) -> np.ndarray:

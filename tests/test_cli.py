@@ -389,19 +389,6 @@ class TestExperimentCommand:
                 assert row["status"] == "ok", row
         assert any(r["status"] != "ok" for r in rows) and any(r["status"] == "ok" for r in rows)
 
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_workers_below_one_exit_code(self, tmp_path, capsys, workers):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"replications": 5}))
-        outdir = tmp_path / "o"
-        code, stdout, err = run_cli(
-            capsys, "experiment", "distribution", "--config", str(cfg),
-            "--workers", workers, "--seed", "1", "--out", str(outdir),
-        )
-        assert code == 2
-        assert "workers must be >= 1" in err
-        assert stdout == "" and not outdir.exists()
-
     @pytest.mark.parametrize(
         "name, config, key",
         [
@@ -413,9 +400,13 @@ class TestExperimentCommand:
             pytest.param("distribution", {"replications": 5.7}, "replications",
                          id="replications_fraction"),
             pytest.param("distribution", {"workers": "two"}, "workers", id="workers_string"),
+            pytest.param("distribution", {"workers": 0}, "workers must be >= 1",
+                         id="workers_zero"),
             pytest.param("distribution", {"mechanism": {"gamma": "0.1"}}, "gamma",
                          id="gamma_string"),
             pytest.param("distribution", {"gamma_grid": 0.1}, "gamma_grid", id="grid_scalar"),
+            pytest.param("distribution", {"treated_fraction": 10**400}, "treated_fraction",
+                         id="treated_fraction_past_float_range"),
             pytest.param("distribution", {"population": {"kind": "gmm", "bogus": 1}}, "bogus",
                          id="unknown_population_key"),
             # draw counts too small for a variance: the tables would hold nan cells
@@ -497,6 +488,12 @@ def _mutate_release(release_csv, sidecar, case):
         meta["params"]["gamma"] = -0.5
     elif case == "space_entry_string":
         meta["space"][0] = "x"
+    elif case == "gamma_past_float_range":  # JSON integers that no float holds
+        meta["params"]["gamma"] = 10**400
+    elif case == "space_entry_past_float_range":
+        meta["space"][0] = 10**400
+    elif case == "q_tilde_past_float_range":
+        meta["q_tilde"][0][0][0] = 10**400
     elif case == "q_tilde_off_simplex":
         meta["q_tilde"][0][0][0] = 0.9
     elif case == "q_tilde_below_gamma":
@@ -551,6 +548,9 @@ class TestMalformedInput:
                 ("not_json", "JSON"),
                 ("q_tilde_off_simplex", "q_tilde"), ("q_tilde_below_gamma", "q_tilde"),
                 ("debias_row_shifted", "debias_rows"),
+                ("gamma_past_float_range", "sidecar params.gamma must be a finite number"),
+                ("space_entry_past_float_range", "sidecar space entry must be a finite number"),
+                ("q_tilde_past_float_range", "sidecar q_tilde entries must be finite numbers"),
                 *[(f"{key}_{entry}", f"sidecar {key} entries must be JSON numbers")
                   for key in ("q_tilde", "debias_rows") for entry in ("strings", "true")],
             ]

@@ -97,7 +97,7 @@ COMMANDS = [
     ["analyze", "--pop", "{d}/pop.csv", "--values", "0,1,2", "--gamma", "0.05", "--sigma", "10",
      "--lam", "0.5", "--treated-fraction", "0.5", "--epsilon", "1"],
     ["experiment", "distribution", "--config", "{d}/distribution.json", "--seed", "1",
-     "--out", "{d}/o", "--workers", "1"],
+     "--out", "{d}/o"],
 ]
 FUZZ = settings(
     max_examples=150, deadline=None, derandomize=True,

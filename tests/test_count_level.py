@@ -6,7 +6,9 @@ its estimates must have the distribution of the unit-level release's
 kernel referee here.
 """
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +22,11 @@ from clusterdp.experiments import (
     count_level_taus,
     counts_design,
     jackknife_variance_se,
+    uniform_prior_taus,
 )
 from clusterdp.model import MechanismKind, MechanismParams, ValidationError
 from clusterdp.rng import RngStreams
+from clusterdp.simdata import GmmConfig, gen_gmm
 from clusterdp.variance import ht_variance, uniform_prior_variance
 
 from conftest import make_population
@@ -122,6 +126,22 @@ def test_chunks_are_fixed_by_their_index(single_type_pop):
 
 
 def test_lambda_one_raises_as_the_release_does(default_pop):
-    with pytest.raises(ValidationError, match="lambda = 1"):
-        count_level_taus(default_pop, _params(MechanismKind.CLUSTER_DP, 1.0), 0.5,
-                         RngStreams(38), 3)
+    for params in (_params(MechanismKind.CLUSTER_DP, 1.0),
+                   MechanismParams.uniform_prior(default_pop.space.k, 1.0)):
+        with pytest.raises(ValidationError, match="lambda = 1"):
+            count_level_taus(default_pop, params, 0.5, RngStreams(38), 3)
+
+
+def test_uniform_prior_taus_holds_no_per_unit_matrix():
+    # 50 clusters of 400 units at 100 replications: a per-unit kernel that holds the
+    # (replications, n) assignments and uniforms peaked at 100.3 MB here
+    pop = gen_gmm(GmmConfig(beta=4.5, v=5.0, k_prime=5, cluster_sizes=(400,) * 50),
+                  RngStreams(39))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        uniform_prior_taus(pop, 0.8, 0.5, RngStreams(40), 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

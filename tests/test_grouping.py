@@ -9,7 +9,7 @@ every accumulated float is unchanged.
 import numpy as np
 import pytest
 
-from clusterdp.experiments import _batched_assignments, counts_design
+from clusterdp.experiments import counts_design
 from clusterdp.model import (
     OutcomeSpace,
     PopulationDataset,
@@ -86,15 +86,6 @@ def mask_scan_subsample_keep(pop, counts, rng):
     return np.concatenate(keep)
 
 
-def mask_scan_batched_assignments(pop, n1c, g, m):
-    z = np.zeros((m, pop.n), dtype=np.int8)
-    for c in range(pop.n_clusters):
-        members = np.flatnonzero(pop.cluster == c)
-        order = np.argsort(g.random((m, len(members))), axis=1)
-        z[np.arange(m)[:, None], members[order[:, : n1c[c]]]] = 1
-    return z
-
-
 class TestMembers:
     def test_matches_mask_scan(self, interleaved_pop):
         pop = interleaved_pop
@@ -119,13 +110,6 @@ class TestMembers:
             got = draw_design(pop, n1c, got_rng).z
             assert np.array_equal(got, mask_scan_draw_design(pop, n1c, ref_rng))
             assert got_rng.random() == ref_rng.random()  # same number of draws
-
-    def test_batched_assignments_match_mask_scan(self, interleaved_pop):
-        pop, n1c = interleaved_pop, treated_counts(interleaved_pop)
-        got_rng, ref_rng = (RngStreams(3).generator("batch") for _ in range(2))
-        got = _batched_assignments(pop, n1c, got_rng, 7)
-        assert np.array_equal(got, mask_scan_batched_assignments(pop, n1c, ref_rng, 7))
-        assert got_rng.random() == ref_rng.random()
 
     def test_subsample_matches_mask_scan(self, interleaved_pop):
         pop = interleaved_pop
