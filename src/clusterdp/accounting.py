@@ -5,17 +5,17 @@ budget ``min(1/sigma, 2/gamma)`` and a resampling budget ``eps_tilde`` with
 failure probability ``delta = max(0, 1 - lam + lam * gamma * (1 - e^eps_tilde))``.
 Choosing ``eps_tilde = log(1 + (1-lam)/(lam*gamma))`` makes delta vanish,
 which gives the pure-epsilon form. ``report`` builds every ``PrivacyReport``,
-pure or at a chosen ``eps_tilde``. The uniform-prior mechanism has no
-functions of its own: it is priced and calibrated as the cluster mechanism at
-``MechanismParams.uniform_prior(k)`` (gamma = 1/K, sigma = inf), where the
-prior budget is 0. Calibration algebraically inverts these identities;
-round trips are exact to ~1e-15.
+pure or at a chosen ``eps_tilde``. sigma = inf is the infinite-noise limit:
+the prior step keeps only the signs of its draws and never reads the data, so
+its budget is exactly 0. The uniform-prior mechanism has no functions of its
+own: it is priced and calibrated as the cluster mechanism at
+``MechanismParams.uniform_prior(k)`` (gamma = 1/K, sigma = inf). Calibration
+algebraically inverts these identities; round trips are exact to ~1e-15.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .model import MechanismParams, ValidationError
@@ -58,34 +58,22 @@ class PrivacyReport:
         }
 
 
-def prior_budget(gamma: float, sigma: float, k: int | None = None) -> float:
+def prior_budget(gamma: float, sigma: float) -> float:
     """Budget spent estimating the per-cluster priors: min(1/sigma, 2/gamma).
 
-    ``sigma = inf`` contributes zero (no data-dependent noise step exists);
-    when that is combined with gamma < 1/K the guarantee rests on the 2/gamma
-    proof route alone, which we surface as a warning when K is supplied.
+    sigma = inf charges 0, since that prior is drawn without reading the data; sigma = 0,
+    the noiseless fit, and gamma = 0 each make their term infinite.
     """
-    if math.isinf(sigma):
-        laplace_term = 0.0
-        if k is not None and gamma < 1.0 / k - 1e-12:
-            warnings.warn(
-                "sigma=inf with gamma < 1/K: the prior term relies on the "
-                "2/gamma route; the noiseless clipped histogram still leaks",
-                stacklevel=3,
-            )
-    elif sigma == 0.0:
-        laplace_term = math.inf
-    else:
-        laplace_term = 1.0 / sigma
-    clip_term = math.inf if gamma == 0.0 else 2.0 / gamma
+    laplace_term = 1.0 / sigma if sigma else math.inf  # 1 / inf is 0.0
+    clip_term = 2.0 / gamma if gamma else math.inf
     return min(laplace_term, clip_term)
 
 
-def resample_share(target_eps: float, gamma: float, sigma: float, k: int | None = None) -> float:
+def resample_share(target_eps: float, gamma: float, sigma: float) -> float:
     """eps_tilde = target_eps - prior_budget; inf at target inf, whatever the prior spends."""
-    prior = prior_budget(gamma, sigma, k)  # before the inf test, so that its warning fires
     if math.isinf(target_eps):
         return math.inf
+    prior = prior_budget(gamma, sigma)
     eps_tilde = target_eps - prior
     if not eps_tilde > 0:
         raise CalibrationError(
@@ -108,9 +96,7 @@ def resample_budget(lam: float, gamma: float) -> float:
     return math.inf if lam == 0.0 or gamma == 0.0 else math.log1p((1.0 - lam) / (lam * gamma))
 
 
-def report(
-    params: MechanismParams, k: int | None = None, eps_tilde: float | None = None
-) -> PrivacyReport:
+def report(params: MechanismParams, eps_tilde: float | None = None) -> PrivacyReport:
     """The guarantee of a cluster-mechanism release and its two-stage split.
 
     Without ``eps_tilde`` it is the pure epsilon: the prior budget plus the resampling
@@ -120,7 +106,7 @@ def report(
     """
     if eps_tilde is not None and not eps_tilde > 0:
         raise ValidationError("eps_tilde must be > 0")
-    prior = prior_budget(params.gamma, params.sigma, k)
+    prior = prior_budget(params.gamma, params.sigma)
     if eps_tilde is None:
         resample = resample_budget(params.lam, params.gamma)
         return PrivacyReport(prior + resample, 0.0, prior, resample)
@@ -130,25 +116,17 @@ def report(
     return PrivacyReport(prior + eps_tilde, delta, prior, eps_tilde)
 
 
-def cluster_dp_eps_delta(
-    params: MechanismParams, eps_tilde: float, k: int | None = None
-) -> PrivacyReport:
+def cluster_dp_eps_delta(params: MechanismParams, eps_tilde: float) -> PrivacyReport:
     """(epsilon, delta) guarantee of the cluster mechanism at a chosen resampling budget."""
-    return report(params, k, eps_tilde)
+    return report(params, eps_tilde)
 
 
-def cluster_dp_pure_eps(params: MechanismParams, k: int | None = None) -> float:
+def cluster_dp_pure_eps(params: MechanismParams) -> float:
     """Pure epsilon: the prior budget plus the resampling budget."""
-    return report(params, k).epsilon
+    return report(params).epsilon
 
 
-def calibrate_lambda(
-    target_eps: float,
-    target_delta: float,
-    gamma: float,
-    sigma: float,
-    k: int | None = None,
-) -> float:
+def calibrate_lambda(target_eps: float, target_delta: float, gamma: float, sigma: float) -> float:
     """Largest-variance-free lam meeting (target_eps, target_delta) for the cluster mechanism.
 
     lam solves the delta identity, lam = (1 - delta) / (1 + gamma (e^eps_tilde - 1)), at
@@ -159,7 +137,7 @@ def calibrate_lambda(
         raise CalibrationError("target_eps must be > 0")
     if not 0.0 <= target_delta < 1.0:
         raise ValidationError("target_delta must lie in [0, 1)")
-    eps_tilde = resample_share(target_eps, gamma, sigma, k)
+    eps_tilde = resample_share(target_eps, gamma, sigma)
     if math.isinf(eps_tilde):
         return 0.0
     lam = (1.0 - target_delta) / (1.0 + _excess(gamma, eps_tilde))

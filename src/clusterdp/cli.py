@@ -2,7 +2,7 @@
 
 Subcommands: generate, privatize, estimate, account, calibrate, analyze,
 experiment. Exit codes: 0 success, 2 validation error, 3 infeasible
-calibration.
+calibration, 141 stdout closed by its reader before the output was written.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from . import accounting, estimation, experiments, mechanisms, simdata, variance
@@ -25,6 +26,11 @@ from .rng import RngStreams
 
 EXIT_VALIDATION = 2
 EXIT_CALIBRATION = 3
+EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE: what a shell reports for a writer whose reader left
+
+
+class _StdoutClosed(Exception):
+    """stdout's reader closed the pipe before the output was written."""
 
 
 def _float_arg(text: str) -> float:
@@ -46,7 +52,13 @@ def _seed_arg(text: str) -> int:
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    """Print and flush, so that a closed stdout shows here and not at exit."""
+    try:
+        print(json.dumps(payload, sort_keys=True, indent=2), flush=True)
+    except BrokenPipeError:
+        # the unwritten rest stays buffered; with fd 1 on devnull the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _StdoutClosed from None
 
 
 def _space_from_pop_file(path, values_arg):
@@ -112,14 +124,13 @@ def _cmd_estimate(args) -> None:
 
 def _cmd_account(args) -> None:
     params = _mechanism_params(args, args.k, args.lam)
-    _emit(accounting.report(params, args.k, args.eps_tilde).as_dict())
+    _emit(accounting.report(params, args.eps_tilde).as_dict())
 
 
 def _cmd_calibrate(args) -> None:
     params = _mechanism_params(args, args.k)
-    lam = accounting.calibrate_lambda(
-        args.target_eps, args.target_delta, params.gamma, params.sigma, args.k
-    )
+    lam = accounting.calibrate_lambda(args.target_eps, args.target_delta, params.gamma,
+                                      params.sigma)
     _emit({"lambda": lam})
 
 
@@ -253,6 +264,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+    except _StdoutClosed:  # not bad input: a reader such as `head` took what it wanted
+        return EXIT_STDOUT_CLOSED
     except accounting.CalibrationError as exc:
         print(f"calibration error: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION

@@ -24,16 +24,25 @@ __all__ = [
 ]
 
 
+def check_lambda_below_one(lam: float) -> None:
+    """The one refusal of lam >= 1, where no debias row, estimator or its variance exists."""
+    if lam >= 1.0:
+        raise ValidationError("no debias rows: randomization matrix singular at lambda = 1")
+
+
 def debias_rows(values: np.ndarray, q_tilde: np.ndarray, lam: float) -> np.ndarray:
     """Rows y^T Q^{-1} for a table of priors; broadcasts over leading axes of q_tilde.
 
-    Entry j equals (values[j] - lam * <values, q>) / (1 - lam).
+    Entry j equals (values[j] - lam * <values, q>) / (1 - lam). Rows past the float
+    range (outcome values near it, lam near 1) are refused, not returned as inf or NaN.
     """
-    if lam >= 1.0:
-        raise ValidationError("no debias rows: randomization matrix singular at lambda = 1")
+    check_lambda_below_one(lam)
     q_tilde = np.asarray(q_tilde, dtype=float)
-    prior_mean = q_tilde @ values
-    return (values - lam * prior_mean[..., None]) / (1.0 - lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = (values - lam * (q_tilde @ values)[..., None]) / (1.0 - lam)
+    if not np.isfinite(rows).all():
+        raise ValidationError("debias rows overflow the float range")
+    return rows
 
 
 def _cluster_sums(values_per_unit, cluster, z, n1c, n0c, table=None) -> np.ndarray:
@@ -75,8 +84,6 @@ def tau_q(release: PrivatizedRelease) -> float:
     debiasing rows of the released priors; it never sees true outcomes.
     """
     rows, design = release.debias, release.design
-    if not np.isfinite(rows).all():
-        raise ValidationError("debias rows overflow the float range")
     return float(per_cluster_contributions(release.y_tilde, release.cluster, design, rows).sum())
 
 

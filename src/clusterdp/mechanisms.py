@@ -4,10 +4,11 @@ The core mechanism fits one resampling distribution per (cluster, arm) by
 perturbing the empirical outcome histogram with Laplace noise, clipping to
 ``[gamma, 1]``, and renormalizing; each unit's outcome is then reported
 truthfully with probability ``1 - lam`` and otherwise redrawn from that
-distribution. The cluster-free variant pools all clusters into one before
-fitting, and the uniform-prior variant skips fitting entirely. Two
-aggregate baselines (noisy Horvitz-Thompson, noisy histogram) release a
-single noised scalar instead of unit-level data.
+distribution. At sigma = inf the fit keeps only the signs of its noise draws,
+so its prior does not depend on the data. The cluster-free variant pools all
+clusters into one before fitting, and the uniform-prior variant skips fitting
+entirely. Two aggregate baselines (noisy Horvitz-Thompson, noisy histogram)
+release a single noised scalar instead of unit-level data.
 """
 
 from __future__ import annotations
@@ -115,8 +116,10 @@ def prior_from_counts(
     clusters first for the cluster-free kind.
 
     The prior noise is drawn here only: one standard Laplace array of the (pooled)
-    histograms' shape from ``rng``, scaled by sigma / n_ac. Nothing is drawn at
-    sigma = inf or for the uniform-prior kind, whose prior is exactly 1/K everywhere.
+    histograms' shape from ``rng``, scaled by sigma / n_ac. sigma = 0 is the noiseless fit,
+    and sigma = inf the limit sigma -> inf: a draw's scaled noise is +inf where the draw is
+    >= 0, else -inf, so each entry clips to 1 or gamma and q_tilde never reads the data.
+    The uniform-prior kind draws nothing; its prior is exactly 1/K everywhere.
     """
     shape, k = counts.shape, counts.shape[-1]
     params.check_gamma(k)
@@ -126,9 +129,10 @@ def prior_from_counts(
         counts = counts.sum(axis=-3, keepdims=True)
         n_ac = n_ac.sum(axis=-2, keepdims=True)
     p_hat = counts / n_ac[..., None]
-    noise = 0.0
-    if not math.isinf(params.sigma):
-        noise = laplace_noise(rng, 1.0, p_hat.shape)
+    noise = laplace_noise(rng, 1.0, p_hat.shape)
+    if math.isinf(params.sigma):
+        noise = np.where(noise >= 0.0, math.inf, -math.inf)
+    else:
         noise *= (params.sigma / n_ac)[..., None]
     q_tilde = renormalize(perturb_clip(p_hat, params.gamma, noise), params.gamma)
     if params.kind is MechanismKind.CLUSTER_FREE_DP:
@@ -455,25 +459,16 @@ def _table_template(clusters: int, k: int) -> str:
     return ",".join([_CLUSTER_OPEN + arm + _ARM_GAP + arm + _CLUSTER_CLOSE] * clusters)
 
 
-def _json_numbers(values: np.ndarray) -> tuple:
-    """``values`` as the arguments of a template: each number as json's C encoder writes
-    it, which is ``str`` of a finite float and ``NaN``/``Infinity``/``-Infinity`` else."""
-    numbers = values.ravel().tolist()
-    for i in np.flatnonzero(~np.isfinite(values.ravel())).tolist():
-        v = numbers[i]
-        numbers[i] = "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
-    return tuple(numbers)
-
-
 def _write_table(fh, table: np.ndarray) -> None:
-    """Write a (C, 2, K) table a block of clusters at a time through one template."""
+    """Write a (C, 2, K) table a block of clusters at a time through one template. ``%s``
+    writes a finite float as json does, and ``debias_rows`` lets no non-finite table by."""
     fh.write("[")
     template = None
     for start in range(0, len(table), _TABLE_BLOCK):
         block = table[start:start + _TABLE_BLOCK]
         if template is None or len(block) < _TABLE_BLOCK:
             template = _table_template(len(block), table.shape[-1])
-        fh.write(("," if start else "") + template % _json_numbers(block))
+        fh.write(("," if start else "") + template % tuple(block.ravel().tolist()))
     fh.write("\n  ]" if len(table) else "]")
 
 

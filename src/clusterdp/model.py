@@ -43,13 +43,15 @@ class ValidationError(ValueError):
 
 def finite_number(name: str, x) -> float:
     """A finite JSON number; strings, booleans, NaN, infinities and integers past the float
-    range are rejected, naming ``name``."""
+    range are rejected, naming ``name`` and echoing the value in at most 40 characters."""
     try:
         if not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x):
             return float(x)
     except OverflowError:  # an integer that no float holds
         pass
-    raise ValidationError(f"{name} must be a finite number, got {x!r}")
+    text = repr(x)  # cut, since a JSON integer may run to hundreds of digits
+    text = f"{text[:20]}...{text[-17:]}" if len(text) > 40 else text
+    raise ValidationError(f"{name} must be a finite number, got {text}")
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -375,14 +377,15 @@ class MechanismKind(str, Enum):
 class MechanismParams:
     """Knobs consumed by the mechanisms, the accountant, and the variance formulas.
 
-    ``sigma`` is a Laplace scale; ``math.inf`` is the sentinel for "skip the
-    noise step entirely".
+    ``sigma`` is the Laplace scale of the prior step: 0 is the noiseless fit, and
+    ``math.inf`` the infinite-noise limit, whose prior never reads the data
+    (``mechanisms.prior_from_counts``). No field has a default.
     """
 
     kind: MechanismKind
-    gamma: float = 0.0
-    sigma: float = math.inf
-    lam: float = 0.0
+    gamma: float
+    sigma: float
+    lam: float
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:

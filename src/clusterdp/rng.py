@@ -16,11 +16,15 @@ import numpy as np
 from scipy.special import ndtri
 
 __all__ = [
+    "STREAM_VERSION",
     "RngStreams",
     "open_uniform",
     "laplace_noise",
     "standard_normal",
 ]
+
+
+STREAM_VERSION = 2  # in every experiment manifest; each stream change bumps it (README)
 
 
 def _label_word(label) -> int:
@@ -49,13 +53,14 @@ class RngStreams:
 
 
 _HALF_STEP = np.float64(2.0**-54)  # a NumPy scalar, so that one draw is an np.float64 too
+_TOP = np.float64(1.0 - 2.0**-53)  # the largest float below 1
 
 
 def open_uniform(rng: np.random.Generator, size=None) -> np.ndarray:
     """Uniform draws ``(m + 0.5) * 2**-53`` for m uniform on 0 .. 2**53 - 1, on a fixed grid.
 
-    Zero is never drawn, so inverse-CDF transforms see no infinity there; the top
-    point rounds to exactly 1.0 (m = 2**53 - 1, probability 2**-53 a draw).
+    Neither 0 nor 1 is drawn, so inverse-CDF transforms see no infinity: the top point
+    (m = 2**53 - 1, probability 2**-53 a draw) rounds to 1.0 and is clamped to 1 - 2**-53.
     ``rng.random`` makes m * 2**-53 from one 64-bit word x of the stream with
     m = x >> 11: the same word and the same m that ``rng.integers(0, 2**53)`` draws
     (its bounded draw, Lemire's method, never rejects when the range is a power of two).
@@ -64,7 +69,7 @@ def open_uniform(rng: np.random.Generator, size=None) -> np.ndarray:
     """
     u = rng.random(size)
     u += _HALF_STEP
-    return u
+    return np.minimum(u, _TOP, out=None if size is None else u)
 
 
 def laplace_noise(rng: np.random.Generator, scale, size=None) -> np.ndarray:

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .estimation import check_lambda_below_one
 from .mechanisms import histogram_scales, ht_scales
 from .model import Design, MechanismParams, OutcomeSpace, PopulationDataset, ValidationError
 
@@ -134,8 +135,7 @@ def a_of_x(x, space: OutcomeSpace, params: MechanismParams):
     if np.any(np.asarray(x) < 1):
         raise ValidationError("arm size x must be >= 1")
     lam, gamma, sigma = params.lam, params.gamma, params.sigma
-    if lam >= 1.0:
-        raise ValidationError("variance bound undefined at lambda = 1")
+    check_lambda_below_one(lam)
     k = space.k
     shrink = (1.0 - lam) ** 2
     rank_one = (lam * math.sqrt(k) + 1.0) ** 2
@@ -181,8 +181,7 @@ def cluster_dp_variance_bound(
     the homogeneity term alone is the reported lower boundary of the band.
     """
     lam = params.lam
-    if lam >= 1.0:
-        raise ValidationError("variance bound undefined at lambda = 1")
+    check_lambda_below_one(lam)
     params.check_gamma(pop.space.k)
     with _squares_in_float_range(pop.space) as check:
         no_dp = ht_variance(pop, design)
@@ -216,8 +215,7 @@ def uniform_prior_variance(pop: PopulationDataset, design: Design, lam: float) -
     moments and a population-level term driven by per-cluster outcome moments.
     The unstratified form (complete randomization) is this on ``pop.pooled()``.
     """
-    if lam >= 1.0:
-        raise ValidationError("estimator undefined at lambda = 1")
+    check_lambda_below_one(lam)
     with _squares_in_float_range(pop.space) as check:
         ym, ym2 = pop.space.mean, pop.space.mean_sq
         space_term_unit = (lam * ym2 - lam**2 * ym**2) / (1.0 - lam) ** 2

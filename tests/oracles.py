@@ -116,8 +116,10 @@ def observed_where(pop, design) -> np.ndarray:
 
 
 def open_uniform_integers(rng, size=None):
-    """The 2**53 grid from bounded integers: ``(m + 0.5) * 2**-53``."""
-    return (rng.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) * 2.0**-53
+    """The 2**53 grid from bounded integers: ``(m + 0.5) * 2**-53``, whose top point
+    rounds to 1.0, clamped to the float below 1."""
+    grid = (rng.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(grid, np.nextafter(1.0, 0.0))
 
 
 def laplace_one_line(rng, scale, size=None):
@@ -140,11 +142,12 @@ def fit_priors_on_design(pop, design, params, rng) -> np.ndarray:
         counts = counts.sum(axis=0, keepdims=True)
         n_ac = n_ac.sum(axis=0, keepdims=True)
     p_hat = counts / n_ac[..., None]
-    noise = 0.0
-    if not math.isinf(params.sigma):
-        noise = laplace_noise(rng, 1.0, p_hat.shape)
-        noise *= (params.sigma / n_ac)[..., None]
-    q_tilde = renormalize(perturb_clip(p_hat, params.gamma, noise), params.gamma)
+    draws = laplace_noise(rng, 1.0, p_hat.shape)
+    if math.isinf(params.sigma):  # the sign of each draw picks the clip's end; 0 picks 1
+        clipped = np.where(draws >= 0.0, 1.0, params.gamma)
+    else:
+        clipped = perturb_clip(p_hat, params.gamma, draws * (params.sigma / n_ac)[..., None])
+    q_tilde = renormalize(clipped, params.gamma)
     if params.kind is MechanismKind.CLUSTER_FREE_DP:
         q_tilde = np.broadcast_to(q_tilde, (pop.n_clusters, 2, k)).copy()
     return q_tilde
@@ -249,7 +252,7 @@ def cluster_taus_fixed_design(pop, design, params, streams, reps: int) -> np.nda
     # each unit's weight in the stratified contrast: +(n_c/n)/n_1c treated, -(n_c/n)/n_0c control
     arm_weight = (pop.cluster_sizes / pop.n)[:, None] / design.arm_counts()
     w_unit = np.where(design.z == 1, 1.0, -1.0) * arm_weight[pop.cluster, design.z]
-    scale = 0.0 if math.isinf(params.sigma) else params.sigma / design.arm_counts()[..., None]
+    scale = params.sigma / design.arm_counts()[..., None]  # sigma = inf: each entry gamma or 1
     out = np.empty(reps)
     for ci, start in enumerate(range(0, reps, 5000)):
         m = min(5000, reps - start)

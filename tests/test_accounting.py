@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -54,9 +55,12 @@ class TestClusterAccounting:
     def test_sigma_inf_prior_budget_zero(self):
         assert prior_budget(0.1, math.inf) == 0.0
 
-    def test_sigma_inf_small_gamma_warns_when_k_known(self):
-        with pytest.warns(UserWarning, match="2/gamma"):
-            prior_budget(0.01, math.inf, k=12)
+    def test_no_function_takes_k(self):
+        for name in accounting.__all__:
+            fn = getattr(accounting, name)
+            if inspect.isfunction(fn):
+                assert "k" not in inspect.signature(fn).parameters, name
+        assert not hasattr(accounting, "warnings")
 
     def test_prior_budget_uses_min(self):
         assert prior_budget(0.5, 10.0) == pytest.approx(0.1)
@@ -148,8 +152,7 @@ class TestCalibration:
         assert resample_share(math.inf, 0.0, 0.0) == math.inf  # prior budget inf too
         with pytest.raises(CalibrationError, match="budget exhausted"):
             resample_share(0.1, 0.02, 10.0)
-        with pytest.warns(UserWarning, match="sigma=inf with gamma < 1/K"):
-            assert resample_share(math.inf, 0.01, math.inf, 12) == math.inf
+        assert resample_share(math.inf, 0.01, math.inf) == math.inf
 
     def test_nonpositive_target_named(self):
         # named as the target's fault even where the prior budget is 0 (the uniform prior)

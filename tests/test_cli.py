@@ -2,13 +2,18 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from clusterdp.cli import build_parser, main
+import clusterdp
+from clusterdp.cli import EXIT_STDOUT_CLOSED, build_parser, main
 from clusterdp.mechanisms import read_release
 from clusterdp.model import OutcomeSpace
-from clusterdp.rng import RngStreams
+from clusterdp.rng import STREAM_VERSION, RngStreams
 from clusterdp.simdata import GmmConfig, GraphPopConfig, gen_graph_population, ingest_csv
 
 
@@ -352,6 +357,7 @@ class TestExperimentCommand:
         assert (outdir / "distribution_samples.csv").exists()
         manifest = json.loads((outdir / "distribution_manifest.json").read_text())
         assert manifest["seed"] == 6
+        assert manifest["stream_version"] == STREAM_VERSION == json.loads(stdout)["stream_version"]
 
     @pytest.mark.parametrize(
         "name, config",
@@ -448,6 +454,8 @@ class TestExperimentCommand:
         )
         assert code == 2
         assert key in err and stdout == ""
+        if 10**400 in config.values():  # the echoed integer is cut, not 401 digits
+            assert len(err.rstrip("\n")) <= 100
 
     @pytest.mark.parametrize(
         "text, named",
@@ -570,6 +578,8 @@ class TestMalformedInput:
         )
         assert code == 2
         assert stdout == "" and err.startswith("error:") and named in err
+        if case.endswith("_past_float_range"):  # the echoed integer is cut, not 401 digits
+            assert len(err.rstrip("\n")) <= 100
 
     @pytest.mark.parametrize("kind", ["cluster_dp", "uniform_prior_dp"])
     @pytest.mark.parametrize("lam", ["1", "0.99999999999999999"])
@@ -583,6 +593,20 @@ class TestMalformedInput:
                                     "--sidecar", str(sidecar))
         assert code == 2
         assert stdout == "" and "lambda" in err
+        assert not release_csv.exists() and not sidecar.exists()
+
+    def test_privatize_debias_overflow_exit_code(self, tmp_path, capsys):
+        """Outcomes near the float range overflow the debias rows at lambda = 0.8: refused,
+        where a sidecar would hold Infinity, which is not JSON."""
+        pop_csv = tmp_path / "pop.csv"
+        _write_population(pop_csv, [f"{u},{c},{a},{b}" for c in "cd" for u, a, b in (
+            (f"{c}1", -1e308, 1e308), (f"{c}2", 1e308, -1e308),
+            (f"{c}3", -1e308, -1e308), (f"{c}4", 1e308, 1e308))])
+        release_csv, sidecar = tmp_path / "r.csv", tmp_path / "r.json"
+        code, stdout, err = run_cli(capsys, "privatize", "--pop", str(pop_csv), "--lam", "0.8",
+                                    "--out", str(release_csv), "--sidecar", str(sidecar))
+        assert code == 2
+        assert stdout == "" and err == "error: debias rows overflow the float range\n"
         assert not release_csv.exists() and not sidecar.exists()
 
     @pytest.mark.parametrize(
@@ -685,3 +709,44 @@ class TestMalformedInput:
         assert exc.value.code == 2
         assert out.out == "" and "--seed" in out.err
         assert list(tmp_path.iterdir()) == [pop_csv]
+
+
+class TestClosedStdout:
+    """A reader that leaves before the output is written: exit EXIT_STDOUT_CLOSED (141),
+    not 2, and nothing on stderr, no "Exception ignored" trace at shutdown included."""
+
+    @staticmethod
+    def _cli(*argv, **kwargs):
+        """The CLI in a child process, its stdout block-buffered as it is in a shell pipe."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(clusterdp.__file__).resolve().parent.parent)
+        return subprocess.Popen([sys.executable, "-m", "clusterdp.cli", *argv],
+                                stderr=subprocess.PIPE, env=env, **kwargs)
+
+    def test_reader_closes_mid_output(self, tmp_path, capsys):
+        """`estimate ... | head -c 10`: 3000 clusters print about 88 KB, more than a
+        64 KiB pipe holds, so the write is cut."""
+        pop_csv, release_csv, sidecar = tmp_path / "pop.csv", tmp_path / "r.csv", tmp_path / "r.json"
+        _write_population(pop_csv, [f"u{i},c{i // 2},0,{i % 2}" for i in range(6000)])
+        code, _, _ = run_cli(capsys, "privatize", "--pop", str(pop_csv), "--out", str(release_csv),
+                             "--sidecar", str(sidecar))
+        assert code == 0
+        child = self._cli("estimate", "--release", str(release_csv), "--sidecar", str(sidecar),
+                          stdout=subprocess.PIPE)
+        assert child.stdout.read(10) == b'{\n  "per_c'
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == EXIT_STDOUT_CLOSED == 141
+        assert err == b""
+
+    def test_reader_gone_before_a_short_output(self):
+        """A short output waits in stdout's buffer, so only a flush meets the closed pipe."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = self._cli("account", stdout=write_end)
+        finally:
+            os.close(write_end)
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == EXIT_STDOUT_CLOSED
+        assert err == b""

@@ -27,7 +27,7 @@ from clusterdp.experiments import (
 from clusterdp.model import MechanismKind, MechanismParams, ValidationError
 from clusterdp.rng import RngStreams
 from clusterdp.simdata import GmmConfig, gen_gmm
-from clusterdp.variance import ht_variance, uniform_prior_variance
+from clusterdp.variance import cluster_dp_variance_bound, ht_variance, uniform_prior_variance
 
 from conftest import make_population
 
@@ -96,6 +96,19 @@ def test_matches_unit_level_kernel_with_a_single_type_cluster(single_type_pop, k
     ok, detail = _matches_unit_level(single_type_pop, _params(kind, 0.6, 0.1, 2.0), 20000,
                                      3000, 34)
     assert ok, detail
+
+
+@pytest.mark.parametrize("kind", [MechanismKind.CLUSTER_DP, MechanismKind.CLUSTER_FREE_DP])
+@pytest.mark.parametrize("lam", [0.3, 0.8])
+def test_sigma_inf_prior_unbiased_and_under_its_bound(default_pop, kind, lam):
+    """The sigma = inf release at gamma < 1/K, whose prior keeps only the signs of its
+    Laplace draws: unbiased, with a variance under the bound that reads sigma = inf as
+    the same infinite-noise limit."""
+    params = _params(kind, lam, sigma=math.inf)
+    taus = count_level_taus(default_pop, params, 0.5, RngStreams(39), 20000)
+    assert _within(taus.mean(), default_pop.ate, taus.std(ddof=1) / math.sqrt(len(taus)))
+    bound = cluster_dp_variance_bound(default_pop, counts_design(default_pop, 0.5), params)
+    assert np.var(taus, ddof=1) < bound.value
 
 
 def test_histograms_fill_each_arm_from_its_types(single_type_pop):

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from clusterdp.mechanisms import (
     noisy_histogram,
     noisy_ht,
     perturb_clip,
+    prior_from_counts,
     read_release,
     renormalize,
     resample_from_uniforms,
@@ -102,11 +104,66 @@ class TestFitPriors:
         q = self.control_prior(1, 0.2, 0.0, RngStreams(1).generator("noise"))
         assert q.tolist() == renormalize(np.array([0.9, 0.2]), 0.2).tolist()
 
-    def test_sigma_inf_skips_noise(self):
+    def test_sigma_inf_keeps_signs(self):
+        # one Laplace draw per (arm, outcome) entry, as at finite sigma; each clips by its sign
         rng = RngStreams(1).generator("noise")
         q = self.control_prior(3, 0.1, math.inf, rng)
-        assert q.tolist() == [0.7, 0.3]
-        assert rng.random() == RngStreams(1).generator("noise").random()  # no draw made
+        replay = RngStreams(1).generator("noise")
+        signs = laplace_noise(replay, 1.0, (1, 2, 2))[0, 0] >= 0.0
+        assert q.tolist() == renormalize(np.where(signs, 1.0, 0.1), 0.1).tolist()
+        assert rng.random() == replay.random()  # the stream is left at the same place
+        for ones in (0, 7, 10):
+            assert self.control_prior(ones, 0.1, math.inf,
+                                      RngStreams(1).generator("noise")).tolist() == q.tolist()
+
+
+class _PlantedUniforms:
+    """A generator stub whose uniforms make ``open_uniform`` give exactly 0.5 for the first
+    outcome of each row and 0.2 for the others: Laplace draws of exactly 0, then negative."""
+
+    def random(self, size=None):
+        u = np.full(size, 0.2 - 2.0**-54)
+        u[..., 0] = 0.5 - 2.0**-54
+        return u
+
+
+class TestSigmaInfPrior:
+    """sigma = inf is the sigma -> inf limit of the prior step (below 1/K, a release of
+    its own); sigma = 0 is the noiseless fit."""
+
+    K = 5
+
+    def params(self, kind=MechanismKind.CLUSTER_DP, gamma=0.02, sigma=math.inf):
+        return MechanismParams(kind=kind, gamma=gamma, sigma=sigma, lam=0.5)
+
+    def histograms(self, seed):
+        counts = np.random.default_rng(seed).integers(0, 9, (4, 2, self.K))
+        counts[..., 0] += 1  # every arm holds a unit
+        return counts, counts.sum(axis=-1)
+
+    @pytest.mark.parametrize("kind", [MechanismKind.CLUSTER_DP, MechanismKind.CLUSTER_FREE_DP])
+    def test_prior_does_not_read_the_data(self, kind):
+        (a, n_a), (b, n_b) = self.histograms(1), self.histograms(2)
+        assert not np.array_equal(a / n_a[..., None], b / n_b[..., None])
+        q_a = prior_from_counts(a, n_a, self.params(kind), RngStreams(3).generator("laplace"))
+        q_b = prior_from_counts(b, n_b, self.params(kind), RngStreams(3).generator("laplace"))
+        assert np.array_equal(q_a, q_b)
+        assert np.all(q_a >= 0.02) and np.max(np.abs(q_a.sum(axis=-1) - 1.0)) <= 1e-12
+        noiseless = prior_from_counts(a, n_a, self.params(kind, sigma=0.0),
+                                      RngStreams(3).generator("laplace"))
+        assert not np.array_equal(q_a, noiseless)
+
+    @pytest.mark.parametrize("sigma", [math.inf, 0.0, 10.0])
+    def test_draw_of_exactly_zero(self, sigma):
+        # a draw of 0 counts as positive at sigma = inf, where 0 * inf would be NaN
+        counts, n_ac = self.histograms(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = prior_from_counts(counts, n_ac, self.params(sigma=sigma), _PlantedUniforms())
+        assert np.all(np.isfinite(q))
+        if math.isinf(sigma):  # the zero draw clips to 1, the negative ones to gamma
+            want = renormalize(np.array([1.0] + [0.02] * (self.K - 1)), 0.02)
+            assert np.array_equal(q, np.broadcast_to(want, q.shape))
 
 
 class TestRenormalize:
@@ -167,12 +224,13 @@ class TestClusterDp:
 
     def test_gamma_one_over_k_forces_uniform_prior(self, streams):
         rng = np.random.default_rng(7)
-        for sigma in (0.0, 0.7, 10.0, math.inf):
-            pop = random_population(rng, n_clusters=2, space_values=(0.0, 1.0, 3.0))
-            design = draw_design(pop, 0.5, streams.generator("z", int(sigma if sigma != math.inf else 99)))
-            k = pop.space.k
-            prior = fit_priors(pop, design, self.params(gamma=1.0 / k, sigma=sigma), streams.generator("n", int(sigma if sigma != math.inf else 99)))
-            assert np.max(np.abs(prior.q - 1.0 / k)) < 1e-12
+        for kind in (MechanismKind.CLUSTER_DP, MechanismKind.CLUSTER_FREE_DP):
+            for sigma in (0.0, 0.7, 10.0, math.inf):
+                pop = random_population(rng, n_clusters=2, space_values=(0.0, 1.0, 3.0))
+                design = draw_design(pop, 0.5, streams.generator("z", int(sigma if sigma != math.inf else 99)))
+                k = pop.space.k
+                prior = fit_priors(pop, design, self.params(kind=kind, gamma=1.0 / k, sigma=sigma), streams.generator("n", int(sigma if sigma != math.inf else 99)))
+                assert np.max(np.abs(prior.q - 1.0 / k)) < 1e-12
 
     def test_gamma_one_over_k_release_matches_uniform_prior_mechanism(self, streams):
         # chi-square on 50k draws against the exact per-unit mixture law
@@ -467,7 +525,8 @@ class TestResampleKernel:
         return rng.integers(0, c, n), rng.integers(0, 2, n).astype(np.int8)
 
     def test_table_uniform_of_one(self):
-        # open_uniform's top grid point is exactly 1.0, the one u_cat past the last bucket
+        # u_cat = 1.0, the one value past the last bucket (open_uniform clamps its top grid
+        # point below 1, but resample_from_uniforms takes any u_cat in [0, 1])
         rng = np.random.default_rng(21)
         k, n = 12, _RESAMPLE_BLOCK
         q = np.full((2, 2, k), 1.0 / k)  # cdf[K - 2] = 11/12: the last bucket holds no entry

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from clusterdp.model import (
     arm_cells,
     draw_design,
 )
-from clusterdp.rng import RngStreams, laplace_noise, open_uniform
+from clusterdp.mechanisms import prior_from_counts
+from clusterdp.rng import RngStreams, laplace_noise, open_uniform, standard_normal
 
 from conftest import make_population
 from oracles import space_contains, space_index_of
@@ -206,20 +208,33 @@ class TestDrawDesign:
 
 
 class TestMechanismParams:
+    @staticmethod
+    def params(**fields):
+        return MechanismParams(**{"kind": MechanismKind.CLUSTER_DP, "gamma": 0.02,
+                                  "sigma": 10.0, "lam": 0.5, **fields})
+
     def test_gamma_range(self):
         with pytest.raises(ValidationError):
-            MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=1.5)
-        MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.1).check_gamma(5)
+            self.params(gamma=1.5)
+        self.params(gamma=0.1).check_gamma(5)
         with pytest.raises(ValidationError):
-            MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.3).check_gamma(5)
+            self.params(gamma=0.3).check_gamma(5)
+
+    def test_no_field_defaults(self):
+        # sigma = inf is a mechanism of its own, so no caller gets it by leaving sigma out
+        for missing in ("gamma", "sigma", "lam"):
+            fields = {"gamma": 0.02, "sigma": 10.0, "lam": 0.5}
+            del fields[missing]
+            with pytest.raises(TypeError, match=missing):
+                MechanismParams(kind=MechanismKind.CLUSTER_DP, **fields)
 
     def test_sigma_range(self):
         # NaN compares False with everything, so a `sigma < 0` test lets it through
         for sigma in (-1.0, math.nan):
             with pytest.raises(ValidationError, match="sigma"):
-                MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.02, sigma=sigma, lam=0.5)
+                self.params(sigma=sigma)
         for sigma in (0.0, 10.0, math.inf):
-            assert MechanismParams(kind=MechanismKind.CLUSTER_DP, sigma=sigma).sigma == sigma
+            assert self.params(sigma=sigma).sigma == sigma
 
 
 class TestRngStreams:
@@ -251,6 +266,25 @@ class TestInverseCdfDraws:
     def test_open_uniform_strictly_inside(self):
         u = open_uniform(RngStreams(3).generator("u"), 10_000)
         assert u.min() > 0.0 and u.max() < 1.0
+
+    def test_open_uniform_top_point_clamped(self):
+        # m = 2**53 - 1 rounds to 1.0 on the grid; log1p(-1) would make an infinite draw
+        class TopWord:  # Generator.random gives a float for no size, else an array
+            def random(self, size=None):
+                return 1.0 - 2.0**-53 if size is None else np.full(size, 1.0 - 2.0**-53)
+
+        top = np.float64(1.0 - 2.0**-53)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(open_uniform(TopWord(), 3) == top)
+            assert np.all(np.isfinite(laplace_noise(TopWord(), 1.0, 3)))
+            assert np.all(np.isfinite(standard_normal(TopWord(), 3)))
+            counts = np.array([[[3, 1], [2, 2]]])
+            params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.1, sigma=0.0, lam=0.5)
+            q = prior_from_counts(counts, counts.sum(axis=-1), params, TopWord())
+        assert np.all(np.isfinite(q))
+        scalar = open_uniform(TopWord())
+        assert type(scalar) is np.float64 and scalar == top
 
     @pytest.mark.parametrize("size", [None, 10_000])
     def test_open_uniform_is_the_grid_expression(self, size):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from clusterdp.estimation import debias_rows
 from clusterdp.experiments import counts_design, uniform_prior_taus
 from clusterdp.model import (
     MechanismKind,
@@ -364,8 +365,16 @@ class TestUniformPriorVariance:
         assert np.var(taus, ddof=1) == pytest.approx(formula, rel=0.05)
 
     def test_lambda_one_rejected(self, small_pop):
-        with pytest.raises(ValidationError):
-            uniform_prior_variance(small_pop, fixed_design(small_pop, [2, 3]), 1.0)
+        # one message for lambda = 1 in every formula that needs debias rows
+        design = fixed_design(small_pop, [2, 3])
+        params = MechanismParams(kind=MechanismKind.CLUSTER_DP, gamma=0.02, sigma=10.0, lam=1.0)
+        for call in (lambda: uniform_prior_variance(small_pop, design, 1.0),
+                     lambda: cluster_dp_variance_bound(small_pop, design, params),
+                     lambda: a_of_x(4.0, small_pop.space, params),
+                     lambda: debias_rows(small_pop.space.array, np.full(3, 1 / 3), 1.0)):
+            with pytest.raises(ValidationError, match="^no debias rows: randomization matrix "
+                                                      "singular at lambda = 1$"):
+                call()
 
 
 class TestBaselineGaps:
