@@ -169,6 +169,11 @@ def _cmd_experiment(args) -> None:
     _emit(manifest)
 
 
+# argparse reads a list that starts with "-" as a flag, so such a list needs the "=" form
+_VALUES_HELP = ("comma-separated outcome space (default: inferred); a list that starts "
+                "with a negative value needs the = form, as in --values=-5,-4,0")
+
+
 def _mechanism_flags(parser, kinds=(), lam=True) -> None:
     """--gamma, --sigma and (with ``lam``) --lam; --kind over ``kinds``, else cluster_dp."""
     if kinds:
@@ -215,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     priv = sub.add_parser("privatize", help="privatize a population file")
     priv.add_argument("--pop", required=True)
-    priv.add_argument("--values", help="comma-separated outcome space (default: inferred)")
+    priv.add_argument("--values", help=_VALUES_HELP)
     _mechanism_flags(priv, kinds=[kind.value for kind in MechanismKind])
     priv.add_argument("--treated-fraction", type=_float_arg, default=0.5)
     priv.add_argument("--seed", type=_seed_arg, default=0)
@@ -243,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", help="variance report for a population")
     ana.add_argument("--pop", required=True)
-    ana.add_argument("--values")
+    ana.add_argument("--values", help=_VALUES_HELP)
     _mechanism_flags(ana)
     ana.add_argument("--treated-fraction", type=_float_arg, default=0.5)
     ana.add_argument("--epsilon", type=_float_arg)

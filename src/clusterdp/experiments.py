@@ -672,8 +672,8 @@ def run_baseline_bias(cfg: ExperimentConfig, seed: int):
                 y_t = resample_from_uniforms(
                     observed, sub.cluster, design.z, q, lam, u_keep[kept], u_cat[kept]
                 )
-                per_unit = debias_rows(sub.space.array, q, lam)[sub.cluster, design.z, y_t]
-                tau = per_cluster_contributions(per_unit, sub.cluster, design).sum()
+                table = debias_rows(sub.space.array, q, lam)
+                tau = per_cluster_contributions(y_t, sub.cluster, design, table).sum()
                 nht_term, _ = ht_noise_term(sub, design, eps, std_nht)
                 devs[j, :, s] = (  # cluster_dp, noisy_ht, noisy_histogram
                     float(tau) - truth,

@@ -156,7 +156,6 @@ def fit_priors(
     return ProjectedPrior(q=q, gamma=params.gamma)
 
 
-_RESAMPLE_BLOCK = 2 * UNIT_BLOCK  # uniforms per block, two a unit: a block stays in cache
 # The bucket table leaves at least _UNITS_PER_ENTRY uniforms per entry; with fewer than
 # _MIN_BUCKETS a row, too many draws would land in a bucket that holds a CDF entry for the
 # table to pay (both measured at K = 12, see README).
@@ -189,26 +188,19 @@ def _bucket_table(cdf: np.ndarray, nb: int) -> np.ndarray:
     return table
 
 
-def _block_resampler(y_observed, cluster, z, q_tilde, units: int, out):
-    """The resampler of ``resample_from_uniforms`` for one table ``q_tilde`` and a call of
-    ``units`` uniforms: a function of one block's units ``part``, their categorical
-    uniforms and their redraw flags that writes the block's outcomes into ``out[..., part]``.
+def _block_resampler(y_observed, cluster, z, q_tilde, out):
+    """The resampler of ``resample_from_uniforms`` for one table ``q_tilde`` (C, 2, K) and
+    ``len(out)`` units: a function of one block's units ``part``, their categorical
+    uniforms and their redraw flags that writes the block's outcomes into ``out[part]``.
     """
-    cdf = np.cumsum(q_tilde, axis=-1)[..., :-1]
-    cdf = cdf.reshape(-1, cdf.shape[-1])  # (rows, K - 1), row (rep * C + cluster) * 2 + z
-    thresholds = np.ascontiguousarray(cdf.T)  # (K - 1, rows)
+    cdf = np.cumsum(q_tilde, axis=-1)[..., :-1].reshape(-1, q_tilde.shape[-1] - 1)
+    thresholds = np.ascontiguousarray(cdf.T)  # (K - 1, 2C), column cluster * 2 + z
     counter = np.min_scalar_type(cdf.shape[-1])  # the narrowest type that holds K - 1
-    lead = q_tilde.shape[:-3]  # each replication's 2C rows follow the previous one's
-    offset = None
-    if lead:
-        offset = np.arange(math.prod(lead)).reshape(*lead, 1) * (2 * q_tilde.shape[-3])
-    nb = _bucket_count(units, len(cdf))
+    nb = _bucket_count(len(out), len(cdf))
     table = _bucket_table(cdf, nb) if nb else None
 
     def resample_block(part, u, redraw):
         row = arm_cells(cluster[part], z[part])
-        if offset is not None:
-            row = row + offset
         if table is None:
             drawn = (u > thresholds.take(row, axis=-1)).sum(axis=0, dtype=counter)
         else:
@@ -220,34 +212,31 @@ def _block_resampler(y_observed, cluster, z, q_tilde, units: int, out):
             drawn = table.take(entry)
             slow = np.flatnonzero(drawn > cdf.shape[-1])  # the marker
             if slow.size:
-                drawn.ravel()[slow] = (u.ravel()[slow] > thresholds.take(
-                    entry.ravel()[slow] // nb, axis=-1)).sum(axis=0, dtype=counter)
+                drawn[slow] = (u[slow] > thresholds.take(
+                    entry[slow] // nb, axis=-1)).sum(axis=0, dtype=counter)
         # drawn where redraw, else y, as y + (drawn - y) * redraw: the wraparound of the
         # subtraction cancels in the addition, and no branch is taken per unit
         y = y_observed[part].astype(drawn.dtype)
         drawn -= y
         drawn *= redraw
         drawn += y
-        out[..., part] = drawn
+        out[part] = drawn
 
     return resample_block
 
 
-def resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat,
-                           out=None) -> np.ndarray:
+def resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat) -> np.ndarray:
     """Keep each outcome where u_keep >= lam, else draw from its arm prior by inverse CDF at u_cat.
 
-    ``q_tilde`` (..., C, 2, K) and the uniforms (..., n) may carry a leading replication axis;
-    the int64 result has the shape of ``u_cat``. It is written into ``out`` where given,
-    which may be ``y_observed`` itself: a block reads its outcomes before it writes them.
+    ``q_tilde`` is one (C, 2, K) table, the uniforms are (n,), and the result is int64.
     The CDF is summed once per (cluster, arm) row, and each unit's draw counts the
     entries j < K - 1 of its row's CDF that lie below u_cat, with no (n, K) array. This
     equals the capped count min(#{j < K : u_cat > cdf[j]}, K - 1) bit for bit: a cumsum
     adds the same numbers in the same order per row, and q_tilde >= 0 makes each CDF row
     non-decreasing in floating point, so the entries below u_cat form a prefix and
-    dropping the last one only applies the cap. Units go through in blocks of about
-    ``_RESAMPLE_BLOCK`` uniforms, two a unit and replication (u_keep and u_cat). A count
-    does not depend on the order in which it is taken, so the blocks change no bit.
+    dropping the last one only applies the cap. Units go through a block
+    (``unit_blocks``) at a time. A count does not depend on the order in which it is
+    taken, so the blocks change no bit.
 
     With many uniforms per row (``_bucket_count``) a unit's count is read from the row's
     ``_bucket_table`` at bucket min(floor(u_cat * nb), nb - 1) (a NaN has none); the
@@ -259,13 +248,10 @@ def resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat,
     The keep/redraw choice is integer arithmetic in the count's unsigned type, which
     holds every outcome index y_observed < K.
     """
-    if out is None:
-        out = np.empty(u_cat.shape, dtype=np.int64)
-    resample_block = _block_resampler(y_observed, cluster, z, q_tilde, u_cat.size, out)
-    block = max(1, _RESAMPLE_BLOCK // (2 * max(1, math.prod(u_cat.shape[:-1]))))
-    for start in range(0, u_cat.shape[-1], block):
-        part = slice(start, start + block)
-        resample_block(part, u_cat[..., part], u_keep[..., part] < lam)
+    out = np.empty(len(u_cat), dtype=np.int64)
+    resample_block = _block_resampler(y_observed, cluster, z, q_tilde, out)
+    for part in unit_blocks(len(out)):
+        resample_block(part, u_cat[part], u_keep[part] < lam)
     return out
 
 
@@ -284,8 +270,9 @@ def resample_outcomes(
     categorical ones ``open_uniform(rng, n)``, drawn a block of units (``UNIT_BLOCK``)
     at a time: the same 64-bit words in the same order as whole draws. The keep
     uniforms become a one-byte redraw flag a unit, and each block's categorical
-    uniforms are drawn just before that block is resampled. ``out`` is as in
-    ``resample_from_uniforms``.
+    uniforms are drawn just before that block is resampled. The result is written into
+    ``out`` where given, which may be ``y_observed`` itself: a block reads its outcomes
+    before it writes them.
     """
     n = len(y_observed)
     if out is None:
@@ -295,7 +282,7 @@ def resample_outcomes(
     for part in parts:
         flags = redraw[part]
         np.less(rng.random(len(flags)), lam, out=flags)
-    resample_block = _block_resampler(y_observed, cluster, z, q_tilde, n, out)
+    resample_block = _block_resampler(y_observed, cluster, z, q_tilde, out)
     for part in parts:
         flags = redraw[part]
         resample_block(part, open_uniform(rng, len(flags)), flags)

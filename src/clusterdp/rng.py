@@ -4,7 +4,9 @@ Every source of randomness in the package is a named sub-stream of one
 master seed, keyed by a path of labels (e.g. ``("rep", 17, "laplace")``).
 Streams are backed by the counter-based Philox generator, so adding more
 replications or more named streams never perturbs draws made on existing
-paths, and results are reproducible across platforms and thread counts.
+paths, and results do not depend on the thread count. The golden digests under
+``tests/golden/`` pin the outputs with NumPy 2.4.6 and SciPy 1.17.1 on one machine;
+other versions and platforms are not checked.
 """
 
 from __future__ import annotations

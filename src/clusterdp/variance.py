@@ -177,8 +177,9 @@ def cluster_dp_variance_bound(
     """Upper bound on Var[tau_hat] for the cluster mechanism, with its gap split.
 
     The gap over the no-DP variance is at most
-    (1/(1-lam)^2 - 1)(phi_0 + phi_1) + sum_a sum_c (n_c/n)^2 A(n_{a,c})/n_{a,c};
-    the homogeneity term alone is the reported lower boundary of the band.
+    (1/(1-lam)^2 - 1)(phi_0 + phi_1) + sum_a sum_c (n_c/n)^2 A(n_{a,c})/n_{a,c}.
+    The component ``gap_lower`` is the first, homogeneity term alone. It is not a lower
+    bound on the gap: on small populations the gap can lie well below it (see README).
     """
     lam = params.lam
     check_lambda_below_one(lam)

@@ -236,7 +236,7 @@ def _debiased_units(pop, design, params, noise, u_keep, u_cat) -> np.ndarray:
     p_hat = arm_histograms(pop, design) / design.arm_counts()[..., None]
     qt = renormalize(perturb_clip(p_hat, params.gamma, noise), params.gamma)
     cl = pop.cluster
-    y_t = resample_from_uniforms(pop.observed(design), cl, design.z, qt, params.lam, u_keep, u_cat)
+    y_t = resample_columns(pop.observed(design), cl, design.z, qt, params.lam, u_keep, u_cat)
     rows = debias_rows(pop.space.array, qt, params.lam)
     return rows[np.arange(len(qt))[:, None], cl, design.z, y_t]
 

@@ -32,8 +32,8 @@ from clusterdp.cli import main
 from clusterdp.experiments import (
     EXPERIMENTS, ExperimentConfig, build_population, cluster_mechanism_taus,
 )
-from clusterdp.mechanisms import _RESAMPLE_BLOCK, _bucket_count, fit_priors
-from clusterdp.model import MechanismKind, MechanismParams, draw_design
+from clusterdp.mechanisms import _bucket_count, fit_priors
+from clusterdp.model import UNIT_BLOCK, MechanismKind, MechanismParams, draw_design
 from clusterdp.rng import RngStreams
 from clusterdp.simdata import GmmConfig, gen_gmm
 
@@ -146,8 +146,8 @@ def two_block_pop():
 
 @pytest.mark.parametrize("kind", list(MechanismKind))
 def test_tracer_replays_replication_zero_past_one_block(tracing, two_block_pop, kind):
-    # the resampling kernel works in blocks of units; this population spans three
-    assert two_block_pop.n > 2 * _RESAMPLE_BLOCK
+    # the resampling kernel works in blocks of units; this population spans five
+    assert two_block_pop.n > 4 * UNIT_BLOCK
     k = two_block_pop.space.k
     params = (MechanismParams.uniform_prior(k, 0.8) if kind is MechanismKind.UNIFORM_PRIOR_DP
               else MechanismParams(kind=kind, gamma=0.02, sigma=10.0, lam=0.8))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from clusterdp.estimation import _cluster_sums, per_cluster_contributions, tau_q
 from clusterdp.mechanisms import (
     arm_histograms, cluster_dp, fit_priors, histogram_scales, ht_scales, renormalize,
-    resample_from_uniforms, resample_outcomes,
+    resample_outcomes,
 )
 from clusterdp.model import (
     UNIT_BLOCK, MechanismKind, MechanismParams, OutcomeSpace, PopulationDataset, SerialIds,
@@ -101,12 +101,14 @@ class TestResampleColumns:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_column_count(self, seed, k, n, reps, lam):
-        # at 3 replications a block is 2730 units, so 3000 and 9000 units span several
+        # 9000 units span two blocks; with reps the kernel runs once per release, and the
+        # oracle takes them all on a leading axis, as tests/oracles.py::_debiased_units does
         lead = (reps,) if reps else ()
-        y, cluster, z, q, _, u_keep, u_cat = test_mechanisms.TestResampleKernel._units(
+        kernel = test_mechanisms.TestResampleKernel
+        y, cluster, z, q, _, u_keep, u_cat = kernel._units(
             np.random.default_rng(seed), n, 4, k, lead)
         args = (y, cluster, z, q, lam, u_keep, u_cat)
-        assert same(resample_from_uniforms(*args), resample_columns(*args))
+        assert same(kernel._each_release(*args), resample_columns(*args))
 
 
 class TestObserved:

@@ -710,6 +710,21 @@ class TestMalformedInput:
         assert out.out == "" and "--seed" in out.err
         assert list(tmp_path.iterdir()) == [pop_csv]
 
+    @pytest.mark.parametrize("command", ["privatize", "analyze"])
+    def test_negative_values_list_needs_equals_form(self, tmp_path, capsys, command):
+        # argparse reads "-1,0,1" after "--values" as a flag; --help names the = form
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0 and "--values=-5,-4,0" in capsys.readouterr().out
+        pop_csv = tmp_path / "pop.csv"
+        _write_population(pop_csv, ["a,0,-1,1", "b,0,0,0", "c,1,1,-1", "d,1,0,1"])
+        outputs = ["--out", str(tmp_path / "r.csv"), "--sidecar", str(tmp_path / "r.json")]
+        argv = [command, "--pop", str(pop_csv)] + (outputs if command == "privatize" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--values", "-1,0,1"])
+        assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+        assert run_cli(capsys, *argv, "--values=-1,0,1")[0] == 0
+
 
 class TestClosedStdout:
     """A reader that leaves before the output is written: exit EXIT_STDOUT_CLOSED (141),

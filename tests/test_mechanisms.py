@@ -12,7 +12,6 @@ from scipy.stats import chi2
 from clusterdp import accounting
 from clusterdp.estimation import tau_q
 from clusterdp.mechanisms import (
-    _RESAMPLE_BLOCK,
     _bucket_count,
     arm_histograms,
     cluster_dp,
@@ -32,6 +31,7 @@ from clusterdp.mechanisms import (
     write_release,
 )
 from clusterdp.model import (
+    UNIT_BLOCK,
     Design,
     MechanismKind,
     MechanismParams,
@@ -381,24 +381,22 @@ class TestResampleKernel:
         seed=st.integers(0, 2**32 - 1),
         k=st.sampled_from([2, 3, 13]),
         c=st.integers(1, 4),
-        reps=st.sampled_from([None, 3]),
         table=st.sampled_from(["uniform", "fitted"]),
         lam=st.sampled_from([0.0, 0.4, 1.0]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_dense_oracle(self, seed, k, c, reps, table, lam):
+    def test_matches_dense_oracle(self, seed, k, c, table, lam):
         rng = np.random.default_rng(seed)
         cluster, z, _, _ = interleaved_cells(rng, c)
         n = len(cluster)
-        lead = () if reps is None else (reps,)
-        q = self._tables(rng, table, (*lead, c, 2), k)
-        cdf = np.cumsum(q, axis=-1)[..., cluster, z, :]  # (..., n, K)
+        q = self._tables(rng, table, (c, 2), k)
+        cdf = np.cumsum(q, axis=-1)[cluster, z, :]  # (n, K)
         # u_cat: a fresh uniform, exactly a CDF entry, or just above the last entry
-        entry = np.take_along_axis(cdf, rng.integers(0, k, (*lead, n, 1)), axis=-1)[..., 0]
-        above = np.nextafter(cdf[..., -1], 2.0)
-        mode = rng.integers(0, 3, (*lead, n))
-        u_cat = np.select([mode == 0, mode == 1], [rng.random((*lead, n)), entry], above)
-        u_keep = rng.random((*lead, n))
+        entry = np.take_along_axis(cdf, rng.integers(0, k, (n, 1)), axis=-1)[:, 0]
+        above = np.nextafter(cdf[:, -1], 2.0)
+        mode = rng.integers(0, 3, n)
+        u_cat = np.select([mode == 0, mode == 1], [rng.random(n), entry], above)
+        u_keep = rng.random(n)
         y = rng.integers(0, k, n)
         got = resample_from_uniforms(y, cluster, z, q, lam, u_keep, u_cat)
         want = resample_dense(y, cluster, z, q, lam, u_keep, u_cat)
@@ -419,30 +417,38 @@ class TestResampleKernel:
         assert got.tolist() == [k - 1, k - 1, 0]
 
     @staticmethod
-    def _units(rng, n, c, k, lead):
-        """Random arguments for n units: cells in random order, a fitted table per replication."""
+    def _units(rng, n, c, k, lead=()):
+        """Random arguments for n units: cells in random order, a fitted table per release."""
         q = TestResampleKernel._tables(rng, "fitted", (*lead, c, 2), k)
         cluster, z = rng.integers(0, c, n), rng.integers(0, 2, n).astype(np.int8)
         u_keep, u_cat = rng.random((*lead, n)), rng.random((*lead, n))
         return rng.integers(0, k, n), cluster, z, q, 0.6, u_keep, u_cat
 
+    @staticmethod
+    def _each_release(y, cluster, z, q, lam, u_keep, u_cat):
+        """The kernel once per release: a leading axis of the table and the uniforms holds
+        releases, which the batched test oracles take in one call."""
+        if u_cat.ndim == 1:
+            return resample_from_uniforms(y, cluster, z, q, lam, u_keep, u_cat)
+        return np.stack([resample_from_uniforms(y, cluster, z, table, lam, keep, cat)
+                         for table, keep, cat in zip(q, u_keep, u_cat)])
+
     @pytest.mark.parametrize("reps", [None, 3])
     @pytest.mark.parametrize(
-        "n", [0, 1, _RESAMPLE_BLOCK - 1, _RESAMPLE_BLOCK, _RESAMPLE_BLOCK + 1,
-              5 * _RESAMPLE_BLOCK // 2],
+        "n", [0, 1, 2 * UNIT_BLOCK - 1, 2 * UNIT_BLOCK, 2 * UNIT_BLOCK + 1, 5 * UNIT_BLOCK],
     )
     def test_block_boundaries(self, n, reps):
         # the comparison path: 50 clusters leave too few uniforms a row for a bucket table
         args = self._units(np.random.default_rng(n), n, 50, 12, () if reps is None else (reps,))
         assert _bucket_count(args[-1].size, args[3][..., 0].size) == 0
-        got, want = resample_from_uniforms(*args), resample_dense(*args)
+        got, want = self._each_release(*args), resample_dense(*args)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
 
     def test_draws_past_an_8_bit_count(self):
         # K = 300 needs a 16-bit counter: draws of 256 and above must not wrap
         rng = np.random.default_rng(11)
-        args = self._units(rng, 3000, 2, 300, ())
+        args = self._units(rng, 3000, 2, 300)
         q = np.full((2, 2, 300), 1.0 / 300)
         args = (*args[:3], q, 1.0, *args[5:])  # lam = 1 redraws every unit
         got = resample_from_uniforms(*args)
@@ -451,7 +457,7 @@ class TestResampleKernel:
 
     def _peak_per_unit(self, c):
         n = 200_000
-        args = self._units(np.random.default_rng(5), n, c, 12, ())
+        args = self._units(np.random.default_rng(5), n, c, 12)
         gc.collect()
         tracemalloc.start()
         try:
@@ -510,12 +516,12 @@ class TestResampleKernel:
 
     @staticmethod
     def _on_table_path(q, cluster, z, u_cat, lam=1.0):
-        """The kernel against the dense oracle on a call that builds the bucket table."""
+        """The kernel against the dense oracle on calls that build the bucket table."""
         assert _bucket_count(u_cat.size, q[..., 0].size) > 0
         rng = np.random.default_rng(u_cat.size)
         y = rng.integers(0, q.shape[-1], u_cat.shape[-1])
         args = (y, cluster, z, q, lam, rng.random(u_cat.shape), u_cat)
-        got, want = resample_from_uniforms(*args), resample_dense(*args)
+        got, want = TestResampleKernel._each_release(*args), resample_dense(*args)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         return got
@@ -528,7 +534,7 @@ class TestResampleKernel:
         # u_cat = 1.0, the one value past the last bucket (open_uniform clamps its top grid
         # point below 1, but resample_from_uniforms takes any u_cat in [0, 1])
         rng = np.random.default_rng(21)
-        k, n = 12, _RESAMPLE_BLOCK
+        k, n = 12, 2 * UNIT_BLOCK
         q = np.full((2, 2, k), 1.0 / k)  # cdf[K - 2] = 11/12: the last bucket holds no entry
         q[1] = [0.5, *[0.499 / (k - 2)] * (k - 2), 0.001]  # cdf[K - 2] = 0.999: it holds one
         cluster, z = self._cells(rng, 2, n)
@@ -540,7 +546,7 @@ class TestResampleKernel:
 
     def test_table_uniform_at_cdf_entries(self):
         rng = np.random.default_rng(22)
-        k, c, n = 12, 3, _RESAMPLE_BLOCK
+        k, c, n = 12, 3, 2 * UNIT_BLOCK
         q = self._tables(rng, "fitted", (c, 2), k)  # gamma = 0: repeated CDF entries
         cluster, z = self._cells(rng, c, n)
         entry = np.cumsum(q, axis=-1)[cluster, z, rng.integers(0, k, n)]
@@ -551,7 +557,7 @@ class TestResampleKernel:
     def test_table_cdf_entries_on_bucket_edges(self):
         # every CDF entry of quarters and eighths is some b / nb, where a bucket starts
         rng = np.random.default_rng(23)
-        n = _RESAMPLE_BLOCK
+        n = 2 * UNIT_BLOCK
         q = np.array([[[0.25, 0.125, 0.125, 0.5], [0.125, 0.375, 0.25, 0.25]]])
         nb = _bucket_count(n, 2)
         edges = np.arange(nb + 1) / nb  # 0.0 and 1.0 among them
@@ -560,7 +566,7 @@ class TestResampleKernel:
 
     def test_table_last_cdf_entry_at_or_above_one(self):
         rng = np.random.default_rng(24)
-        n = _RESAMPLE_BLOCK
+        n = 2 * UNIT_BLOCK
         q = np.array([[[0.5, 0.5, 0.0], [0.75, 0.25 + 2.0**-50, 0.0]]])
         top = np.cumsum(q, axis=-1)[0, :, 1]
         assert top[0] == 1.0 and top[1] > 1.0
@@ -571,7 +577,7 @@ class TestResampleKernel:
     def test_table_draws_past_an_8_bit_count(self):
         # K = 300: counts up to 299 and the marker need a 16-bit table
         rng = np.random.default_rng(25)
-        n = _RESAMPLE_BLOCK
+        n = 2 * UNIT_BLOCK
         q = np.full((1, 2, 300), 1.0 / 300)
         got = self._on_table_path(q, *self._cells(rng, 1, n), rng.random(n))
         assert got.max() >= 256
@@ -579,9 +585,7 @@ class TestResampleKernel:
     @pytest.mark.parametrize("reps", [None, 3])
     @pytest.mark.parametrize("blocks, extra", [(1, 1), (2, -1), (2, 0), (2, 1), (2.5, 0)])
     def test_table_block_boundaries(self, blocks, extra, reps):
-        # with a leading axis each replication reads its own rows of the table
-        block = _RESAMPLE_BLOCK // (2 * (reps or 1))
-        n = int(blocks * block) + extra
+        n = int(blocks * UNIT_BLOCK) + extra
         lead = () if reps is None else (reps,)
         _, cluster, z, q, _, _, u_cat = self._units(np.random.default_rng(n), n, 1, 12, lead)
         self._on_table_path(q, cluster, z, u_cat, lam=0.6)
