@@ -33,6 +33,7 @@ from .model import (
     ValidationError,
     arm_cells,
     finite_number,
+    index_type,
     unit_blocks,
 )
 from .rng import RngStreams, laplace_noise, open_uniform
@@ -195,7 +196,7 @@ def _block_resampler(y_observed, cluster, z, q_tilde, out):
     """
     cdf = np.cumsum(q_tilde, axis=-1)[..., :-1].reshape(-1, q_tilde.shape[-1] - 1)
     thresholds = np.ascontiguousarray(cdf.T)  # (K - 1, 2C), column cluster * 2 + z
-    counter = np.min_scalar_type(cdf.shape[-1])  # the narrowest type that holds K - 1
+    counter = index_type(q_tilde.shape[-1])
     nb = _bucket_count(len(out), len(cdf))
     table = _bucket_table(cdf, nb) if nb else None
 
@@ -215,8 +216,9 @@ def _block_resampler(y_observed, cluster, z, q_tilde, out):
                 drawn[slow] = (u[slow] > thresholds.take(
                     entry[slow] // nb, axis=-1)).sum(axis=0, dtype=counter)
         # drawn where redraw, else y, as y + (drawn - y) * redraw: the wraparound of the
-        # subtraction cancels in the addition, and no branch is taken per unit
-        y = y_observed[part].astype(drawn.dtype)
+        # subtraction cancels in the addition, and no branch is taken per unit. y is a
+        # view where y_observed has the count's type, read before out[part] is written.
+        y = y_observed[part].astype(drawn.dtype, copy=False)
         drawn -= y
         drawn *= redraw
         drawn += y
@@ -245,8 +247,8 @@ def resample_from_uniforms(y_observed, cluster, z, q_tilde, lam, u_keep, u_cat) 
     start; only units whose bucket holds one take the comparison path. Without a table
     every unit does: a block gathers the K - 1 thresholds of every u_cat at once and sums
     their comparisons.
-    The keep/redraw choice is integer arithmetic in the count's unsigned type, which
-    holds every outcome index y_observed < K.
+    The keep/redraw choice is integer arithmetic in the count's type, ``index_type(K)``,
+    which holds every outcome index y_observed < K.
     """
     out = np.empty(len(u_cat), dtype=np.int64)
     resample_block = _block_resampler(y_observed, cluster, z, q_tilde, out)
@@ -272,7 +274,9 @@ def resample_outcomes(
     uniforms become a one-byte redraw flag a unit, and each block's categorical
     uniforms are drawn just before that block is resampled. The result is written into
     ``out`` where given, which may be ``y_observed`` itself: a block reads its outcomes
-    before it writes them.
+    before it writes them. Otherwise it is a new int64 array. Each block's outcomes are
+    drawn in ``index_type(K)``, which ``cluster_dp``'s observed outcomes share, so a
+    release written over them costs one byte a unit for K <= 256.
     """
     n = len(y_observed)
     if out is None:

@@ -60,6 +60,36 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+def index_type(k: int) -> np.dtype:
+    """The narrowest unsigned type that holds every outcome index 0..k - 1: one byte a
+    unit for k <= 256."""
+    return np.min_scalar_type(k - 1)
+
+
+def _index_array(values, high: int, dtype, what: str) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array of whole numbers in 0..high - 1, else a
+    ``ValidationError`` that names them as ``what``.
+
+    The range is checked on the values as given, before the cast, and exactly for every
+    integer type; a float that the cast would change (0.5, NaN) is refused, not truncated.
+    """
+    raw = np.asarray(values)
+    kind = raw.dtype.kind
+    ok = kind in "biuf"
+    if ok and raw.size:
+        if kind == "f":
+            ok = raw.min() >= 0 and raw.max() < high  # NaN fails this too
+        elif kind == "i" and high > 1 << (8 * raw.itemsize - 1):
+            # an int8 -1 reads as 255 in the unsigned view, an index at K = 256
+            ok = int(raw.min()) >= 0 and int(raw.max()) < high
+        else:  # one pass: a negative entry reads as 2**(bits - 1) or more unsigned
+            ok = int(raw.view(f"u{raw.itemsize}").max()) < high
+    arr = _frozen_array(raw, dtype) if ok else None
+    if not ok or (kind == "f" and not np.array_equal(arr, raw)):
+        raise ValidationError(f"{what} must be whole numbers in 0..{high - 1}")
+    return arr
+
+
 @dataclass(frozen=True)
 class OutcomeSpace:
     """Finite response space: K >= 2 strictly increasing real values.
@@ -145,10 +175,12 @@ class SerialIds(Sequence):
 class PopulationDataset:
     """Units with both potential outcomes and a dense cluster id per unit.
 
-    ``y0``/``y1`` hold indices into ``space``; ``cluster_labels[c]`` is the
-    original label of dense cluster ``c``. ``members[c]`` holds the indices
-    of cluster ``c``'s units in ascending order; it is the one grouping of
-    units by cluster, so per-cluster work never rescans all units.
+    ``y0``/``y1`` hold indices into ``space`` in ``index_type(K)``, one byte a unit for
+    K <= 256; the int64 ``cluster`` holds dense ids. Each column must hold whole numbers
+    in range: a value that the cast would change is refused, not truncated.
+    ``cluster_labels[c]`` is the original label of dense cluster ``c``. ``members[c]``
+    holds the indices of cluster ``c``'s units in ascending order; it is the one
+    grouping of units by cluster, so per-cluster work never rescans all units.
     ``types`` lists the nonzero cells of the (C, K, K) table of unit counts per
     (cluster, y0 index, y1 index), the table that every closed-form variance reads.
     """
@@ -164,15 +196,14 @@ class PopulationDataset:
         n, k, c = len(self.unit_ids), self.space.k, len(self.cluster_labels)
         if n == 0:
             raise ValidationError("population is empty")
-        for name, what, high in (("cluster", "cluster ids", c), ("y0", "y0 indices", k),
-                                 ("y1", "y1 indices", k)):
+        index = index_type(k)
+        for name, what, high, dtype in (("cluster", "cluster ids", c, np.int64),
+                                        ("y0", "y0 indices", k, index),
+                                        ("y1", "y1 indices", k, index)):
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValidationError(f"{name} must have one entry per unit")
-            arr = _frozen_array(arr, np.int64)
-            if arr.min() < 0 or arr.max() >= high:
-                raise ValidationError(f"{what} must lie in 0..{high - 1}")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _index_array(arr, high, dtype, what))
         sizes = np.bincount(self.cluster, minlength=c)
         object.__setattr__(self, "cluster_sizes", _frozen_array(sizes, np.int64))
         order = _frozen_array(np.argsort(self.cluster, kind="stable"), np.int64)
@@ -248,15 +279,23 @@ class PopulationDataset:
 
     @property
     def ate(self) -> float:
-        """Finite-sample average treatment effect over the full population."""
-        vals = self.space.array
-        return float(np.mean(vals[self.y1] - vals[self.y0]))
+        """Finite-sample average treatment effect over the full population.
+
+        The effects vals[y1] - vals[y0] are written into one float array a block of
+        units at a time: the same subtractions, then one mean."""
+        vals, effect = self.space.array, np.empty(self.n)
+        for part in unit_blocks(self.n):
+            np.subtract(vals.take(self.y1[part]), vals.take(self.y0[part]), out=effect[part])
+        return float(np.mean(effect))
 
     def observed(self, design: "Design") -> np.ndarray:
-        """Observed outcome indices under a realized assignment: y0 + z (y1 - y0), in place,
-        which is y1 where z = 1 and y0 where z = 0 (``Design`` holds only 0/1 entries)."""
+        """Observed outcome indices under a realized assignment, in the index type of y0.
+
+        They are y0 + z (y1 - y0), built in place and read through z's uint8 view: the
+        subtraction may wrap around, and the addition undoes the wrap, so the result
+        is y1 where z = 1 and y0 where z = 0 (``Design`` holds only 0/1 entries)."""
         y = self.y1 - self.y0
-        y *= design.z
+        y *= design.z.view(np.uint8)
         y += self.y0
         return y
 
@@ -430,6 +469,9 @@ class PrivatizedRelease:
 
     Third parties can estimate treatment effects from this object alone; no
     true outcomes are present. The debiasing rows are derived: see ``debias``.
+    ``y_tilde`` holds indices into ``space`` in ``index_type(K)`` and ``cluster`` the
+    int64 dense ids; like ``PopulationDataset``, both refuse a value outside their range
+    or one that the cast would change.
     """
 
     space: OutcomeSpace
@@ -442,13 +484,12 @@ class PrivatizedRelease:
     params: MechanismParams
 
     def __post_init__(self):
-        object.__setattr__(self, "cluster", _frozen_array(self.cluster, np.int64))
-        object.__setattr__(self, "y_tilde", _frozen_array(self.y_tilde, np.int64))
+        k, c = self.space.k, len(self.cluster_labels)
+        object.__setattr__(self, "cluster", _index_array(
+            self.cluster, c, np.int64, "release cluster ids"))
+        object.__setattr__(self, "y_tilde", _index_array(
+            self.y_tilde, k, index_type(k), "release outcome indices"))
         object.__setattr__(self, "q_tilde", _frozen_array(self.q_tilde, float))
-        y = self.y_tilde
-        # one pass: a negative index reads as >= 2**63 in the uint64 view
-        if y.size and y.view(np.uint64).max() >= self.space.k:
-            raise ValidationError("privatized outcome outside space")
 
     @property
     def n(self) -> int:

@@ -92,6 +92,7 @@ def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray:
     """Standard normal draws via inverse CDF on a uniform (deterministic transform).
 
     ``ndtri`` is the function ``scipy.stats.norm.ppf`` evaluates, without that
-    method's argument handling.
+    method's argument handling. An array of draws overwrites its own uniforms.
     """
-    return ndtri(open_uniform(rng, size))
+    u = open_uniform(rng, size)
+    return ndtri(u) if size is None else ndtri(u, out=u)

@@ -17,7 +17,9 @@ from itertools import islice
 
 import numpy as np
 
-from .model import OutcomeSpace, PopulationDataset, SerialIds, ValidationError
+from .model import (
+    OutcomeSpace, PopulationDataset, SerialIds, ValidationError, index_type, unit_blocks,
+)
 from .rng import RngStreams, standard_normal
 
 __all__ = [
@@ -75,32 +77,46 @@ def quantize(y_prime, v: float, k_prime: int):
     Values beyond +/- 2 sqrt(v) saturate at +/- k_prime; inside that range the
     response is divided by the grid step 2 sqrt(v)/k_prime and rounded to the
     nearest integer, half away from zero so the map is symmetric about 0.
+    The rounding runs in place in one float array; y / delta has the sign of y,
+    since delta > 0, so the rounded magnitude takes its sign from y.
     """
     if v <= 0:
         raise ValidationError("v must be > 0")
     y = np.asarray(y_prime, dtype=float)
-    delta = 2.0 * math.sqrt(v) / k_prime
-    scaled = y / delta
-    rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
-    out = np.where(
-        y > 2.0 * math.sqrt(v),
-        k_prime,
-        np.where(y < -2.0 * math.sqrt(v), -k_prime, rounded),
-    ).astype(np.int64)
+    edge = 2.0 * math.sqrt(v)
+    rounded = np.array(y)
+    rounded /= edge / k_prime
+    np.abs(rounded, out=rounded)
+    rounded += 0.5
+    np.floor(rounded, out=rounded)
+    np.copysign(rounded, y, out=rounded)
+    np.copyto(rounded, k_prime, where=y > edge)
+    np.copyto(rounded, -k_prime, where=y < -edge)
+    out = rounded.astype(np.int64)
     return out if out.ndim else int(out)
 
 
 def gen_gmm(config: GmmConfig, streams: RngStreams) -> PopulationDataset:
-    """Draw a mixture population; control outcomes quantized, treated = control + tau."""
+    """Draw a mixture population; control outcomes quantized, treated = control + tau.
+
+    y' is built in place in the noise draws: each is scaled, then its cluster's scaled
+    mean is added a block of units at a time. Addition commutes in IEEE arithmetic, so
+    these are the bits of sqrt(beta) mu_c + sqrt(v - beta) w_i.
+    """
     sizes = np.asarray(config.cluster_sizes, dtype=np.int64)
     n = int(sizes.sum())
     cluster = np.repeat(np.arange(len(sizes)), sizes)
-    mu = standard_normal(streams.generator("mu"), len(sizes))
-    w = standard_normal(streams.generator("noise"), n)
-    y_prime = math.sqrt(config.beta) * mu[cluster] + math.sqrt(config.v - config.beta) * w
-    y0_level = quantize(y_prime, config.v, config.k_prime)
+    centers = math.sqrt(config.beta) * standard_normal(streams.generator("mu"), len(sizes))
+    y_prime = standard_normal(streams.generator("noise"), n)
+    y_prime *= math.sqrt(config.v - config.beta)
+    for part in unit_blocks(n):
+        y_prime[part] += centers.take(cluster[part])
+    level = quantize(y_prime, config.v, config.k_prime)
+    del y_prime
+    level += config.k_prime
     space = config.space()
-    y0 = y0_level + config.k_prime
+    y0 = level.astype(index_type(space.k))
+    del level
     return PopulationDataset(
         space=space,
         unit_ids=SerialIds(np.arange(n)),
@@ -192,7 +208,7 @@ def gen_graph_population(config: GraphPopConfig, streams: RngStreams) -> Populat
     mids = lo + width * (np.arange(config.k) + 0.5)
 
     def bin_idx(y):
-        return np.clip(np.floor((y - lo) / width), 0, config.k - 1).astype(np.int64)
+        return np.clip(np.floor((y - lo) / width), 0, config.k - 1).astype(index_type(config.k))
 
     return PopulationDataset(
         space=OutcomeSpace(tuple(float(m) for m in mids)),

@@ -276,9 +276,12 @@ class TestBlockedPasses:
         want = resample_outcomes_whole(*args, h)
         assert same(resample_outcomes(*args, g), want)
         assert g.random() == h.random()  # the stream is left at the same place
-        into = observed.copy()  # written over its own observed outcomes
+        # written over its own observed outcomes, one byte a unit: the oracle's outcomes
+        # (all below K) in the same type
+        into = observed.copy()
+        assert into.dtype == np.uint8
         got = resample_outcomes(into, *args[1:], streams.generator("resample"), into)
-        assert got is into and same(got, want)
+        assert got is into and same(got, want.astype(into.dtype))
 
     @pytest.mark.parametrize("n, c, shuffled", _CASES)
     def test_tau_q(self, n, c, shuffled):

@@ -746,12 +746,13 @@ class TestClosedStdout:
         code, _, _ = run_cli(capsys, "privatize", "--pop", str(pop_csv), "--out", str(release_csv),
                              "--sidecar", str(sidecar))
         assert code == 0
-        child = self._cli("estimate", "--release", str(release_csv), "--sidecar", str(sidecar),
-                          stdout=subprocess.PIPE)
-        assert child.stdout.read(10) == b'{\n  "per_c'
-        child.stdout.close()
-        err = child.stderr.read()
-        assert child.wait(timeout=60) == EXIT_STDOUT_CLOSED == 141
+        # the with block closes the child's stderr pipe, as it does stdout's
+        with self._cli("estimate", "--release", str(release_csv), "--sidecar", str(sidecar),
+                       stdout=subprocess.PIPE) as child:
+            assert child.stdout.read(10) == b'{\n  "per_c'
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == EXIT_STDOUT_CLOSED == 141
         assert err == b""
 
     def test_reader_gone_before_a_short_output(self):
@@ -762,6 +763,7 @@ class TestClosedStdout:
             child = self._cli("account", stdout=write_end)
         finally:
             os.close(write_end)
-        err = child.stderr.read()
-        assert child.wait(timeout=60) == EXIT_STDOUT_CLOSED
+        with child:  # closes the child's stderr pipe
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == EXIT_STDOUT_CLOSED
         assert err == b""

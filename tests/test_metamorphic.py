@@ -1,4 +1,5 @@
-"""Exact metamorphic relations: scaling every outcome value by a power of two.
+"""Exact metamorphic relations: scaling every outcome value by a power of two, and
+shuffling the rows of a population.
 
 Multiplying a float by 2^j is exact, and so is every rounding of a sum, product or
 quotient of scaled numbers (away from overflow and subnormals). The designs, priors and
@@ -12,6 +13,11 @@ are all multiplied by 2^j:
 
 A formula that mixes a value with a unit-free number, or squares where it should not,
 breaks the relation on almost every population.
+
+The closed forms and the count-level kernel read a population only through its type
+counts ``PopulationDataset.types``, which do not depend on the order of its rows. So a
+population with its rows permuted gives every one of them the same bits; a formula that
+reads a unit by its position, or a count that drops one, breaks the relation.
 """
 
 import dataclasses
@@ -21,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterdp.estimation import tau_q
-from clusterdp.experiments import count_level_taus
+from clusterdp.experiments import count_level_taus, counts_design
 from clusterdp.mechanisms import cluster_dp
 from clusterdp.model import (
     Design, MechanismKind, MechanismParams, OutcomeSpace, PopulationDataset, draw_design,
@@ -30,6 +36,8 @@ from clusterdp.rng import RngStreams
 from clusterdp.variance import (
     cluster_dp_variance_bound, homogeneity, ht_variance, uniform_prior_variance,
 )
+
+from conftest import pooled_with_design
 
 POWERS = (-1, 1, 3)
 
@@ -104,3 +112,29 @@ def test_estimates_scale_by_two_to_the_j(case, params, seed):
     base = estimates(pop)
     for j in POWERS:
         assert estimates(scaled(pop, j)) == [2.0**j * t for t in base], j
+
+
+def shuffled(pop: PopulationDataset, order) -> PopulationDataset:
+    """The same units, row i of the result being row order[i] of ``pop``."""
+    return PopulationDataset(
+        pop.space, tuple(pop.unit_ids[i] for i in order), pop.cluster[order], pop.y0[order],
+        pop.y1[order], pop.cluster_labels,
+    )
+
+
+@given(case=tiny_populations(), params=mechanisms, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_row_shuffle_changes_nothing(case, params, seed):
+    pop, n1c = case
+    order = np.random.default_rng(seed).permutation(pop.n)
+
+    def results(p):
+        design = counts_design(p, n1c)  # the same n1c, n0c on units in any order
+        bound = cluster_dp_variance_bound(p, design, params)
+        taus = count_level_taus(p, params, n1c, RngStreams(seed).child("mc"), 20)
+        return [ht_variance(p, design), homogeneity(p, design, 0), homogeneity(p, design, 1),
+                uniform_prior_variance(p, design, params.lam),
+                uniform_prior_variance(*pooled_with_design(p, design), params.lam),
+                bound.value, bound.no_dp_variance, *bound.components.values(), *taus]
+
+    assert results(shuffled(pop, order)) == results(pop)

@@ -126,10 +126,43 @@ class TestPopulationDataset:
         pop = make_population(
             (0.0, 1.0, 2.0), {"a": [(0, 1), (1, 2)], "b": [(2, 2), (0, 1)], "c": [(1, 0), (2, 1)]}
         )
-        columns = {n: getattr(pop, n).copy() for n in ("cluster", "y0", "y1")}
+        columns = {n: getattr(pop, n).astype(np.int64) for n in ("cluster", "y0", "y1")}
         columns[name][2] = value
         with pytest.raises(ValidationError, match=message):
             PopulationDataset(pop.space, pop.unit_ids, cluster_labels=pop.cluster_labels, **columns)
+
+    @staticmethod
+    def _four_units(**columns):
+        """Four units in clusters a, a, b, b over the space (0, 1, 2), any column replaced."""
+        columns = {"cluster": [0, 0, 1, 1], "y0": [0, 1, 2, 1], "y1": [1, 1, 0, 2], **columns}
+        return PopulationDataset(OutcomeSpace((0.0, 1.0, 2.0)), ("u1", "u2", "u3", "u4"),
+                                 cluster_labels=("a", "b"),
+                                 **{name: np.asarray(v) for name, v in columns.items()})
+
+    @pytest.mark.parametrize("name, values", [
+        ("y0", [0.9, 1.5, 0.2, 1.99]), ("y1", [0.0, 1.0, math.nan, 2.0]),
+        ("y0", [0.0, -0.5, 1.0, 1.0]), ("cluster", [0.0, 0.4, 1.0, 1.7]),
+    ])
+    def test_rejects_values_that_a_cast_would_change(self, name, values):
+        # truncation would store [0, 1, 0, 1], a NaN would cast to garbage
+        with pytest.raises(ValidationError, match="must be whole numbers"):
+            self._four_units(**{name: values})
+
+    def test_whole_floats_are_indices(self):
+        pop = self._four_units(y0=[0.0, 1.0, 2.0, 1.0], cluster=[0.0, 0.0, 1.0, 1.0])
+        assert pop.y0.dtype == np.uint8 and pop.y0.tolist() == [0, 1, 2, 1]
+        assert pop.cluster.dtype == np.int64 and pop.cluster.tolist() == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize("values", [
+        np.array([0, -1, 1, 1], dtype=np.int8),  # the 255 of a one-byte view
+        np.array([0, 256, 1, 1], dtype=np.int16),  # the 0 of a one-byte cast
+        np.array([0, 2**64 - 1, 1, 1], dtype=np.uint64),  # the -1 of an int64 cast
+    ])
+    def test_range_check_precedes_the_narrowing_cast(self, values):
+        space = OutcomeSpace(tuple(range(256)))  # K = 256: one-byte indices 0..255
+        with pytest.raises(ValidationError, match="y0 indices"):
+            PopulationDataset(space, ("u1", "u2", "u3", "u4"), np.array([0, 0, 1, 1]),
+                              values, np.zeros(4, dtype=np.int64), ("a", "b"))
 
 
 def test_arm_cells_from_a_prebuilt_index():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import tracemalloc
@@ -320,18 +321,37 @@ class TestSerialIds:
         assert sub.unit_ids == tuple(pop.unit_ids[i] for i in keep)
         assert sub.unit_ids == _text_ids(keep)
 
-    def test_population_bytes_per_unit(self):
-        """Three int64 columns, the cluster grouping and the ids: 40 bytes a unit.
-
-        One ``u%06d`` string per unit added 56 more.
-        """
+    @staticmethod
+    def _population_memory():
+        """(bytes kept, peak bytes above the start) of a generated population of 200 000
+        units, under tracemalloc."""
         config = GmmConfig(beta=1.0, v=5.0, k_prime=2, cluster_sizes=(50_000,) * 4)
+        gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             pop = gen_gmm(config, RngStreams(4))
-            retained = tracemalloc.get_traced_memory()[0] - before
+            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert pop.n == 200_000
-        assert retained / pop.n < 48
+        assert pop.n == 200_000 and pop.y0.dtype == np.uint8
+        return kept, peak
+
+    def test_population_bytes_per_unit(self):
+        """The int64 cluster ids, the int64 ``members`` order and ids, and one-byte y0 and
+        y1: 26 bytes a unit, plus at most 16 KiB of objects whose size does not grow with
+        n (7.4 KB measured with Python 3.11.7 and NumPy 2.4.6).
+
+        Three int64 columns took 40 bytes a unit; one ``u%06d`` string per unit 56 more.
+        """
+        kept = self._population_memory()[0]
+        assert kept <= 26 * 200_000 + 16 * 1024
+
+    def test_population_build_peak(self):
+        """``gen_gmm`` peaks at most 8 bytes a unit above what it keeps: y' is built in
+        the noise draws, and ``quantize`` rounds in one float array. The peak, 32.0
+        bytes a unit (Python 3.11.7, NumPy 2.4.6), is the cluster ids, y', the rounded
+        values and their int64 cast; whole-array expressions peaked at 64.1.
+        """
+        kept, peak = self._population_memory()
+        assert peak - kept <= 8 * 200_000
